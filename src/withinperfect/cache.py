@@ -37,7 +37,7 @@ def write_segment(segment: SigmaSegment, path: str) -> None:
     os.replace(tmp, path)
 
 
-def read_segment(path: str, *, segment_id: int = 0) -> SigmaSegment:
+def read_segment(path: str) -> SigmaSegment:
     """Load a segment, rejecting bad magic/version/length/checksum."""
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -58,10 +58,10 @@ def read_segment(path: str, *, segment_id: int = 0) -> SigmaSegment:
     if zlib.crc32(payload) != crc:
         raise CacheChecksumError(f"{path}: CRC32 mismatch")
     sigma = np.frombuffer(payload, dtype="<u8").astype(np.uint64)
-    return SigmaSegment(lo, hi, sigma, None, segment_id)
+    return SigmaSegment(lo, hi, sigma, None)
 
 
 def cache_roundtrip(segment: SigmaSegment, path: str) -> SigmaSegment:
     """Write then read back; the sigma array survives bit-exactly."""
     write_segment(segment, path)
-    return read_segment(path, segment_id=segment.segment_id)
+    return read_segment(path)

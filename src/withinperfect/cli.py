@@ -30,7 +30,6 @@ _FORMATS = ("csv", "json", "ndjson", "table")
 class RunConfig:
     """Run-wide knobs shared by every subcommand."""
 
-    limit: Optional[int] = None
     segment_length: int = DEFAULT_SEGMENT_LENGTH
     cache_dir: Optional[str] = None
     output_format: str = "csv"
@@ -67,7 +66,7 @@ def apply_config_file(config: RunConfig, path: str) -> RunConfig:
             if not sep:
                 raise ValueError(f"malformed config line {raw.strip()!r}")
             key, value = key.strip(), value.strip()
-            if key in ("limit", "segment_length", "threads"):
+            if key in ("segment_length", "threads"):
                 updates[key] = int(value)
             elif key == "cache_dir":
                 updates[key] = value or None
@@ -227,10 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _threshold_from_args(args, config: RunConfig) -> ThresholdSpec:
-    spec = ThresholdSpec.parse(args.threshold)
-    return ThresholdSpec(spec.kind, spec.param, spec.fn, spec.floor, spec.ceiling,
-                         strict=config.strict_inequality,
-                         at_limit=not config.threshold_at_n)
+    return replace(ThresholdSpec.parse(args.threshold),
+                   strict=config.strict_inequality,
+                   at_limit=not config.threshold_at_n)
 
 
 def _dispatch(args, config: RunConfig) -> str:
@@ -270,7 +268,7 @@ def _dispatch(args, config: RunConfig) -> str:
         threshold = ThresholdSpec.x_over_log(strict=config.strict_inequality,
                                              at_limit=not config.threshold_at_n)
         result = within.series(RationalTarget(2, 1), threshold,
-                               list(range(2, args.limit + 1)), source,
+                               range(2, args.limit + 1), source,
                                config.include_n_equals_1)
         return emit.series_csv(result)
 
@@ -348,7 +346,6 @@ def main(argv=None) -> int:
 
     try:
         config = RunConfig(
-            limit=getattr(args, "limit", None),
             segment_length=args.segment_length,
             cache_dir=args.cache_dir,
             output_format=args.format or _DEFAULT_FORMATS.get(args.command, "csv"),

@@ -10,14 +10,13 @@ decomposition and is classified sporadic.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from sympy import isprime
 
-from .exact import _guard_linear
+from .exact import _counts_upto, _guard_linear
 from .sieve import SigmaSource, sigma_oracle
 from .types import CheckpointSeries, SolutionRecord
 
@@ -75,7 +74,7 @@ def census(problem: CongruenceProblem, source: Optional[SigmaSource] = None) -> 
     """Exhaustively list and classify the solutions n <= limit, ascending."""
     source = source or SigmaSource()
     b, k, limit = problem.b, problem.k, problem.limit
-    _guard_linear(1, b, limit)
+    _guard_linear(1, b, limit, k)
     anchors = witness_anchors(b, k)
     records: list[SolutionRecord] = []
     bv, kv = np.int64(b), np.int64(k)
@@ -116,7 +115,7 @@ def sporadic_growth_report(b: int, k: int, checkpoints,
     checkpoints = sorted(int(x) for x in checkpoints)
     records = census(CongruenceProblem(b, k, checkpoints[-1]), source)
     sporadics = [r.n for r in records if r.classification == "sporadic"]
-    counts = [bisect_right(sporadics, x) for x in checkpoints]
+    counts = _counts_upto(sporadics, checkpoints).tolist()
     ratios, slack, sqrt_shape = [], [], []
     for x, c in zip(checkpoints, counts):
         ratios.append(c / (b * b * x ** (2.0 / 3.0)))

@@ -21,28 +21,12 @@ from typing import Optional
 
 import numpy as np
 
+from .exact import _counts_upto
 from .sieve import SigmaSource
-from .types import RationalTarget, ThresholdSpec
+from .types import RationalTarget, ThresholdSpec, as_exact_fraction
 from .within import _check_scale, count_thresholds
 
 _BAND = 1e-12
-
-
-def _as_query_fraction(u, what: str = "query point") -> Fraction:
-    """Exact Fraction for a grid/query value.
-
-    Strings parse exactly ("2.1" -> 21/10); floats convert to the dyadic
-    rational they already are (documented: pass a string for decimal intent).
-    """
-    if isinstance(u, Fraction):
-        return u
-    if isinstance(u, int):
-        return Fraction(u)
-    if isinstance(u, str):
-        return Fraction(u)
-    if isinstance(u, float):
-        return Fraction(u)
-    raise TypeError(f"{what} must be int, float, str, or Fraction")
 
 
 def _ratio_le_mask(sigma: np.ndarray, n: np.ndarray, u: Fraction,
@@ -74,7 +58,7 @@ class EmpiricalCDF:
         return tuple(c / self.limit for c in self.counts)
 
     def value_at(self, u) -> float:
-        return self.values[self.grid.index(_as_query_fraction(u))]
+        return self.values[self.grid.index(as_exact_fraction(u, "query point"))]
 
 
 def empirical_cdf(limit: int, grid, source: Optional[SigmaSource] = None,
@@ -83,7 +67,7 @@ def empirical_cdf(limit: int, grid, source: Optional[SigmaSource] = None,
     if limit < 1:
         raise ValueError("limit must be >= 1")
     labels = tuple(str(u) for u in grid)
-    fracs = tuple(_as_query_fraction(u) for u in grid)
+    fracs = tuple(as_exact_fraction(u, "query point") for u in grid)
     if list(fracs) != sorted(fracs):
         raise ValueError("grid must be ascending")
     source = source or SigmaSource()
@@ -160,16 +144,14 @@ def phase_experiment(target, regime: str, checkpoints,
         raise ValueError(f"unknown regime {regime!r}")
     if c is None:
         raise ValueError("linear regime needs the slope c")
-    cf = _as_query_fraction(c, "slope")
+    cf = as_exact_fraction(c, "slope")
     if cf <= 0:
         raise ValueError("slope must be positive")
     ell = target.fraction
     u_hi, u_lo = ell + cf, ell - cf
 
     # one pass: the open window |sigma/n - l| < c and both CDF counts
-    window = [0] * len(checkpoints)
-    cdf_hi = [0] * len(checkpoints)
-    cdf_lo = [0] * len(checkpoints)
+    counts = np.zeros((3, len(checkpoints)), dtype=np.int64)
     slope = cf * target.b  # window test cleared of b: D = |b*sigma - a*n| < b*c*n
     for seg in source.segments(checkpoints[-1]):
         n = seg.n_values()
@@ -178,15 +160,10 @@ def phase_experiment(target, regime: str, checkpoints,
         _check_scale(int(D.max(initial=0)) * slope.denominator,
                      slope.numerator * int(n[-1]))
         in_window = D * np.int64(slope.denominator) < np.int64(slope.numerator) * n
-        hits_w = n[in_window]
-        hits_hi = n[_ratio_le_mask(sig, n, u_hi)]
-        hits_lo = n[_ratio_le_mask(sig, n, u_lo)]
-        for j, ck in enumerate(checkpoints):
-            if ck < seg.lo:
-                continue
-            for bucket, hits in ((window, hits_w), (cdf_hi, hits_hi), (cdf_lo, hits_lo)):
-                bucket[j] += (len(hits) if ck >= seg.hi
-                              else int(np.searchsorted(hits, ck, side="right")))
+        for row, mask in zip(counts, (in_window, _ratio_le_mask(sig, n, u_hi),
+                                      _ratio_le_mask(sig, n, u_lo))):
+            row += _counts_upto(n[mask], checkpoints)
+    window, cdf_hi, cdf_lo = counts.tolist()
     densities = [w / x for w, x in zip(window, checkpoints)]
     references = [(h - l) / x for h, l, x in zip(cdf_hi, cdf_lo, checkpoints)]
     deviations = [abs(d - r) for d, r in zip(densities, references)]
@@ -227,7 +204,7 @@ def sigma_approx_probe(target_value, depth: int, search_limit: int,
     """
     if depth < 1 or search_limit < 2:
         raise ValueError("depth must be >= 1 and search_limit >= 2")
-    ell = _as_query_fraction(target_value, "target")
+    ell = as_exact_fraction(target_value, "target")
     if ell <= 1:
         raise ValueError("target must exceed 1")
     source = source or SigmaSource()

@@ -7,23 +7,23 @@ produce byte-identical artifacts.
 from __future__ import annotations
 
 import json
-import math
 from typing import Iterable
 
 from .congruence import SporadicGrowthReport
 from .distribution import EmpiricalCDF, PhaseReport, ProbeReport
-from .exact import DiophantineSolution, GcdSumReport, PerfectCensus, SeriesSums, WirsingReport
+from .exact import DiophantineSolution, GcdSumReport, PerfectCensus, WirsingReport
 from .types import CheckpointSeries, SolutionRecord
-from .within import LimitCheckReport, TableOneReport
+from .within import TableOneReport
 
 
 def fmt6(value: float) -> str:
-    return "nan" if math.isnan(value) else f"{value:.6f}"
+    return f"{value:.6f}"  # NaN (of either sign) prints as "nan"
 
 
 def series_csv(series: CheckpointSeries) -> str:
     lines = ["x,count,quotient"]
-    lines += [f"{x},{c},{fmt6(q)}" for x, c, q in series.rows()]
+    lines += [f"{x},{c},{q:.6f}"
+              for x, c, q in zip(series.checkpoints, series.counts, series.quotients)]
     return "\n".join(lines) + "\n"
 
 
@@ -97,15 +97,6 @@ def gcdsum_csv(report: GcdSumReport) -> str:
             f"{report.bound:.6e},{fmt6(report.bound_ratio)},{fmt6(report.scaled)}\n")
 
 
-def sums_text(sums: SeriesSums) -> str:
-    return (
-        f"target {sums.target}, limit {sums.limit}\n"
-        f"members: {','.join(map(str, sums.members))}\n"
-        f"sum 1/m = {sums.reciprocal} = {sums.reciprocal_decimal(15)}\n"
-        f"sum log(m)/m = {str(sums.log_weighted)}\n"
-    )
-
-
 def sporadic_csv(report: SporadicGrowthReport) -> str:
     return series_csv(report.series)
 
@@ -154,19 +145,4 @@ def table1_text(report: TableOneReport) -> str:
     others = ", ".join(f"{name}: {report.max_deviation[name]:.6f}"
                        for name in report.max_deviation)
     lines.append(f"max deviation by convention: {others}")
-    return "\n".join(lines) + "\n"
-
-
-def limit_check_csv(report: LimitCheckReport) -> str:
-    if report.branch == "limit":
-        lines = ["x,count,quotient,partial_limit,deviation"]
-        for j, x in enumerate(report.checkpoints):
-            lines.append(f"{x},{report.counts[j]},{fmt6(report.quotients[j])},"
-                         f"{fmt6(report.partial_limits[j])},{fmt6(report.deviations[j])}")
-        lines.append(f"# branch: limit, trend: {report.trend}")
-    else:
-        lines = ["x,count,normalized"]
-        for j, x in enumerate(report.checkpoints):
-            lines.append(f"{x},{report.counts[j]},{fmt6(report.normalized[j])}")
-        lines.append(f"# branch: bound, bounded: {str(report.bounded).lower()}")
     return "\n".join(lines) + "\n"

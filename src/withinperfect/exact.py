@@ -18,12 +18,13 @@ from .sieve import SigmaSource, sigma_oracle
 from .types import CheckpointSeries, RationalTarget, SolutionRecord
 
 
-def _guard_linear(a: int, b: int, limit: int) -> None:
-    """b*sigma(n) and a*n must stay well inside int64 for vectorized masks."""
+def _guard_linear(a: int, b: int, limit: int, k: int = 0) -> None:
+    """b*sigma(n) - k and a*n must stay well inside int64 for vectorized masks."""
     sigma_max = limit * (1 + math.log(limit)) if limit > 1 else 1
-    if max(b * sigma_max, a * float(limit)) >= 2**62:
+    if max(b * sigma_max + abs(k), a * float(limit)) >= 2**62:
         raise CapabilityError(
-            f"coefficients a={a}, b={b} at limit {limit} exceed the int64 working range"
+            f"coefficients a={a}, b={b}{f', k={k}' if k else ''} at limit {limit} "
+            f"exceed the int64 working range"
         )
 
 
@@ -38,8 +39,13 @@ def _fraction_sum(terms: list[Fraction]) -> Fraction:
     return work[0]
 
 
-def _counts_at(members: list[int], checkpoints: list[int]) -> list[int]:
-    return [bisect_right(members, x) for x in checkpoints]
+def _counts_upto(hits, checkpoints) -> np.ndarray:
+    """How many of the ascending hits are <= each checkpoint, in one call.
+
+    A checkpoint below every hit counts 0 and one at or past the last counts
+    them all, so a streaming pass adds this per segment with no case split.
+    """
+    return np.searchsorted(hits, checkpoints, side="right")
 
 
 @dataclass
@@ -69,7 +75,8 @@ def enumerate_perfect(target, limit: int, source: Optional[SigmaSource] = None,
         hits = n[b * seg.sigma.view(np.int64) == a * n]
         members.extend(int(v) for v in hits)
     cks = checkpoints or [limit]
-    counting = CheckpointSeries(cks, _counts_at(members, cks), label=f"perfect l={target}")
+    counting = CheckpointSeries(cks, _counts_upto(members, cks).tolist(),
+                                label=f"perfect l={target}")
     return PerfectCensus(target, limit, members, counting)
 
 
@@ -235,7 +242,7 @@ def solve_diophantine(problem: DiophantineProblem, source: Optional[SigmaSource]
 
     cks = checkpoints or [limit]
     members = [r.n for r in records]
-    series = CheckpointSeries(cks, _counts_at(members, cks),
+    series = CheckpointSeries(cks, _counts_upto(members, cks).tolist(),
                               label=f"dioph {b}*sigma(n)={a}*n+{k}")
     return DiophantineSolution(
         problem=problem, records=records, series=series,

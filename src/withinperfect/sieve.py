@@ -51,7 +51,6 @@ class SigmaSegment:
     hi: int
     sigma: np.ndarray
     spf: Optional[np.ndarray] = None
-    segment_id: int = 0
 
     def __post_init__(self):
         if not (1 <= self.lo <= self.hi):
@@ -157,7 +156,7 @@ def _spf_block(lo: int, hi: int) -> np.ndarray:
     return spf
 
 
-def sieve_segment(lo: int, hi: int, *, with_spf: bool = True, segment_id: int = 0,
+def sieve_segment(lo: int, hi: int, *, with_spf: bool = True,
                   budget: int = DEFAULT_BUDGET) -> SigmaSegment:
     """Sieve exact sigma values (and smallest prime factors) over [lo, hi].
 
@@ -167,7 +166,7 @@ def sieve_segment(lo: int, hi: int, *, with_spf: bool = True, segment_id: int = 
     _check_range(lo, hi, budget)
     sigma = _sigma_block(lo, hi)
     spf = _spf_block(lo, hi) if with_spf else None
-    return SigmaSegment(lo, hi, sigma, spf, segment_id)
+    return SigmaSegment(lo, hi, sigma, spf)
 
 
 def sigma_oracle(n: int) -> int:
@@ -269,32 +268,30 @@ class SigmaSource:
         return [(lo, min(lo + self.segment_length - 1, limit))
                 for lo in range(1, limit + 1, self.segment_length)]
 
-    def _materialize(self, task: tuple[int, tuple[int, int]]) -> SigmaSegment:
-        seg_id, (lo, hi) = task
+    def _materialize(self, bounds: tuple[int, int]) -> SigmaSegment:
+        lo, hi = bounds
         if self.cache_dir is not None:
             from . import cache
 
             path = os.path.join(self.cache_dir, f"sigma_{lo}_{hi}.sgma")
             if os.path.exists(path):
                 try:
-                    return cache.read_segment(path, segment_id=seg_id)
+                    return cache.read_segment(path)
                 except cache.CacheFormatError:
                     pass  # stale or corrupt: resieve and overwrite below
-            segment = sieve_segment(lo, hi, with_spf=self.with_spf,
-                                    segment_id=seg_id, budget=self.budget)
+            segment = sieve_segment(lo, hi, with_spf=self.with_spf, budget=self.budget)
             cache.write_segment(segment, path)
             return segment
-        return sieve_segment(lo, hi, with_spf=self.with_spf,
-                             segment_id=seg_id, budget=self.budget)
+        return sieve_segment(lo, hi, with_spf=self.with_spf, budget=self.budget)
 
     def segments(self, limit: int) -> Iterator[SigmaSegment]:
-        tasks = list(enumerate(self.ranges(limit)))
+        ranges = self.ranges(limit)
         if self.threads == 1:
-            for task in tasks:
-                yield self._materialize(task)
+            for bounds in ranges:
+                yield self._materialize(bounds)
             return
         with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            yield from pool.map(self._materialize, tasks)
+            yield from pool.map(self._materialize, ranges)
 
     def table(self, limit: int, *, with_spf: bool = True) -> SigmaSegment:
         """One full in-memory segment [1, limit] (budget permitting)."""

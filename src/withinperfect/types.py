@@ -180,8 +180,9 @@ class CheckpointSeries:
     def __post_init__(self):
         if list(self.checkpoints) != sorted(self.checkpoints):
             raise ValueError("checkpoints must be ascending")
-        if not self.quotients:
-            self.quotients = [normalized_quotient(c, x)
+        if not self.quotients:  # normalized_quotient, inlined for long series
+            log, nan = math.log, math.nan
+            self.quotients = [c / (x / log(x)) if x >= 2 else nan
                               for c, x in zip(self.counts, self.checkpoints)]
 
     def __len__(self) -> int:
@@ -225,7 +226,11 @@ class SolutionRecord:
 
 
 def parse_checkpoints(text: str | Sequence) -> list[int]:
-    """Parse "1e4,100000,2e7" (or a sequence) into ascending ints."""
+    """Parse "1e4,100000,2e7" (or a sequence) into ascending ints.
+
+    Strings are parsed exactly, so "1e30" is 10**30 and a decimal that is not
+    an integer ("1.5", "1.23456789012345678e16") is refused, never rounded.
+    """
     if isinstance(text, str):
         parts = [p for p in text.split(",") if p.strip()]
     else:
@@ -233,10 +238,10 @@ def parse_checkpoints(text: str | Sequence) -> list[int]:
     out = []
     for p in parts:
         if isinstance(p, str):
-            p = p.strip()
-            value = int(p) if p.isdigit() else int(float(p))
-            if float(value) != float(p):
-                raise ValueError(f"checkpoint {p!r} is not an integer")
+            exact = as_exact_fraction(p.strip(), "checkpoint")
+            if exact.denominator != 1:
+                raise ValueError(f"checkpoint {p.strip()!r} is not an integer")
+            value = exact.numerator
         else:
             value = int(p)
             if value != p:

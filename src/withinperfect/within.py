@@ -2,16 +2,17 @@
 
 The comparison clears the denominator b first, so everything is decided on
 integers D = |b*sigma(n) - a*n|.  Power thresholds n^(p/q) are decided
-exactly: a float64 prefilter with a relative guard band settles almost every
-n, and the few candidates inside the band fall back to the integer comparison
-D^q vs b^q * n^p.  Ties (equality) are tracked separately so both the strict
+exactly: one float64 effective exponent e(n) = log(D/b)/log(n) per n settles
+every exponent c by a compare, and the few e inside a guard band around c
+fall back to the integer comparison D^q vs b^q * n^p.  Ties (equality) are tracked separately so both the strict
 and non-strict conventions come out of a single pass.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -19,13 +20,17 @@ import mpmath
 import numpy as np
 
 from .errors import CapabilityError, InvalidThresholdError
-from .exact import _guard_linear, enumerate_perfect, _fraction_sum
+from .exact import _counts_upto, _guard_linear, enumerate_perfect, _fraction_sum
 from .sieve import SigmaSource
 from .types import (CheckpointSeries, RationalTarget, ThresholdSpec,
                     normalized_quotient)
 
 #: Relative width of the float64 guard band around the threshold.
 _BAND = 1e-9
+
+#: Absolute width of the guard band around a power exponent c.  The error of a
+#: computed e(n) is below 1e-13 for 2 <= n <= 2^55 (log n >= log 2, |log D| < 44).
+_EXPONENT_BAND = 1e-9
 
 
 def _check_scale(*values: int) -> None:
@@ -52,23 +57,57 @@ def _xlog_compare(D: int, b: int, n: int) -> int:
         return 1 if diff > 0 else -1
 
 
+def _exponents(D: np.ndarray, b: int, n: np.ndarray) -> np.ndarray:
+    """Effective exponents e(n) = (log D - log b)/log n, so D < b*n^c exactly
+    when e < c, up to float rounding (see _decide_power).
+
+    D = 0 gives e = -inf (inside every power threshold).  n = 1 gives NaN:
+    there n^c = 1 for every c, so the sign of D - b is the whole answer and
+    _decide_power sends it to the exact comparison.
+    """
+    e = D.astype(np.float64)
+    with np.errstate(divide="ignore"):
+        np.log(e, out=e)
+    if b != 1:
+        e -= math.log(b)
+    logn = n.astype(np.float64)
+    np.log(logn, out=logn)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e /= logn
+    e[n == 1] = np.nan
+    return e
+
+
+def _settle(strict: np.ndarray, candidates: np.ndarray,
+            sign) -> tuple[np.ndarray, np.ndarray]:
+    """Decide the guard-band candidates exactly: sign(i) < 0 inside, 0 a tie."""
+    tie = np.zeros_like(strict)
+    for i in candidates:
+        s = sign(int(i))
+        strict[i], tie[i] = s < 0, s == 0
+    return strict, tie
+
+
+def _decide_power(c: Fraction, b: int, D: np.ndarray, n: np.ndarray,
+                  e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(strictly_inside, tie) masks for k(y) = y^c from the effective exponents.
+
+    Rounding moves e by far less than _EXPONENT_BAND for every n <= 2^55, so
+    only e within the band of c (and the NaN at n = 1) is decided exactly.
+    """
+    cf = float(c)
+    strict = e < cf - _EXPONENT_BAND
+    return _settle(strict, np.flatnonzero(~(strict | (e > cf + _EXPONENT_BAND))),
+                   lambda i: _power_compare(int(D[i]), b, int(n[i]), c))
+
+
 def _decide_segment(threshold: ThresholdSpec, b: int, D: np.ndarray, n: np.ndarray,
                     Df: np.ndarray, logn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Boolean (strictly_inside, tie) masks for one segment, decided exactly
     for the analytic threshold kinds."""
     kind = threshold.kind
     if kind == "power":
-        c = threshold.param
-        t = b * np.exp(float(c) * logn)
-        strict = Df < t * (1.0 - _BAND)
-        tie = np.zeros_like(strict)
-        for i in np.flatnonzero(~strict & (Df < t * (1.0 + _BAND))):
-            s = _power_compare(int(D[i]), b, int(n[i]), c)
-            if s < 0:
-                strict[i] = True
-            elif s == 0:
-                tie[i] = True
-        return strict, tie
+        return _decide_power(threshold.param, b, D, n, _exponents(D, b, n))
     if kind == "constant":
         k0 = threshold.param
         _check_scale(int(D.max(initial=0)) * k0.denominator, b * k0.numerator)
@@ -86,14 +125,8 @@ def _decide_segment(threshold: ThresholdSpec, b: int, D: np.ndarray, n: np.ndarr
         t = np.divide(b * n.astype(np.float64), logn,
                       out=np.full(len(n), np.inf), where=logn > 0)
         strict = Df < t * (1.0 - _BAND)
-        tie = np.zeros_like(strict)
-        for i in np.flatnonzero(~strict & (Df < t * (1.0 + _BAND))):
-            s = _xlog_compare(int(D[i]), b, int(n[i]))
-            if s < 0:
-                strict[i] = True
-            elif s == 0:
-                tie[i] = True
-        return strict, tie
+        return _settle(strict, np.flatnonzero(~strict & (Df < t * (1.0 + _BAND))),
+                       lambda i: _xlog_compare(int(D[i]), b, int(n[i])))
     if kind == "custom":
         t = np.asarray(threshold.fn(n.astype(np.float64)), dtype=np.float64)
         if threshold.floor is not None:
@@ -124,7 +157,7 @@ def count_thresholds(target, thresholds: list[ThresholdSpec], checkpoints,
                      include_one: bool = True) -> ThresholdCounts:
     """One streaming pass over [1, max checkpoint] for several thresholds at once."""
     target = RationalTarget.parse(target)
-    checkpoints = sorted(int(x) for x in checkpoints)
+    checkpoints = sorted(map(int, checkpoints))
     limit = checkpoints[-1]
     source = source or SigmaSource()
     _guard_linear(target.a, target.b, limit)
@@ -133,30 +166,29 @@ def count_thresholds(target, thresholds: list[ThresholdSpec], checkpoints,
             "at_limit thresholds need count_at_limit (k is evaluated per checkpoint)")
 
     a, b = target.a, target.b
-    strict_counts = [[0] * len(checkpoints) for _ in thresholds]
-    tie_counts = [[0] * len(checkpoints) for _ in thresholds]
+    powers = [t.kind == "power" for t in thresholds]
+    cks = np.asarray(checkpoints, dtype=np.int64)
+    strict_counts = np.zeros((len(thresholds), len(cks)), dtype=np.int64)
+    tie_counts = np.zeros_like(strict_counts)
     for seg in source.segments(limit):
         n = seg.n_values()
         D = np.abs(np.int64(b) * seg.sigma.view(np.int64) - np.int64(a) * n)
-        Df = D.astype(np.float64)
-        logn = np.log(n.astype(np.float64))
+        e = _exponents(D, b, n) if any(powers) else None
+        if not all(powers):
+            Df = D.astype(np.float64)
+            logn = np.log(n.astype(np.float64))
+        upto = cks - seg.lo  # checkpoints as offsets into the segment
         for i, threshold in enumerate(thresholds):
-            strict, tie = _decide_segment(threshold, b, D, n, Df, logn)
+            if powers[i]:
+                strict, tie = _decide_power(threshold.param, b, D, n, e)
+            else:
+                strict, tie = _decide_segment(threshold, b, D, n, Df, logn)
             if not include_one and seg.lo == 1:
-                strict[0] = False
-                tie[0] = False
-            hits = n[strict]
-            tie_values = n[tie]
-            for j, ck in enumerate(checkpoints):
-                if ck < seg.lo:
-                    continue
-                if ck >= seg.hi:
-                    strict_counts[i][j] += len(hits)
-                    tie_counts[i][j] += len(tie_values)
-                else:
-                    strict_counts[i][j] += int(np.searchsorted(hits, ck, side="right"))
-                    tie_counts[i][j] += int(np.searchsorted(tie_values, ck, side="right"))
-    return ThresholdCounts(target, list(thresholds), checkpoints, strict_counts, tie_counts)
+                strict[0] = tie[0] = False
+            strict_counts[i] += _counts_upto(np.flatnonzero(strict), upto)
+            tie_counts[i] += _counts_upto(np.flatnonzero(tie), upto)
+    return ThresholdCounts(target, list(thresholds), checkpoints,
+                           strict_counts.tolist(), tie_counts.tolist())
 
 
 def count_at_limit(target, threshold: ThresholdSpec, checkpoints,
@@ -174,32 +206,21 @@ def count_at_limit(target, threshold: ThresholdSpec, checkpoints,
     _guard_linear(target.a, target.b, limit)
     a, b = target.a, target.b
 
-    at_n = ThresholdSpec(threshold.kind, threshold.param, threshold.fn,
-                         threshold.floor, threshold.ceiling, threshold.strict, False)
-    strict_counts = [[0] * len(checkpoints)]
-    tie_counts = [[0] * len(checkpoints)]
+    at_n = replace(threshold, at_limit=False)
+    counts = np.zeros((2, len(checkpoints)), dtype=np.int64)
     for seg in source.segments(limit):
         n = seg.n_values()
         D = np.abs(np.int64(b) * seg.sigma.view(np.int64) - np.int64(a) * n)
-        Df = D.astype(np.float64)
+        skip = int(not include_one and seg.lo == 1)  # leaves out n = 1
         for j, ck in enumerate(checkpoints):
-            if ck < seg.lo:
-                continue
-            upto = min(ck, seg.hi) - seg.lo + 1
-            ck_arr = np.array([ck], dtype=np.int64)
-            strict1, tie1 = _decide_segment(
-                at_n, b, D[:upto],
-                np.broadcast_to(ck_arr, (upto,)),
-                Df[:upto],
-                np.broadcast_to(np.log(np.float64(ck)), (upto,)))
-            if not include_one and seg.lo == 1:
-                strict1 = strict1.copy()
-                tie1 = tie1.copy()
-                strict1[0] = False
-                tie1[0] = False
-            strict_counts[0][j] += int(np.count_nonzero(strict1))
-            tie_counts[0][j] += int(np.count_nonzero(tie1))
-    return ThresholdCounts(target, [threshold], checkpoints, strict_counts, tie_counts)
+            if ck >= seg.lo + skip:
+                d = D[skip:min(ck, seg.hi) - seg.lo + 1]
+                x = np.full(len(d), ck, dtype=np.int64)
+                masks = _decide_segment(at_n, b, d, x, d.astype(np.float64),
+                                        np.log(x.astype(np.float64)))
+                counts[:, j] += [np.count_nonzero(m) for m in masks]
+    strict, ties = counts.tolist()
+    return ThresholdCounts(target, [threshold], checkpoints, [strict], [ties])
 
 
 def series(target, threshold: ThresholdSpec, checkpoints,
@@ -211,8 +232,9 @@ def series(target, threshold: ThresholdSpec, checkpoints,
         counts = count_at_limit(target, threshold, checkpoints, source, include_one)
     else:
         counts = count_thresholds(target, [threshold], checkpoints, source, include_one)
-    resolved = [counts.resolved(0, j, threshold.strict)
-                for j in range(len(counts.checkpoints))]
+    resolved = counts.strict[0]
+    if not threshold.strict:
+        resolved = np.add(resolved, counts.ties[0]).tolist()
     return CheckpointSeries(
         counts.checkpoints, resolved,
         label=f"within l={target} k={threshold.describe()}")
@@ -288,35 +310,25 @@ def table1_reproduce(source: Optional[SigmaSource] = None,
     counts = count_thresholds(RationalTarget(2, 1), thresholds,
                               list(TABLE_CHECKPOINTS), source, include_one=True)
 
-    # contribution of n = 1 (D = a - b = 1, k(1) = 1): needed for the n>=2 grids
-    hit1_strict, hit1_tie = [], []
-    for c in TABLE_EXPONENTS:
-        s = _power_compare(1, 1, 1, c)
-        hit1_strict.append(1 if s < 0 else 0)
-        hit1_tie.append(1 if s == 0 else 0)
+    strict, ties = np.array(counts.strict), np.array(counts.ties)
+    # n = 1 (D = a - b = 1 = k(1)) is a tie for every exponent; the n>=2 grids drop it
+    one = np.array([[_power_compare(1, 1, 1, c)] for c in TABLE_EXPONENTS])
 
     count_grids: dict[str, list[list[int]]] = {}
     quot_grids: dict[str, list[list[float]]] = {}
     max_dev: dict[str, float] = {}
     for convention in CONVENTIONS:
         strict_mode = convention.startswith("strict")
-        from_one = convention.endswith("n>=1")
-        grid, qgrid = [], []
-        worst = 0.0
-        for i, c in enumerate(TABLE_EXPONENTS):
-            row, qrow = [], []
-            drop = 0 if from_one else hit1_strict[i] + (0 if strict_mode else hit1_tie[i])
-            for j, x in enumerate(TABLE_CHECKPOINTS):
-                value = counts.resolved(i, j, strict_mode) - drop
-                q = normalized_quotient(value, x)
-                worst = max(worst, abs(q - REFERENCE_QUOTIENTS[(c, x)]))
-                row.append(value)
-                qrow.append(q)
-            grid.append(row)
-            qgrid.append(qrow)
-        count_grids[convention] = grid
-        quot_grids[convention] = qgrid
-        max_dev[convention] = worst
+        grid = strict if strict_mode else strict + ties
+        if convention.endswith("n>=2"):
+            grid = grid - (one < 0 if strict_mode else one <= 0)
+        count_grids[convention] = grid = grid.tolist()
+        quot_grids[convention] = qgrid = [
+            [normalized_quotient(v, x) for v, x in zip(row, TABLE_CHECKPOINTS)]
+            for row in grid]
+        max_dev[convention] = max(
+            abs(q - REFERENCE_QUOTIENTS[(c, x)])
+            for c, row in zip(TABLE_EXPONENTS, qgrid) for q, x in zip(row, TABLE_CHECKPOINTS))
     best = min(CONVENTIONS, key=lambda name: max_dev[name])
     return TableOneReport(
         limit=limit, exponents=TABLE_EXPONENTS, checkpoints=TABLE_CHECKPOINTS,

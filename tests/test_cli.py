@@ -5,6 +5,7 @@ import pytest
 
 from withinperfect.cache import read_segment
 from withinperfect.cli import CACHE_DIR_ENV, apply_config_file, main, RunConfig
+from withinperfect.types import parse_checkpoints
 
 
 def run_cli(capsys, *argv):
@@ -206,3 +207,22 @@ def test_cache_dir_env_override(capsys, tmp_path, monkeypatch):
     assert len(files) == 1 and files[0].name == "sigma_1_30.sgma"
     seg = read_segment(str(files[0]))
     assert np.array_equal(seg.sigma[:6], [1, 3, 4, 7, 6, 12])
+
+
+def test_config_file_rejects_limit(capsys, tmp_path):
+    # RunConfig has no limit: a config line setting one would be silently ignored
+    cfg = tmp_path / "limit.cfg"
+    cfg.write_text("limit=100\n")
+    with pytest.raises(ValueError):
+        apply_config_file(RunConfig(), str(cfg))
+    assert run_cli(capsys, "--config", str(cfg), "perfect", "--ell", "2",
+                   "--limit", "30")[0] == 1
+
+
+def test_parse_checkpoints_is_exact():
+    assert parse_checkpoints("1.2345678901234567e16") == [12345678901234567]
+    assert parse_checkpoints("1e30") == [10**30]
+    assert parse_checkpoints(" 1e4, 100000,2e7 ") == [10**4, 10**5, 2 * 10**7]
+    for bad in ("1.5", "1.23456789012345678e16", "abc", "0", "10,5"):
+        with pytest.raises(ValueError):
+            parse_checkpoints(bad)

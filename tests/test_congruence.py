@@ -1,7 +1,9 @@
 import pytest
 
+from withinperfect.cli import main
 from withinperfect.congruence import (CongruenceProblem, census,
                                       sporadic_growth_report, witness_anchors)
+from withinperfect.errors import CapabilityError
 from withinperfect.exact import enumerate_perfect
 from withinperfect.sieve import sigma_oracle
 
@@ -116,3 +118,22 @@ def test_sporadic_growth_report():
         assert slack == pytest.approx(count / x ** (2 / 3 + 0.05))
     assert isinstance(report.bounded, bool)
     assert len(report.sqrt_shape_ratios) == 2
+
+
+def test_census_refuses_k_that_would_wrap_int64(capsys):
+    # b*sigma(n) - k with k near -2^63 used to wrap silently and list 1, 6, 10;
+    # the true solutions up to 200 are 1, 17, 20, 104, 111.
+    k = -(2**63 - 10)
+    assert sorted(brute_census(1, k, 200, [0] + [sigma_oracle(n) for n in range(1, 201)])) \
+        == [1, 17, 20, 104, 111]
+    with pytest.raises(CapabilityError):
+        census(CongruenceProblem(1, k, 200))
+    assert main(["census", "--b", "1", "--k", str(k), "--limit", "200"]) == 2
+    capsys.readouterr()
+
+
+def test_census_exact_for_large_k_inside_int64_range(oracle_sigma):
+    for b, k in ((1, -(2**62 - 2**20)), (2, 2**61 + 1)):
+        got = {r.n: (r.classification, r.witnesses)
+               for r in census(CongruenceProblem(b, k, 200))}
+        assert got == brute_census(b, k, 200, oracle_sigma)

@@ -127,3 +127,13 @@ def test_two_scale_stability():
     a = empirical_cdf(10**6, grid)
     b = empirical_cdf(10**7, grid)
     assert all(abs(x - y) < 0.01 for x, y in zip(a.values, b.values))
+
+
+def test_query_points_parse_like_every_other_rational():
+    # one parser for exact fractions: floats are refused, malformed text is a ValueError
+    with pytest.raises(TypeError):
+        empirical_cdf(10, [1.5])
+    with pytest.raises(ValueError):
+        empirical_cdf(10, ["1/0"])
+    with pytest.raises(TypeError):
+        phase_experiment("2", "linear", [100], c=0.1)
