@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from sympy import isprime
 
 from .exact import _counts_upto, _guard_linear
-from .sieve import SigmaSource, sigma_oracle
+from .sieve import SigmaSource, _regular_prime, sigma_oracle
 from .types import CheckpointSeries, SolutionRecord
 
 
@@ -57,13 +56,7 @@ def witness_anchors(b: int, k: int) -> tuple[int, ...]:
 
 def classify(n: int, b: int, k: int, anchors: tuple[int, ...]) -> tuple[str, tuple[tuple[int, int], ...]]:
     """Classify a known solution n, returning every valid witness (p, m)."""
-    witnesses = []
-    for m in anchors:
-        if n % m != 0:
-            continue
-        p = n // m
-        if p > 1 and m % p != 0 and isprime(p):
-            witnesses.append((p, m))
+    witnesses = [(p, m) for m in anchors if (p := _regular_prime(n, m))]
     if witnesses:
         witnesses.sort(key=lambda w: w[1])
         return "regular", tuple(witnesses)

@@ -24,9 +24,15 @@ import numpy as np
 from .exact import _counts_upto
 from .sieve import SigmaSource
 from .types import RationalTarget, ThresholdSpec, as_exact_fraction
-from .within import _check_scale, count_thresholds
+from .within import _check_scale, _settle, count_thresholds
 
 _BAND = 1e-12
+
+
+def _ratio_compare(s: int, n: int, u: Fraction) -> int:
+    """Exact sign of s/n - u: -1 below, 0 tie, +1 above."""
+    lhs, rhs = s * u.denominator, u.numerator * n
+    return (lhs > rhs) - (lhs < rhs)
 
 
 def _ratio_le_mask(sigma: np.ndarray, n: np.ndarray, u: Fraction,
@@ -34,13 +40,10 @@ def _ratio_le_mask(sigma: np.ndarray, n: np.ndarray, u: Fraction,
     """Mask of n with sigma(n)/n <= u (or < u), decided exactly."""
     uf = float(u)
     ratio = sigma.astype(np.float64) / n.astype(np.float64)
-    mask = ratio < uf * (1.0 - _BAND)
-    for i in np.flatnonzero(~mask & (ratio < uf * (1.0 + _BAND))):
-        lhs = int(sigma[i]) * u.denominator
-        rhs = u.numerator * int(n[i])
-        if lhs < rhs or (inclusive and lhs == rhs):
-            mask[i] = True
-    return mask
+    strict = ratio < uf * (1.0 - _BAND)
+    strict, tie = _settle(strict, np.flatnonzero(~strict & (ratio < uf * (1.0 + _BAND))),
+                          lambda i: _ratio_compare(int(sigma[i]), int(n[i]), u))
+    return strict | tie if inclusive else strict
 
 
 @dataclass

@@ -11,10 +11,9 @@ from typing import Optional
 
 import mpmath
 import numpy as np
-from sympy import integer_nthroot, isprime
 
 from .errors import CapabilityError, InvalidProblemError
-from .sieve import SigmaSource, sigma_oracle
+from .sieve import SigmaSource, _icbrt, _regular_prime, sigma_oracle
 from .types import CheckpointSeries, RationalTarget, SolutionRecord
 
 
@@ -157,8 +156,8 @@ def gcd_sum(x: int, source: Optional[SigmaSource] = None) -> GcdSumReport:
     if x < 8:
         raise ValueError("need x >= 8 so the range (x^(1/3), x^(2/3)] is nonempty")
     source = source or SigmaSource()
-    m_lo = int(integer_nthroot(x, 3)[0]) + 1          # smallest m with m^3 > x
-    m_hi = int(integer_nthroot(x * x, 3)[0])          # largest m with m^3 <= x^2
+    m_lo = _icbrt(x) + 1          # smallest m with m^3 > x
+    m_hi = _icbrt(x * x)          # largest m with m^3 <= x^2
     table = source.table(m_hi, with_spf=False)
     ms = np.arange(m_lo, m_hi + 1, dtype=np.int64)
     gs = np.gcd(ms, table.sigma.view(np.int64)[m_lo - 1 : m_hi])
@@ -219,7 +218,7 @@ def solve_diophantine(problem: DiophantineProblem, source: Optional[SigmaSource]
     """
     source = source or SigmaSource()
     a, b, k, limit = problem.a, problem.b, problem.k, problem.limit
-    _guard_linear(a, b, limit)
+    _guard_linear(a, b, limit, k)
     m0 = regular_family_anchor(a, b, k)
 
     records: list[SolutionRecord] = []
@@ -230,11 +229,8 @@ def solve_diophantine(problem: DiophantineProblem, source: Optional[SigmaSource]
         for idx in np.flatnonzero(mask):
             nn = int(n[idx])
             sig = int(seg.sigma[idx])
-            witnesses: tuple[tuple[int, int], ...] = ()
-            if m0 is not None and nn % m0 == 0:
-                p = nn // m0
-                if isprime(p) and m0 % p != 0:
-                    witnesses = ((p, m0),)
+            p = _regular_prime(nn, m0) if m0 is not None else 0
+            witnesses = ((p, m0),) if p else ()
             records.append(SolutionRecord(
                 n=nn, sigma_n=sig,
                 classification="regular" if witnesses else "sporadic",

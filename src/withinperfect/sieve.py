@@ -1,4 +1,5 @@
-"""Sum-of-divisors sieving: segments, the trial-division oracle, factorization.
+"""Sum-of-divisors sieving: segments, the trial-division oracle, factorization,
+and the exact integer arithmetic built beside them (primality, cube roots).
 
 Two production strategies share one vectorized kernel:
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +24,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import BudgetExceededError, SigmaOverflowError
+from .errors import BudgetExceededError, CapabilityError, SigmaOverflowError
 
 #: Above this n, sigma(n) is no longer guaranteed to fit u64 with headroom.
 DOMAIN_CAP = 1 << 55
@@ -35,6 +37,17 @@ DEFAULT_BUDGET = 1 << 25
 
 #: Smallest segment length the streaming source accepts.
 MIN_SEGMENT_LENGTH = 1 << 10
+
+#: The first twelve primes: trial divisors and Miller-Rabin bases of _is_prime.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+#: psi_k, the least strong pseudoprime to all of the first k prime bases, for
+#: k = 1..12 (Jaeschke, Math. Comp. 61, 1993; Sorenson & Webster, Math. Comp.
+#: 86, 2017).  Below psi_k, Miller-Rabin with those k bases is exact, and
+#: psi_12 > 2^64.
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051,
+        3825123056546413051, 3825123056546413051, 318665857834031151167461)
 
 
 @dataclass(frozen=True)
@@ -193,6 +206,57 @@ def sigma_oracle(n: int) -> int:
     return total
 
 
+def _is_prime(n: int) -> bool:
+    """Exact primality for n < 2^64: trial division by the first twelve primes,
+    then a deterministic Miller-Rabin test to the first k of them as bases,
+    with k the least index such that n < psi_k."""
+    if n >= 1 << 64:
+        raise CapabilityError(f"primality of {n} >= 2^64 is outside the exact range")
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < _SMALL_PRIMES[-1] ** 2:
+        return n > 1
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    k = next(i for i, psi in enumerate(_PSI, 1) if n < psi)
+    for a in _SMALL_PRIMES[:k]:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _regular_prime(n: int, m: int) -> int:
+    """p = n/m when n = p*m with p a prime not dividing m (the witness test of
+    a regular solution), else 0."""
+    if n % m:
+        return 0
+    p = n // m
+    return p if p > 1 and m % p and _is_prime(p) else 0
+
+
+def _icbrt(v: int) -> int:
+    """floor(v^(1/3)) for v >= 0 by integer Newton iteration, exact for any v."""
+    if v < 0:
+        raise ValueError("need v >= 0")
+    if v == 0:
+        return 0
+    x = 1 << -(-v.bit_length() // 3)  # 2^ceil(bits/3) >= v^(1/3)
+    while True:
+        # AM-GM keeps every iterate >= floor(v^(1/3)); above it they strictly fall
+        y = (2 * x + v // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
+
+
 def factor(n: int, context: Optional[SigmaSegment] = None) -> FactorView:
     """Prime factorization of n, via a full-table spf chain when available.
 
@@ -260,13 +324,15 @@ class SigmaSource:
         self.with_spf = with_spf
         self.budget = budget
 
-    def ranges(self, limit: int) -> list[tuple[int, int]]:
+    def ranges(self, limit: int) -> Iterator[tuple[int, int]]:
+        """The (lo, hi) bounds covering [1, limit], generated as they are taken;
+        limit is checked at the call."""
         if limit < 1:
             raise ValueError("limit must be >= 1")
         if limit > DOMAIN_CAP:
             raise SigmaOverflowError(f"limit {limit} exceeds the domain cap 2^55")
-        return [(lo, min(lo + self.segment_length - 1, limit))
-                for lo in range(1, limit + 1, self.segment_length)]
+        step = self.segment_length
+        return ((lo, min(lo + step - 1, limit)) for lo in range(1, limit + 1, step))
 
     def _materialize(self, bounds: tuple[int, int]) -> SigmaSegment:
         lo, hi = bounds
@@ -285,13 +351,24 @@ class SigmaSource:
         return sieve_segment(lo, hi, with_spf=self.with_spf, budget=self.budget)
 
     def segments(self, limit: int) -> Iterator[SigmaSegment]:
+        """Yield the segments in order.  With threads, at most threads + 1 are
+        requested ahead of the consumer, so memory stays bounded."""
         ranges = self.ranges(limit)
         if self.threads == 1:
             for bounds in ranges:
                 yield self._materialize(bounds)
             return
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            yield from pool.map(self._materialize, ranges)
+        pool = ThreadPoolExecutor(max_workers=self.threads)
+        try:
+            pending = deque()
+            for bounds in ranges:
+                pending.append(pool.submit(self._materialize, bounds))
+                if len(pending) > self.threads:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            pool.shutdown(cancel_futures=True)
 
     def table(self, limit: int, *, with_spf: bool = True) -> SigmaSegment:
         """One full in-memory segment [1, limit] (budget permitting)."""

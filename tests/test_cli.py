@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -226,3 +229,15 @@ def test_parse_checkpoints_is_exact():
     for bad in ("1.5", "1.23456789012345678e16", "abc", "0", "10,5"):
         with pytest.raises(ValueError):
             parse_checkpoints(bad)
+
+
+def test_cli_imports_no_sympy():
+    # the runtime dependencies are numpy and mpmath only
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import withinperfect.cli, sys; print('sympy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True).stdout
+    assert out == "False\n"

@@ -4,7 +4,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from withinperfect.errors import InvalidProblemError
+from withinperfect.cli import main
+from withinperfect.errors import CapabilityError, InvalidProblemError
 from withinperfect.exact import (DiophantineProblem, enumerate_perfect, gcd_sum,
                                  regular_family_anchor, series_partial_sums,
                                  solve_diophantine, wirsing_count_check)
@@ -79,6 +80,23 @@ def test_gcd_sum_matches_oracle():
     assert report.value == expected
 
 
+def test_gcd_sum_range_matches_brute_force():
+    bounds = {}
+    m_lo = m_hi = 1
+    for x in range(7, 5002):
+        while m_lo**3 <= x:
+            m_lo += 1
+        while (m_hi + 1) ** 3 <= x * x:
+            m_hi += 1
+        bounds[x] = (m_lo, m_hi)
+    # every x in 8..5000 where a bound is about to change or has just changed
+    edges = [x for x in range(8, 5001) if not bounds[x - 1] == bounds[x] == bounds[x + 1]]
+    assert len(edges) > 500
+    for x in edges:
+        report = gcd_sum(x)
+        assert (report.m_lo, report.m_hi) == bounds[x], x
+
+
 def test_gcd_sum_scaled_stays_bounded():
     for x in (10**3, 10**4, 10**5, 10**6):
         assert gcd_sum(x).scaled <= 10.0
@@ -146,3 +164,12 @@ def test_regular_family_anchor_conditions():
     assert regular_family_anchor(2, 1, -12) is None  # negative k
     assert regular_family_anchor(2, 1, 16) is None   # sigma(8) = 15 != 16
     assert regular_family_anchor(3, 2, 6) == 2
+
+
+def test_diophantine_refuses_k_outside_int64(capsys):
+    # np.int64(k) used to end this in an uncaught OverflowError traceback
+    k = 100000000000000000001
+    with pytest.raises(CapabilityError):
+        solve_diophantine(DiophantineProblem(2, 1, k, 10))
+    assert main(["dioph", "--a", "2", "--b", "1", "--k", str(k), "--limit", "10"]) == 2
+    assert "int64" in capsys.readouterr().err

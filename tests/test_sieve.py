@@ -1,11 +1,15 @@
 import random
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from withinperfect.errors import BudgetExceededError, SigmaOverflowError
-from withinperfect.sieve import (DOMAIN_CAP, FactorView, SigmaSource, abundancy,
-                                 factor, sieve_segment, sigma_oracle)
+from withinperfect.errors import (BudgetExceededError, CapabilityError,
+                                  SigmaOverflowError)
+from withinperfect.sieve import (DOMAIN_CAP, MIN_SEGMENT_LENGTH, FactorView,
+                                 SigmaSource, _icbrt, _is_prime, _spf_block,
+                                 abundancy, factor, sieve_segment, sigma_oracle)
 
 from conftest import trial_factor
 
@@ -153,3 +157,89 @@ def test_source_validation():
         SigmaSource(threads=0)
     with pytest.raises(SigmaOverflowError):
         SigmaSource().ranges(DOMAIN_CAP + 1)
+
+
+def test_source_readahead_is_bounded(monkeypatch):
+    # stand-in segments, so the unbounded submission of the old pool.map stays cheap
+    requested = []
+
+    def materialize(self, bounds):
+        requested.append(bounds)
+        return bounds
+
+    monkeypatch.setattr(SigmaSource, "_materialize", materialize)
+    limit = MIN_SEGMENT_LENGTH << 14  # 16384 segments
+    for threads, ahead in ((1, 1), (2, 3)):
+        requested.clear()
+        stream = SigmaSource(segment_length=MIN_SEGMENT_LENGTH, threads=threads).segments(limit)
+        assert next(stream) == (1, MIN_SEGMENT_LENGTH)
+        time.sleep(0.1)  # let the pool run whatever was submitted
+        assert len(requested) <= ahead
+        assert next(stream) == (MIN_SEGMENT_LENGTH + 1, 2 * MIN_SEGMENT_LENGTH)
+        time.sleep(0.1)
+        assert len(requested) <= ahead + 1
+        stream.close()
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """One Miller-Rabin round, written out independently of the package."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+#: psi_k with the number k of leading prime bases it fools.
+PSEUDOPRIMES = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
+                (2152302898747, 5), (3474749660383, 6), (341550071728321, 8),
+                (3825123056546413051, 11))
+BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+@settings(max_examples=30, deadline=None)
+@given(lo=st.integers(1, 10**7 - 2**12), width=st.integers(1, 2**12))
+def test_is_prime_matches_the_spf_sieve(lo, width):
+    spf = _spf_block(lo, lo + width - 1)
+    ns = range(lo, lo + width)
+    assert [_is_prime(n) for n in ns] == (spf == np.arange(lo, lo + width)).tolist()
+
+
+def test_is_prime_fixed_cases():
+    for psi, k in PSEUDOPRIMES:
+        # each psi_k fools the first k bases, so only the next base shows it composite
+        assert all(_strong_probable_prime(psi, a) for a in BASES[:k])
+        assert not _strong_probable_prime(psi, BASES[k])
+        assert not _is_prime(psi)
+    for carmichael in (561, 41041, 825265):
+        assert not _is_prime(carmichael)
+    for p in (2, 3, 37, 41, 2**31 - 1, 2**61 - 1):
+        assert _is_prime(p)
+    for n in (-7, 0, 1, 4, 37 * 37, 41 * 43):
+        assert not _is_prime(n)
+    near = [n for n in range(2**27 - 200, 2**27 + 200) if _is_prime(n)]
+    assert len(near) >= 6
+    for p, q in zip(near, near[1:]):
+        assert not _is_prime(p * q) and not _is_prime(p * p)
+    assert _is_prime(2**64 - 59)  # the largest prime below 2^64
+    with pytest.raises(CapabilityError):
+        _is_prime(2**64)
+
+
+def test_icbrt_at_and_around_cubes():
+    rng = random.Random(3)
+    roots = list(range(1, 2000)) + [rng.randrange(2, 2**40) for _ in range(500)] \
+        + [2**40, 2**55, 2**100 + 7, 3**200]
+    for r in roots:
+        assert _icbrt(r**3 - 1) == r - 1
+        assert _icbrt(r**3) == r
+        assert _icbrt(r**3 + 1) == r
+    assert _icbrt(0) == 0
+    with pytest.raises(ValueError):
+        _icbrt(-1)
