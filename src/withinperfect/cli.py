@@ -265,6 +265,8 @@ def _dispatch(args, config: RunConfig) -> str:
         return emit.table1_text(report) + "\n" + emit.table1_csv(report)
 
     if args.command == "figure1":
+        if args.limit < 2:
+            raise ValueError("figure1 needs --limit >= 2 (its series starts at x = 2)")
         threshold = ThresholdSpec.x_over_log(strict=config.strict_inequality,
                                              at_limit=not config.threshold_at_n)
         result = within.series(RationalTarget(2, 1), threshold,
@@ -367,7 +369,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except (CapabilityError, BudgetExceededError, SigmaOverflowError,
-            CacheFormatError, OSError) as exc:
+            CacheFormatError, OSError, OverflowError) as exc:
+        # OverflowError: an exact input (such as --ell 1e400) beyond float64 or int64
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

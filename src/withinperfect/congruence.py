@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .exact import _counts_upto, _guard_linear
-from .sieve import SigmaSource, _regular_prime, sigma_oracle
+from .sieve import SigmaSource, _witnesses, sigma_oracle
 from .types import CheckpointSeries, SolutionRecord
 
 
@@ -44,7 +44,9 @@ def witness_anchors(b: int, k: int) -> tuple[int, ...]:
     """All m with sigma(m) = k/b and m | b*sigma(m): the second factors of
     regular decompositions n = p*m.  Empty when b does not divide k or k <= 0.
 
-    sigma(m) >= m + 1 for m >= 2 caps the scan at m < k/b, so this stays cheap.
+    sigma(m) >= m + 1 for m >= 2 caps the scan at m < k/b, but the scan runs
+    sigma_oracle on every such m, so it is for small k only; census takes its
+    anchors from the sigma stream instead.
     """
     if k <= 0 or k % b != 0:
         return ()
@@ -54,34 +56,32 @@ def witness_anchors(b: int, k: int) -> tuple[int, ...]:
     return tuple(m for m in range(2, t) if sigma_oracle(m) == t and (b * t) % m == 0)
 
 
-def classify(n: int, b: int, k: int, anchors: tuple[int, ...]) -> tuple[str, tuple[tuple[int, int], ...]]:
-    """Classify a known solution n, returning every valid witness (p, m)."""
-    witnesses = [(p, m) for m in anchors if (p := _regular_prime(n, m))]
-    if witnesses:
-        witnesses.sort(key=lambda w: w[1])
-        return "regular", tuple(witnesses)
-    return "sporadic", ()
-
-
 def census(problem: CongruenceProblem, source: Optional[SigmaSource] = None) -> list[SolutionRecord]:
-    """Exhaustively list and classify the solutions n <= limit, ascending."""
+    """Exhaustively list and classify the solutions n <= limit, ascending.
+
+    The anchors are the solutions m with b*sigma(m) = k and m | k.  A regular
+    n = p*m has m <= n/2, so collecting each segment's anchors before
+    classifying its solutions has every anchor of n in hand.
+    """
     source = source or SigmaSource()
     b, k, limit = problem.b, problem.k, problem.limit
     _guard_linear(1, b, limit, k)
-    anchors = witness_anchors(b, k)
+    anchors: list[int] = []
     records: list[SolutionRecord] = []
-    bv, kv = np.int64(b), np.int64(k)
     for seg in source.segments(limit):
         n = seg.n_values()
-        lhs = bv * seg.sigma.view(np.int64) - kv
-        for idx in np.flatnonzero(lhs % n == 0):
-            nn = int(n[idx])
-            sig = int(seg.sigma[idx])
-            value = b * sig - k
-            cls, wit = classify(nn, b, k, anchors)
+        lhs = seg.sigma.view(np.int64) * np.int64(b)
+        lhs -= np.int64(k)
+        idx = np.flatnonzero(lhs % n == 0)
+        value = lhs[idx]
+        del n, lhs  # the segment-wide arrays go before the records are built (peak RSS)
+        ns = idx + seg.lo
+        anchors += [m for m in ns[value == 0].tolist() if k % m == 0]
+        for nn, sig, v, wit in zip(ns.tolist(), seg.sigma[idx].tolist(), value.tolist(),
+                                   _witnesses(ns, anchors)):
             records.append(SolutionRecord(
-                n=nn, sigma_n=sig, classification=cls, witnesses=wit,
-                q=value // nn if value >= 0 else None))
+                n=nn, sigma_n=sig, classification="regular" if wit else "sporadic",
+                witnesses=wit, q=v // nn if v >= 0 else None))
     return records
 
 

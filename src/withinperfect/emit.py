@@ -39,8 +39,15 @@ def records_json(records: Iterable[SolutionRecord]) -> str:
 
 
 def records_ndjson(records: Iterable[SolutionRecord]) -> str:
-    return "".join(json.dumps(r.to_json_dict(), separators=(",", ":")) + "\n"
-                   for r in records)
+    """One compact JSON object per line, the bytes json.dumps would give for
+    to_json_dict() (ints and the two classification names need no escaping)."""
+    return "".join(
+        f'{{"n":{r.n},"sigma_n":{r.sigma_n},"classification":"{r.classification}",'
+        f'"witness":{_witness_json(r.witnesses)}}}\n' for r in records)
+
+
+def _witness_json(witnesses: tuple[tuple[int, int], ...]) -> str:
+    return f'{{"p":{witnesses[0][0]},"m":{witnesses[0][1]}}}' if witnesses else "null"
 
 
 def perfect_json(census: PerfectCensus) -> str:

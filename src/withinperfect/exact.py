@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 
 from .errors import CapabilityError, InvalidProblemError
-from .sieve import SigmaSource, _icbrt, _regular_prime, sigma_oracle
+from .sieve import SigmaSource, _icbrt, _witnesses, sigma_oracle
 from .types import CheckpointSeries, RationalTarget, SolutionRecord
 
 
@@ -222,19 +222,16 @@ def solve_diophantine(problem: DiophantineProblem, source: Optional[SigmaSource]
     m0 = regular_family_anchor(a, b, k)
 
     records: list[SolutionRecord] = []
+    anchors = (m0,) if m0 is not None else ()
     av, bv, kv = np.int64(a), np.int64(b), np.int64(k)
     for seg in source.segments(limit):
         n = seg.n_values()
-        mask = bv * seg.sigma.view(np.int64) - av * n == kv
-        for idx in np.flatnonzero(mask):
-            nn = int(n[idx])
-            sig = int(seg.sigma[idx])
-            p = _regular_prime(nn, m0) if m0 is not None else 0
-            witnesses = ((p, m0),) if p else ()
+        idx = np.flatnonzero(bv * seg.sigma.view(np.int64) - av * n == kv)
+        ns = n[idx]
+        for nn, sig, wit in zip(ns.tolist(), seg.sigma[idx].tolist(), _witnesses(ns, anchors)):
             records.append(SolutionRecord(
-                n=nn, sigma_n=sig,
-                classification="regular" if witnesses else "sporadic",
-                witnesses=witnesses, q=a))
+                n=nn, sigma_n=sig, classification="regular" if wit else "sporadic",
+                witnesses=wit, q=a))
 
     cks = checkpoints or [limit]
     members = [r.n for r in records]

@@ -233,13 +233,35 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _regular_prime(n: int, m: int) -> int:
-    """p = n/m when n = p*m with p a prime not dividing m (the witness test of
-    a regular solution), else 0."""
-    if n % m:
-        return 0
-    p = n // m
-    return p if p > 1 and m % p and _is_prime(p) else 0
+def _prime_mask(lo: int, hi: int) -> np.ndarray:
+    """mask[i] is True exactly when lo + i is prime, for 1 <= lo <= hi: a
+    segmented sieve of Eratosthenes by the base primes <= sqrt(hi)."""
+    mask = np.ones(hi - lo + 1, dtype=bool)
+    if lo == 1:
+        mask[0] = False
+    for p in base_primes(math.isqrt(hi)).tolist():
+        start = max(p * p, -(-lo // p) * p) - lo
+        mask[start::p] = False
+    return mask
+
+
+def _witnesses(n: np.ndarray, anchors) -> list[tuple[tuple[int, int], ...]]:
+    """The witnesses (p, m) of each solution in the int64 array n: n = p*m
+    with m one of the ascending anchors and p a prime not dividing m.  Each
+    tuple is ascending in m; () marks a sporadic solution."""
+    out = [()] * len(n)
+    for m in anchors:
+        p, rem = np.divmod(n, m)
+        idx = np.flatnonzero(rem == 0)
+        p = p[idx]
+        keep = (p > 1) & (m % p != 0)
+        idx, p = idx[keep], p[keep]
+        if len(p):
+            lo = int(p.min())
+            prime = _prime_mask(lo, int(p.max()))[p - lo]
+            for i, q in zip(idx[prime].tolist(), p[prime].tolist()):
+                out[i] += ((q, m),)
+    return out
 
 
 def _icbrt(v: int) -> int:

@@ -135,7 +135,11 @@ class ThresholdSpec:
     @classmethod
     def custom(cls, fn: Callable, *, floor=None, ceiling=None, strict: bool = True,
                at_limit: bool = False) -> "ThresholdSpec":
-        """A tabulated/callable threshold; decided in float64 (no exact tie handling)."""
+        """A tabulated/callable threshold, decided in float64 with no exact
+        fallback: |b*sigma(n) - a*n| and b*fn(n) are compared as float64, so
+        two values that round to the same double are a tie (Df == t), left
+        out under strict "<" and counted under "<=", even when the exact
+        values differ."""
         return cls("custom", fn=fn, floor=floor, ceiling=ceiling,
                    strict=strict, at_limit=at_limit)
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,10 +7,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from withinperfect.cache import read_segment
 from withinperfect.cli import CACHE_DIR_ENV, apply_config_file, main, RunConfig
-from withinperfect.types import parse_checkpoints
+from withinperfect.emit import records_ndjson
+from withinperfect.types import SolutionRecord, parse_checkpoints
 
 
 def run_cli(capsys, *argv):
@@ -241,3 +245,118 @@ def test_cli_imports_no_sympy():
          "import withinperfect.cli, sys; print('sympy' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=60, check=True).stdout
     assert out == "False\n"
+
+
+_WITNESS = st.tuples(st.integers(2, 2**55), st.integers(1, 2**55))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.just(1), st.integers(1, 2**55)),
+                          st.integers(1, 2**62),
+                          st.lists(_WITNESS, max_size=3)), max_size=20))
+def test_records_ndjson_is_the_json_dumps_rendering(rows):
+    # sporadic records, n = 1, one witness and several (only the first is emitted)
+    records = [SolutionRecord(n, s, "regular" if w else "sporadic", tuple(w))
+               for n, s, w in rows]
+    assert records_ndjson(records) == "".join(
+        json.dumps(r.to_json_dict(), separators=(",", ":")) + "\n" for r in records)
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _mostly(valid, *junk):
+    """valid five times in six, else one of the junk strings or "x", "1/0", "nan"."""
+    bad = st.sampled_from(junk + ("", "x", "-1", "0", "1/0", "1.5", "1e3", "nan"))
+    return st.integers(0, 5).flatmap(lambda i: bad if i == 0 else valid)
+
+
+_LIMIT = _mostly(_ints(1, 10**4))
+_SMALL = _mostly(_ints(1, 12))
+_K = _mostly(_ints(-10**6, 10**6))
+_CHECKPOINTS = _mostly(st.lists(st.integers(1, 10**4), min_size=1, max_size=4).map(
+    lambda xs: ",".join(map(str, sorted(xs)))), "1e4,5", ",,")
+_RATIONAL = st.sampled_from(("2", "3", "3/2", "7/3", "1", "0", "-2", "2.5", "x/y",
+                             "1/0", "1e400", "1.0000001"))
+
+#: Each subcommand's own options and the values the fuzz draws for them.
+_SUBCOMMAND_FLAGS = {
+    "sieve": {"--lo": _LIMIT, "--hi": _LIMIT, "--cache-path": st.just("CACHE")},
+    "count": {"--ell": _RATIONAL, "--threshold": st.sampled_from(
+        ("pow:0.5", "pow:1/3", "const:1", "lin:0.1", "xlog", "pow:2", "pow:",
+         "const:-1", "lin:1e400", "bogus")), "--limit": _LIMIT},
+    "series": {"--ell": _RATIONAL, "--threshold": st.sampled_from(
+        ("pow:0.5", "const:2", "lin:1/4", "xlog", "pow:1")), "--checkpoints": _CHECKPOINTS},
+    "table1": {"--limit": _LIMIT},
+    "figure1": {"--limit": _LIMIT},
+    "perfect": {"--ell": _RATIONAL, "--limit": _LIMIT, "--checkpoints": _CHECKPOINTS},
+    "wirsing": {"--ell": _RATIONAL, "--checkpoints": _CHECKPOINTS},
+    "dioph": {"--a": _SMALL, "--b": _SMALL, "--k": _K, "--limit": _LIMIT,
+              "--checkpoints": _CHECKPOINTS},
+    "census": {"--b": _SMALL, "--k": _K, "--limit": _LIMIT},
+    "sporadic": {"--b": _SMALL, "--k": _K, "--checkpoints": _CHECKPOINTS},
+    "cdf": {"--limit": _LIMIT, "--grid": st.one_of(_CHECKPOINTS, _RATIONAL)},
+    "phase": {"--ell": _RATIONAL, "--regime": st.sampled_from(
+        ("sublinear", "linear", "superlinear", "bad")), "--c": _RATIONAL,
+        "--checkpoints": _CHECKPOINTS},
+    "probe": {"--ell": _RATIONAL, "--depth": _mostly(_ints(1, 12)), "--search-limit": _LIMIT},
+    "gcdsum": {"--x": _LIMIT},
+    "nonsense": {},
+}
+
+_COMMON_FLAGS = {
+    "--segment-length": _mostly(st.sampled_from(("1024", "4096", str(1 << 22))),
+                                "1023", str(1 << 26)),
+    "--threads": _mostly(st.sampled_from(("1", "2", "3"))),
+    "--format": _mostly(st.sampled_from(("csv", "json", "ndjson", "table")), "xml"),
+    "--cache-dir": st.just("CACHE_DIR"),
+    "--out": st.just("OUT"),
+    "--config": st.sampled_from(("CONFIG", "MISSING")),
+    "--non-strict": st.none(),
+    "--at-limit": st.none(),
+    "--from-two": st.none(),
+}
+
+
+@st.composite
+def _argv(draw):
+    """Common options, a subcommand, then its options and more common ones
+    in random order; None values mark the switches that take no value."""
+    command = draw(st.sampled_from(sorted(_SUBCOMMAND_FLAGS)))
+    values = {**_SUBCOMMAND_FLAGS[command], **_COMMON_FLAGS}
+    common = st.lists(st.sampled_from(sorted(_COMMON_FLAGS)), max_size=3, unique=True)
+    # mostly every subcommand option (so runs get past parsing), sometimes not
+    after = [f for f in _SUBCOMMAND_FLAGS[command] if draw(st.floats(0, 1)) < 0.9]
+    after = draw(st.permutations(after + draw(common)))
+
+    def words(flags):
+        out = []
+        for flag in flags:
+            value = draw(values[flag])
+            out += [flag] if value is None else [flag, value]
+        return out
+
+    return words(draw(common)) + [command] + words(after)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "config").write_text("threads=2\nstrict_inequality=no\n", encoding="utf-8")
+    return root
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_argv())
+@example(argv=["figure1", "--limit", "0"])                # empty series: exit 1
+@example(argv=["cdf", "--limit", "1", "--grid", "1e400"])  # beyond float64: exit 2
+@example(argv=["wirsing", "--ell", "1e400", "--checkpoints", "10,100"])
+def test_fuzzed_argv_exits_0_1_or_2(fuzz_dir, argv):
+    paths = {"CACHE": fuzz_dir / "seg.sgma", "CACHE_DIR": fuzz_dir / "cache",
+             "OUT": fuzz_dir / "out.txt", "CONFIG": fuzz_dir / "config",
+             "MISSING": fuzz_dir / "missing"}
+    argv = [str(paths[w]) if w in paths else w for w in argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2), argv

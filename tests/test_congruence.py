@@ -5,7 +5,7 @@ from withinperfect.congruence import (CongruenceProblem, census,
                                       sporadic_growth_report, witness_anchors)
 from withinperfect.errors import CapabilityError
 from withinperfect.exact import enumerate_perfect
-from withinperfect.sieve import sigma_oracle
+from withinperfect.sieve import SigmaSource, sigma_oracle
 
 from conftest import brute_census, trial_is_prime
 
@@ -137,3 +137,22 @@ def test_census_exact_for_large_k_inside_int64_range(oracle_sigma):
         got = {r.n: (r.classification, r.witnesses)
                for r in census(CongruenceProblem(b, k, 200))}
         assert got == brute_census(b, k, 200, oracle_sigma)
+
+
+def test_census_anchors_cross_segments(oracle_sigma):
+    # with 1024-element segments, anchors such as m = 6 (k = 12) or m = 1
+    # (k = 1) are collected in an earlier segment than most of their n = p*m
+    source = SigmaSource(segment_length=1024)
+    for b, k in ((1, 12), (2, 6), (1, 1)):
+        got = {r.n: (r.classification, r.witnesses)
+               for r in census(CongruenceProblem(b, k, 10**4), source)}
+        assert got == brute_census(b, k, 10**4, oracle_sigma)
+
+
+def test_census_large_positive_k_needs_no_anchor_scan(oracle_sigma):
+    # b | k and k inside the int64 guard: witness_anchors(1, k) would scan
+    # every m < k; the census takes its anchors from the solutions it sieves
+    k = 2**62 - 2**20 - 1
+    got = {r.n: (r.classification, r.witnesses)
+           for r in census(CongruenceProblem(1, k, 200))}
+    assert got == brute_census(1, k, 200, oracle_sigma)

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from withinperfect.errors import (BudgetExceededError, CapabilityError,
                                   SigmaOverflowError)
 from withinperfect.sieve import (DOMAIN_CAP, MIN_SEGMENT_LENGTH, FactorView,
-                                 SigmaSource, _icbrt, _is_prime, _spf_block,
-                                 abundancy, factor, sieve_segment, sigma_oracle)
+                                 SigmaSource, _icbrt, _is_prime, _prime_mask,
+                                 _spf_block, abundancy, factor, sieve_segment,
+                                 sigma_oracle)
 
 from conftest import trial_factor
 
@@ -209,6 +210,15 @@ def test_is_prime_matches_the_spf_sieve(lo, width):
     spf = _spf_block(lo, lo + width - 1)
     ns = range(lo, lo + width)
     assert [_is_prime(n) for n in ns] == (spf == np.arange(lo, lo + width)).tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(lo=st.one_of(st.just(1), st.integers(1, 10**8)), width=st.integers(1, 2**12))
+def test_prime_mask_matches_the_spf_sieve_and_is_prime(lo, width):
+    hi = lo + width - 1
+    mask = _prime_mask(lo, hi).tolist()
+    assert mask == (_spf_block(lo, hi) == np.arange(lo, hi + 1)).tolist()
+    assert mask == [_is_prime(n) for n in range(lo, hi + 1)]
 
 
 def test_is_prime_fixed_cases():
