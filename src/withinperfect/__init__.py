@@ -4,7 +4,7 @@ within-perfect counting, and the empirical abundancy distribution."""
 
 from .cache import cache_roundtrip, read_segment, write_segment
 from .congruence import (CongruenceProblem, SporadicGrowthReport, census,
-                         sporadic_growth_report, witness_anchors)
+                         sporadic_growth_report)
 from .distribution import (EmpiricalCDF, PhaseReport, ProbeReport, empirical_cdf,
                            phase_experiment, sigma_approx_probe)
 from .errors import (BudgetExceededError, CacheChecksumError, CacheFormatError,

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .exact import _counts_upto, _guard_linear
-from .sieve import SigmaSource, _witnesses, sigma_oracle
+from .sieve import SigmaSource, _witnesses
 from .types import CheckpointSeries, SolutionRecord
 
 
@@ -38,22 +38,6 @@ class CongruenceProblem:
     def in_uniform_range(self) -> bool:
         """Whether |k| < b * limit^(2/3), the range the sporadic bound covers."""
         return abs(self.k) < self.b * self.limit ** (2.0 / 3.0)
-
-
-def witness_anchors(b: int, k: int) -> tuple[int, ...]:
-    """All m with sigma(m) = k/b and m | b*sigma(m): the second factors of
-    regular decompositions n = p*m.  Empty when b does not divide k or k <= 0.
-
-    sigma(m) >= m + 1 for m >= 2 caps the scan at m < k/b, but the scan runs
-    sigma_oracle on every such m, so it is for small k only; census takes its
-    anchors from the sigma stream instead.
-    """
-    if k <= 0 or k % b != 0:
-        return ()
-    t = k // b
-    if t == 1:
-        return (1,)
-    return tuple(m for m in range(2, t) if sigma_oracle(m) == t and (b * t) % m == 0)
 
 
 def census(problem: CongruenceProblem, source: Optional[SigmaSource] = None) -> list[SolutionRecord]:

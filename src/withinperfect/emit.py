@@ -100,7 +100,7 @@ def probe_csv(report: ProbeReport) -> str:
 
 def gcdsum_csv(report: GcdSumReport) -> str:
     return ("x,m_lo,m_hi,value,bound,bound_ratio,scaled\n"
-            f"{report.x},{report.m_lo},{report.m_hi},{float(report.value):.6e},"
+            f"{report.x},{report.m_lo},{report.m_hi},{report.rounded:.6e},"
             f"{report.bound:.6e},{fmt6(report.bound_ratio)},{fmt6(report.scaled)}\n")
 
 

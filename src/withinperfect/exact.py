@@ -5,16 +5,19 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterator, Optional
 
-import mpmath
 import numpy as np
 
 from .errors import CapabilityError, InvalidProblemError
-from .sieve import SigmaSource, _icbrt, _witnesses, sigma_oracle
+from .sieve import SigmaSource, _icbrt, _witnesses, factor
 from .types import CheckpointSeries, RationalTarget, SolutionRecord
+
+if TYPE_CHECKING:
+    import mpmath
 
 
 def _guard_linear(a: int, b: int, limit: int, k: int = 0) -> None:
@@ -123,6 +126,8 @@ class SeriesSums:
     log_weighted: mpmath.mpf      # sum of log(m)/m at 50 digits
 
     def reciprocal_decimal(self, places: int = 12) -> str:
+        import mpmath  # deferred: mpmath is about a fifth of the CLI's import time
+
         return mpmath.nstr(mpmath.mpf(self.reciprocal.numerator) / self.reciprocal.denominator,
                            places, strip_zeros=False)
 
@@ -130,12 +135,35 @@ class SeriesSums:
 def series_partial_sums(target, limit: int, source: Optional[SigmaSource] = None) -> SeriesSums:
     """Sum 1/m (exact rational) and log(m)/m (50 digits) over m <= limit with
     b*sigma(m) = a*m."""
+    import mpmath
+
     target = RationalTarget.parse(target)
     census = enumerate_perfect(target, limit, source)
     reciprocal = _fraction_sum([Fraction(1, m) for m in census.members])
     with mpmath.workdps(50):
         log_weighted = mpmath.fsum(mpmath.log(m) / m for m in census.members)
     return SeriesSums(target, limit, census.members, reciprocal, log_weighted)
+
+
+#: Fractional bits the fixed-point gcd sum carries at least.
+_GCD_SUM_BITS = 128
+
+
+def _gcd_terms(m_lo: int, m_hi: int,
+               source: SigmaSource) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The int64 columns (gcd(m, sigma(m)), m) of each segment's part of
+    [m_lo, m_hi], streamed from source."""
+    for seg in source.segments(m_hi):
+        if seg.hi < m_lo:
+            continue
+        start = max(m_lo, seg.lo)
+        m = np.arange(start, seg.hi + 1, dtype=np.int64)
+        yield np.gcd(m, seg.sigma.view(np.int64)[start - seg.lo:]), m
+
+
+def _exact_gcd_sum(m_lo: int, m_hi: int, source: SigmaSource) -> Fraction:
+    return _fraction_sum([Fraction(g, m * m) for gs, ms in _gcd_terms(m_lo, m_hi, source)
+                          for g, m in zip(gs.tolist(), ms.tolist())])
 
 
 @dataclass
@@ -145,26 +173,62 @@ class GcdSumReport:
     x: int
     m_lo: int  # smallest m included
     m_hi: int  # largest m included
-    value: Fraction
+    rounded: float      # the exact sum, correctly rounded to float64
     bound: float        # 3 * x^(-1/3)
-    bound_ratio: float  # value / bound
-    scaled: float       # value * x^(1/3)
+    bound_ratio: float  # rounded / bound
+    scaled: float       # rounded * x^(1/3)
+    source: SigmaSource = field(repr=False, compare=False)
+
+    @cached_property
+    def value(self) -> Fraction:
+        """The exact sum, built on first read by streaming the window again."""
+        return _exact_gcd_sum(self.m_lo, self.m_hi, self.source)
 
 
 def gcd_sum(x: int, source: Optional[SigmaSource] = None) -> GcdSumReport:
-    """Evaluate sum_{x^(1/3) < m <= x^(2/3)} gcd(m, sigma(m))/m^2 exactly."""
+    """Evaluate sum_{x^(1/3) < m <= x^(2/3)} gcd(m, sigma(m))/m^2, correctly rounded.
+
+    Each term g/m^2 (g <= m < m^2, so its integer part is 0) is expanded to
+    B >= _GCD_SUM_BITS fractional bits in limbs of b bits, with b as large as
+    keeps the remainder shifted by b inside u64.  The truncated expansions sum
+    to S, and the c terms with a nonzero final remainder each lose less than
+    2^-B, so the exact sum lies in [S, S + c] / 2^B.  Rounding to nearest is
+    monotone: when both ends round to the same double, so does the exact sum.
+    Otherwise the exact Fraction decides.
+    """
     if x < 8:
         raise ValueError("need x >= 8 so the range (x^(1/3), x^(2/3)] is nonempty")
-    source = source or SigmaSource()
     m_lo = _icbrt(x) + 1          # smallest m with m^3 > x
     m_hi = _icbrt(x * x)          # largest m with m^3 <= x^2
-    table = source.table(m_hi, with_spf=False)
-    ms = np.arange(m_lo, m_hi + 1, dtype=np.int64)
-    gs = np.gcd(ms, table.sigma.view(np.int64)[m_lo - 1 : m_hi])
-    value = _fraction_sum([Fraction(int(g), int(m) * int(m)) for g, m in zip(gs, ms)])
+    if m_hi >= 1 << 28:
+        raise CapabilityError(
+            f"x={x} puts m^2 beyond the 2^56 the fixed-point gcd sum works in "
+            f"(m up to {m_hi}; x must be below 2^42)")
+    source = source or SigmaSource()
+    b = 64 - (m_hi * m_hi).bit_length()
+    steps = -(-_GCD_SUM_BITS // b)
+    shift = np.uint64(b)
+    total = inexact = 0
+    for g, m in _gcd_terms(m_lo, m_hi, source):
+        m2 = (m * m).view(np.uint64)
+        r = g.view(np.uint64)  # the remainders, updated in place
+        q = np.empty_like(r)
+        part = 0
+        for _ in range(steps):
+            # r < m^2 < 2^(64-b), so r << b fits u64; q < 2^b < 2^64 / m_hi^2 and
+            # a segment holds at most m_hi terms, so the u64 sum of q cannot wrap
+            r <<= shift
+            np.divmod(r, m2, out=(q, r))
+            part = (part << b) + int(q.sum())
+        total += part
+        inexact += int(np.count_nonzero(r))
+    scale = 1 << (b * steps)
+    rounded = total / scale
+    if rounded != (total + inexact) / scale:
+        rounded = float(_exact_gcd_sum(m_lo, m_hi, source))
     bound = 3.0 * x ** (-1.0 / 3.0)
-    return GcdSumReport(x, m_lo, m_hi, value, bound,
-                        float(value) / bound, float(value) * x ** (1.0 / 3.0))
+    return GcdSumReport(x, m_lo, m_hi, rounded, bound,
+                        rounded / bound, rounded * x ** (1.0 / 3.0), source)
 
 
 @dataclass(frozen=True)
@@ -199,11 +263,12 @@ class DiophantineSolution:
 
 def regular_family_anchor(a: int, b: int, k: int) -> Optional[int]:
     """m0 = k/a when the regular-family branch applies: k >= 1, ab | k,
-    sigma(k/a) = k/b.  Otherwise None (every solution is then sporadic)."""
+    sigma(k/a) = k/b.  Otherwise None (every solution is then sporadic).
+    sigma(k/a) comes from factoring k/a, exact for k/a < 2^64."""
     if k < 1 or k % (a * b) != 0:
         return None
     m0 = k // a
-    if sigma_oracle(m0) != k // b:
+    if factor(m0).sigma != k // b:
         return None
     return m0
 

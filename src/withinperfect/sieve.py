@@ -14,6 +14,7 @@ cross-check, never the fast path.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from collections import deque
@@ -110,6 +111,10 @@ class FactorView:
     @property
     def largest_prime_factor(self) -> int:
         return self.distinct_primes[-1][0] if self.distinct_primes else 1
+
+    @property
+    def sigma(self) -> int:
+        return math.prod((p ** (e + 1) - 1) // (p - 1) for p, e in self.distinct_primes)
 
 
 def _check_range(lo: int, hi: int, budget: int) -> None:
@@ -279,11 +284,58 @@ def _icbrt(v: int) -> int:
         x = y
 
 
+def _rho(n: int) -> int:
+    """A proper factor of the composite n, which has no prime factor below 41:
+    Pollard's rho with Brent's cycle search and gcds batched over 128 steps
+    (Brent, BIT 20, 1980)."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: step from its start one at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The prime factors of 1 <= n < 2^64 with multiplicity, unordered."""
+    out = []
+    for p in _SMALL_PRIMES:
+        while n % p == 0:
+            out.append(p)
+            n //= p
+    stack = [n] if n > 1 else []
+    while stack:
+        v = stack.pop()
+        if _is_prime(v):
+            out.append(v)
+        else:
+            d = _rho(v)
+            stack += [d, v // d]
+    return out
+
+
 def factor(n: int, context: Optional[SigmaSegment] = None) -> FactorView:
     """Prime factorization of n, via a full-table spf chain when available.
 
     The spf-chain path needs a table anchored at lo = 1 (quotients must stay
-    covered); anything else falls back to trial division.
+    covered); anything else is factored by Pollard-Brent rho, exact for
+    n < 2^64 (CapabilityError above).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -300,20 +352,8 @@ def factor(n: int, context: Optional[SigmaSegment] = None) -> FactorView:
                 e += 1
             pairs.append((p, e))
         return FactorView(n, tuple(pairs))
-    pairs = []
-    rest = n
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            e = 0
-            while rest % p == 0:
-                rest //= p
-                e += 1
-            pairs.append((p, e))
-        p += 1 if p == 2 else 2
-    if rest > 1:
-        pairs.append((rest, 1))
-    return FactorView(n, tuple(pairs))
+    primes = _prime_factors(n)
+    return FactorView(n, tuple((p, primes.count(p)) for p in sorted(set(primes))))
 
 
 def abundancy(n: int, context: Optional[SigmaSegment] = None) -> Fraction:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-import mpmath
 import numpy as np
 
 from .errors import CapabilityError, InvalidThresholdError
@@ -50,6 +49,8 @@ def _power_compare(D: int, b: int, n: int, c: Fraction) -> int:
 
 def _xlog_compare(D: int, b: int, n: int) -> int:
     """Sign of D - b*n/log(n) at 50 digits (exact ties cannot occur for n >= 2)."""
+    import mpmath  # deferred: mpmath is about a fifth of the CLI's import time
+
     with mpmath.workdps(50):
         diff = mpmath.mpf(D) - mpmath.mpf(b * n) / mpmath.log(n)
         if abs(diff) < mpmath.mpf(10) ** -30:

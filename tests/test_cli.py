@@ -90,6 +90,18 @@ def test_cdf_and_probe_and_gcdsum(capsys):
     assert "8,3,4," in out
 
 
+@pytest.mark.parametrize("x, row", [
+    (8, "8,3,4,1.736111e-01,1.500000e+00,0.115741,0.347222"),
+    (27, "27,4,9,3.175455e-01,1.000000e+00,0.317546,0.952637"),
+    (1000, "1000,11,100,2.301623e-01,3.000000e-01,0.767208,2.301623"),
+    (1000001, "1000001,101,10000,6.030608e-02,2.999999e-02,2.010203,6.030610"),
+])
+def test_gcdsum_bytes(capsys, x, row):
+    code, out = run_cli(capsys, "gcdsum", "--x", str(x))
+    assert code == 0
+    assert out == f"x,m_lo,m_hi,value,bound,bound_ratio,scaled\n{row}\n"
+
+
 def test_phase_csv(capsys):
     code, out = run_cli(capsys, "phase", "--ell", "2", "--regime", "sublinear",
                         "--checkpoints", "1000,10000")
@@ -243,6 +255,18 @@ def test_cli_imports_no_sympy():
     out = subprocess.run(
         [sys.executable, "-c",
          "import withinperfect.cli, sys; print('sympy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True).stdout
+    assert out == "False\n"
+
+
+def test_cli_imports_no_mpmath():
+    # mpmath is imported where the exact xlog compare and the series sums run
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import withinperfect.cli, sys; print('mpmath' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=60, check=True).stdout
     assert out == "False\n"
 

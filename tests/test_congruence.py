@@ -2,7 +2,7 @@ import pytest
 
 from withinperfect.cli import main
 from withinperfect.congruence import (CongruenceProblem, census,
-                                      sporadic_growth_report, witness_anchors)
+                                      sporadic_growth_report)
 from withinperfect.errors import CapabilityError
 from withinperfect.exact import enumerate_perfect
 from withinperfect.sieve import SigmaSource, sigma_oracle
@@ -85,13 +85,21 @@ def test_diophantine_solutions_appear_in_census():
         assert cong[r.n] == r.classification
 
 
-def test_witness_anchors():
-    assert witness_anchors(1, 12) == (6,)   # sigma(6)=12, 6 | 12; sigma(11)=12 but 11 does not divide 12
-    assert witness_anchors(1, 1) == (1,)
-    assert witness_anchors(2, 1) == ()      # b does not divide k
-    assert witness_anchors(1, 0) == ()
-    assert witness_anchors(2, 6) == (2,)    # sigma(2)=3=6/2, 2 | 2*3
-    assert witness_anchors(1, -5) == ()
+def test_census_witnesses_use_the_expected_anchors(oracle_sigma):
+    # the anchors are the m with sigma(m) = k/b and m | b*sigma(m)
+    expected = {
+        (1, 12): {6},   # sigma(6) = 12, 6 | 12; sigma(11) = 12 but 11 does not divide 12
+        (1, 1): {1},
+        (2, 1): set(),  # b does not divide k
+        (1, 0): set(),
+        (2, 6): {2},    # sigma(2) = 3 = 6/2, 2 | 2*3
+        (1, -5): set(),
+    }
+    for (b, k), anchors in expected.items():
+        records = census(CongruenceProblem(b, k, 2000))
+        assert {r.n: (r.classification, r.witnesses) for r in records} \
+            == brute_census(b, k, 2000, oracle_sigma)
+        assert {m for r in records for _, m in r.witnesses} == anchors, (b, k)
 
 
 def test_uniform_range_flag():
@@ -150,8 +158,8 @@ def test_census_anchors_cross_segments(oracle_sigma):
 
 
 def test_census_large_positive_k_needs_no_anchor_scan(oracle_sigma):
-    # b | k and k inside the int64 guard: witness_anchors(1, k) would scan
-    # every m < k; the census takes its anchors from the solutions it sieves
+    # b | k and k inside the int64 guard: a scan for anchors over every m < k
+    # would not finish; the census takes its anchors from the solutions it sieves
     k = 2**62 - 2**20 - 1
     got = {r.n: (r.classification, r.witnesses)
            for r in census(CongruenceProblem(1, k, 200))}

@@ -1,15 +1,20 @@
+import json
 import math
+import time
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from withinperfect import exact
 from withinperfect.cli import main
 from withinperfect.errors import CapabilityError, InvalidProblemError
 from withinperfect.exact import (DiophantineProblem, enumerate_perfect, gcd_sum,
                                  regular_family_anchor, series_partial_sums,
                                  solve_diophantine, wirsing_count_check)
-from withinperfect.sieve import sigma_oracle
+from withinperfect.sieve import SigmaSource, sigma_oracle
 from withinperfect.types import RationalTarget
 
 from conftest import brute_diophantine, trial_is_prime
@@ -102,6 +107,64 @@ def test_gcd_sum_scaled_stays_bounded():
         assert gcd_sum(x).scaled <= 10.0
 
 
+_SEGMENTED = SigmaSource(segment_length=1024)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(st.integers(8, 10**5), st.integers(8, 10**7)))
+@example(10**7)
+def test_gcd_sum_rounded_is_the_exact_sum_rounded(x):
+    exact_value = float(gcd_sum(x).value)
+    assert gcd_sum(x).rounded == exact_value
+    assert gcd_sum(x, _SEGMENTED).rounded == exact_value
+
+
+class _CutSource(SigmaSource):
+    """Segments [1, cut] and [cut + 1, limit]."""
+
+    def __init__(self, cut):
+        super().__init__()
+        self.cut = cut
+
+    def ranges(self, limit):
+        return iter([(1, self.cut), (self.cut + 1, limit)])
+
+
+def test_gcd_sum_window_edges_on_segment_edges():
+    # x = 1000 sums m in [11, 100]: cut just below, at and just above m_lo
+    whole = gcd_sum(1000)
+    for cut in (10, 11, 12, 99):
+        report = gcd_sum(1000, _CutSource(cut))
+        assert report.value == whole.value, cut
+        assert report.rounded == whole.rounded, cut
+
+
+def test_gcd_sum_falls_back_when_the_interval_straddles(monkeypatch):
+    # with one limb of fractional bits the certified interval is far wider
+    # than an ulp, so the exact Fraction has to decide the rounding
+    calls = []
+    fallback = exact._exact_gcd_sum
+    monkeypatch.setattr(exact, "_exact_gcd_sum",
+                        lambda *args: calls.append(args) or fallback(*args))
+    monkeypatch.setattr(exact, "_GCD_SUM_BITS", 1)
+    for x in (27, 1000, 10**6):
+        calls.clear()
+        report = gcd_sum(x)
+        assert calls, x  # the interval straddled a rounding boundary
+        assert report.rounded == float(report.value)
+
+
+def test_gcd_sum_refuses_x_beyond_the_fixed_point_range(monkeypatch, capsys):
+    def no_sieving(self, limit):
+        raise AssertionError("sieved before the range check")
+
+    monkeypatch.setattr(SigmaSource, "segments", no_sieving)
+    assert main(["gcdsum", "--x", str(2**43)]) == 2
+    assert "2^42" in capsys.readouterr().err
+    with pytest.raises(CapabilityError):
+        gcd_sum(2**42)
+
+
 def test_diophantine_regular_family(oracle_sigma):
     problem = DiophantineProblem(2, 1, 12, 10**3)
     solution = solve_diophantine(problem)
@@ -173,3 +236,34 @@ def test_diophantine_refuses_k_outside_int64(capsys):
         solve_diophantine(DiophantineProblem(2, 1, k, 10))
     assert main(["dioph", "--a", "2", "--b", "1", "--k", str(k), "--limit", "10"]) == 2
     assert "int64" in capsys.readouterr().err
+
+
+def test_dioph_prime_anchor_near_2_56_is_fast(capsys):
+    # k/a = 36028797018963913 is prime, so a trial-division sigma of it takes seconds
+    start = time.perf_counter()
+    assert main(["dioph", "--a", "2", "--b", "1", "--k", "72057594037927826",
+                 "--limit", "10"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == (
+        '{\n  "a": 2,\n  "b": 1,\n  "k": 72057594037927826,\n  "limit": 10,\n'
+        '  "regular_family": false,\n  "family_anchor": null,\n'
+        '  "predicted_density": null,\n  "records": []\n}\n')
+
+
+def test_dioph_anchor_above_the_sieve_cap(capsys):
+    # k/a above 2^55 is valid input; its sigma comes from the factorization
+    q = 16777259  # the least prime above 2^24
+    assert trial_is_prime(q) and trial_is_prime(2**31 - 1)
+    m0 = (2**31 - 1) * q
+    assert m0 > 2**55 and 2**31 * (q + 1) != 2 * m0  # sigma(m0) != k/b
+    # 2^5 3^4 7^2 11^2 19^4 151 911, a 4-perfect number
+    perfect4 = 2**5 * 3**4 * 7**2 * 11**2 * 19**4 * 151 * 911
+    assert all(trial_is_prime(p) for p in (19, 151, 911))
+    assert perfect4 > 2**55
+    assert 63 * 121 * 57 * 133 * 137561 * 152 * 912 == 4 * perfect4  # sigma of each factor
+    for a, m, family in ((2, m0, False), (4, perfect4, True)):
+        assert main(["dioph", "--a", str(a), "--b", "1", "--k", str(a * m),
+                     "--limit", "10"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["regular_family"] is family
+        assert out["family_anchor"] == (m if family else None)

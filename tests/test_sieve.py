@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -116,6 +117,26 @@ def test_factor_spf_chain_matches_trial():
     table = sieve_segment(1, 5000)
     for n in range(1, 5001):
         assert factor(n, table).distinct_primes == tuple(trial_factor(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10**12))
+def test_factored_sigma_matches_the_oracle(n):
+    view = factor(n)
+    assert view.sigma == sigma_oracle(n)
+    assert math.prod(p**e for p, e in view.distinct_primes) == n
+
+
+def test_factored_sigma_of_semiprimes_near_2_20():
+    # two prime factors of about 20 bits each: the case rho, not trial
+    # division by the small primes, has to split
+    rng = random.Random(20)
+    primes = [p for p in range(2**20 - 600, 2**20 + 600) if _is_prime(p)]
+    for _ in range(6):
+        p, q = rng.choice(primes), rng.choice(primes)
+        assert factor(p * q).sigma == sigma_oracle(p * q)
+        assert factor(p * q).distinct_primes == (((p, 2),) if p == q
+                                                 else tuple((r, 1) for r in sorted((p, q))))
 
 
 def test_abundancy():
