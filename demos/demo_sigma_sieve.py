@@ -5,12 +5,12 @@ import time
 
 from withinperfect import SigmaSource, abundancy, factor, sieve_segment, sigma_oracle
 
-# A segment is a contiguous block of exact sigma values (u64) plus smallest
-# prime factors.  One call covers [lo, hi] regardless of where it starts.
+# A segment is a contiguous block of exact sigma values (u64).  One call
+# covers [lo, hi] regardless of where it starts.
 seg = sieve_segment(1, 50)
-print("n, sigma(n), spf(n) for small n:")
+print("n, sigma(n) for small n:")
 for n in (1, 2, 6, 12, 24, 28, 49):
-    print(f"  {n:>3}  sigma={seg.sigma_of(n):>3}  spf={seg.spf_of(n)}")
+    print(f"  {n:>3}  sigma={seg.sigma_of(n):>3}")
 
 # The trial-division oracle is deliberately naive; it exists so every fast
 # result can be re-derived independently.
@@ -20,10 +20,10 @@ block = sieve_segment(1, 5000)
 mism = sum(1 for n in range(1, 5001) if block.sigma_of(n) != sigma_oracle(n))
 print(f"sieve vs oracle over [1, 5000]: {mism} mismatches")
 
-# Factorizations come free from the spf table when it starts at 1.
-print("\nfactorizations via the spf chain:")
-for n in (360, 9973, 524288):
-    view = factor(n, sieve_segment(1, 600000))
+# Factorization is Pollard-Brent rho, exact for any n < 2^64.
+print("\nfactorizations:")
+for n in (360, 9973, 524288, 2**55 + 1):
+    view = factor(n)
     print(f"  {n} = {view.distinct_primes}  omega={view.omega} "
           f"largest={view.largest_prime_factor}")
 

@@ -2,7 +2,7 @@
 perfect and multiply perfect censuses, sigma-congruence classification,
 within-perfect counting, and the empirical abundancy distribution."""
 
-from .cache import cache_roundtrip, read_segment, write_segment
+from .cache import read_segment, write_segment
 from .congruence import (CongruenceProblem, SporadicGrowthReport, census,
                          sporadic_growth_report)
 from .distribution import (EmpiricalCDF, PhaseReport, ProbeReport, empirical_cdf,

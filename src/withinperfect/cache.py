@@ -2,8 +2,7 @@
 
 Layout: magic b"SGMA", version u32, lo u64, hi u64 (all little-endian),
 then the sigma payload as little-endian u64 values, then a CRC32 of the
-payload as a u32 trailer.  Only sigma is persisted; smallest-prime-factor
-data is cheap to resieve and is not part of the format.
+payload as a u32 trailer.
 """
 
 from __future__ import annotations
@@ -58,10 +57,4 @@ def read_segment(path: str) -> SigmaSegment:
     if zlib.crc32(payload) != crc:
         raise CacheChecksumError(f"{path}: CRC32 mismatch")
     sigma = np.frombuffer(payload, dtype="<u8").astype(np.uint64)
-    return SigmaSegment(lo, hi, sigma, None)
-
-
-def cache_roundtrip(segment: SigmaSegment, path: str) -> SigmaSegment:
-    """Write then read back; the sigma array survives bit-exactly."""
-    write_segment(segment, path)
-    return read_segment(path)
+    return SigmaSegment(lo, hi, sigma)

@@ -2,7 +2,7 @@
 
 
 class BudgetExceededError(Exception):
-    """A requested segment is larger than the configured memory budget."""
+    """A requested segment is longer than sieve.MAX_SEGMENT_LENGTH."""
 
 
 class SigmaOverflowError(OverflowError):

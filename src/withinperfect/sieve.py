@@ -1,14 +1,13 @@
 """Sum-of-divisors sieving: segments, the trial-division oracle, factorization,
 and the exact integer arithmetic built beside them (primality, cube roots).
 
-Two production strategies share one vectorized kernel:
-
-* a full in-memory table (lo = 1) when the range fits the memory budget, and
-* a streaming segmented pass for anything larger.
-
-Both enumerate divisor pairs (d, n/d) with d <= sqrt(hi), so a segment of
-length L costs O(L * log(sqrt(hi))) strided numpy additions and O(L) memory.
-The trial-division oracle stays deliberately naive; it is the independent
+A segment holds sigma(n) over [lo, hi] and nothing else.  SigmaSource is the
+one streaming source every statistic reads; its ``table`` (one segment from 1)
+has no caller in the package and stays only because the benchmark traces it.
+The kernel enumerates divisor pairs (d, n/d) with d <= sqrt(hi), so a segment
+of length L costs O(L * log(sqrt(hi))) strided numpy additions and O(L)
+memory.  Factorization is Pollard-Brent rho, exact below 2^64.  The
+trial-division oracle stays deliberately naive; it is the independent
 cross-check, never the fast path.
 """
 
@@ -33,11 +32,11 @@ DOMAIN_CAP = 1 << 55
 #: Default streaming segment length (elements).
 DEFAULT_SEGMENT_LENGTH = 1 << 22
 
-#: Default per-segment memory budget (elements).
-DEFAULT_BUDGET = 1 << 25
-
 #: Smallest segment length the streaming source accepts.
 MIN_SEGMENT_LENGTH = 1 << 10
+
+#: Longest segment that is sieved; anything longer is refused before allocating.
+MAX_SEGMENT_LENGTH = 1 << 25
 
 #: The first twelve primes: trial divisors and Miller-Rabin bases of _is_prime.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -53,18 +52,14 @@ _PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
 
 @dataclass(frozen=True)
 class SigmaSegment:
-    """sigma(n) (and optionally smallest prime factors) over [lo, hi] inclusive.
+    """sigma(n) over [lo, hi] inclusive: sigma[i] = sigma(lo + i) as u64.
 
-    sigma[i] = sigma(lo + i) as u64.  spf[i] is the smallest prime factor of
-    lo + i, with 0 as the sentinel for n = 1; spf is None for segments loaded
-    from a cache file or sieved with with_spf=False.  Immutable after
-    construction; disjoint segments may be sieved concurrently.
+    Immutable after construction; disjoint segments may be sieved concurrently.
     """
 
     lo: int
     hi: int
     sigma: np.ndarray
-    spf: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if not (1 <= self.lo <= self.hi):
@@ -72,8 +67,6 @@ class SigmaSegment:
         if len(self.sigma) != self.hi - self.lo + 1:
             raise ValueError("sigma array length does not match range")
         self.sigma.setflags(write=False)
-        if self.spf is not None:
-            self.spf.setflags(write=False)
 
     def __len__(self) -> int:
         return self.hi - self.lo + 1
@@ -88,13 +81,6 @@ class SigmaSegment:
         if n not in self:
             raise IndexError(f"{n} outside segment [{self.lo}, {self.hi}]")
         return int(self.sigma[n - self.lo])
-
-    def spf_of(self, n: int) -> int:
-        if self.spf is None:
-            raise ValueError("segment carries no smallest-prime-factor data")
-        if n not in self:
-            raise IndexError(f"{n} outside segment [{self.lo}, {self.hi}]")
-        return int(self.spf[n - self.lo])
 
 
 @dataclass(frozen=True)
@@ -117,7 +103,7 @@ class FactorView:
         return math.prod((p ** (e + 1) - 1) // (p - 1) for p, e in self.distinct_primes)
 
 
-def _check_range(lo: int, hi: int, budget: int) -> None:
+def _check_range(lo: int, hi: int) -> None:
     if lo < 1 or hi < lo:
         raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
     if hi > DOMAIN_CAP:
@@ -125,9 +111,9 @@ def _check_range(lo: int, hi: int, budget: int) -> None:
             f"hi={hi} exceeds the supported domain cap 2^55; "
             "sigma values beyond it are not guaranteed to fit u64"
         )
-    if hi - lo + 1 > budget:
+    if hi - lo + 1 > MAX_SEGMENT_LENGTH:
         raise BudgetExceededError(
-            f"segment of {hi - lo + 1} elements exceeds budget {budget}"
+            f"segment of {hi - lo + 1} elements exceeds budget {MAX_SEGMENT_LENGTH}"
         )
 
 
@@ -160,31 +146,14 @@ def _sigma_block(lo: int, hi: int) -> np.ndarray:
     return sig
 
 
-def _spf_block(lo: int, hi: int) -> np.ndarray:
-    """Smallest prime factor for n in [lo, hi]; 0 for n = 1, n itself for primes."""
-    spf = np.zeros(hi - lo + 1, dtype=np.int64)
-    for p in base_primes(math.isqrt(hi)):
-        p = int(p)
-        start = max(p, -(-lo // p) * p) - lo
-        view = spf[start :: p]
-        view[view == 0] = p
-    ns = np.arange(lo, hi + 1, dtype=np.int64)
-    untouched = (spf == 0) & (ns > 1)
-    spf[untouched] = ns[untouched]
-    return spf
-
-
-def sieve_segment(lo: int, hi: int, *, with_spf: bool = True,
-                  budget: int = DEFAULT_BUDGET) -> SigmaSegment:
-    """Sieve exact sigma values (and smallest prime factors) over [lo, hi].
+def sieve_segment(lo: int, hi: int) -> SigmaSegment:
+    """Sieve exact sigma values over [lo, hi].
 
     Deterministic and independent of segmentation: the same n yields the same
     sigma regardless of which segment covers it.
     """
-    _check_range(lo, hi, budget)
-    sigma = _sigma_block(lo, hi)
-    spf = _spf_block(lo, hi) if with_spf else None
-    return SigmaSegment(lo, hi, sigma, spf)
+    _check_range(lo, hi)
+    return SigmaSegment(lo, hi, _sigma_block(lo, hi))
 
 
 def sigma_oracle(n: int) -> int:
@@ -330,36 +299,18 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def factor(n: int, context: Optional[SigmaSegment] = None) -> FactorView:
-    """Prime factorization of n, via a full-table spf chain when available.
-
-    The spf-chain path needs a table anchored at lo = 1 (quotients must stay
-    covered); anything else is factored by Pollard-Brent rho, exact for
-    n < 2^64 (CapabilityError above).
-    """
+def factor(n: int) -> FactorView:
+    """Prime factorization of 1 <= n < 2^64 by Pollard-Brent rho (CapabilityError
+    above)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return FactorView(1, ())
-    if context is not None and context.spf is not None and context.lo == 1 and n <= context.hi:
-        pairs = []
-        rest = n
-        while rest > 1:
-            p = int(context.spf[rest - 1])
-            e = 0
-            while rest % p == 0:
-                rest //= p
-                e += 1
-            pairs.append((p, e))
-        return FactorView(n, tuple(pairs))
     primes = _prime_factors(n)
     return FactorView(n, tuple((p, primes.count(p)) for p in sorted(set(primes))))
 
 
-def abundancy(n: int, context: Optional[SigmaSegment] = None) -> Fraction:
+def abundancy(n: int) -> Fraction:
     """sigma(n)/n as an exact reduced fraction."""
-    s = context.sigma_of(n) if context is not None and n in context else sigma_oracle(n)
-    return Fraction(s, n)
+    return Fraction(factor(n).sigma, n)
 
 
 class SigmaSource:
@@ -372,19 +323,16 @@ class SigmaSource:
     """
 
     def __init__(self, *, segment_length: int = DEFAULT_SEGMENT_LENGTH, threads: int = 1,
-                 cache_dir: Optional[str] = None, with_spf: bool = False,
-                 budget: int = DEFAULT_BUDGET):
+                 cache_dir: Optional[str] = None):
         if segment_length < MIN_SEGMENT_LENGTH:
             raise ValueError(f"segment_length must be >= {MIN_SEGMENT_LENGTH}")
-        if segment_length > budget:
+        if segment_length > MAX_SEGMENT_LENGTH:
             raise BudgetExceededError("segment_length exceeds the memory budget")
         if threads < 1:
             raise ValueError("threads must be >= 1")
         self.segment_length = segment_length
         self.threads = threads
         self.cache_dir = cache_dir
-        self.with_spf = with_spf
-        self.budget = budget
 
     def ranges(self, limit: int) -> Iterator[tuple[int, int]]:
         """The (lo, hi) bounds covering [1, limit], generated as they are taken;
@@ -407,10 +355,10 @@ class SigmaSource:
                     return cache.read_segment(path)
                 except cache.CacheFormatError:
                     pass  # stale or corrupt: resieve and overwrite below
-            segment = sieve_segment(lo, hi, with_spf=self.with_spf, budget=self.budget)
+            segment = sieve_segment(lo, hi)
             cache.write_segment(segment, path)
             return segment
-        return sieve_segment(lo, hi, with_spf=self.with_spf, budget=self.budget)
+        return sieve_segment(lo, hi)
 
     def segments(self, limit: int) -> Iterator[SigmaSegment]:
         """Yield the segments in order.  With threads, at most threads + 1 are
@@ -432,6 +380,6 @@ class SigmaSource:
         finally:
             pool.shutdown(cancel_futures=True)
 
-    def table(self, limit: int, *, with_spf: bool = True) -> SigmaSegment:
-        """One full in-memory segment [1, limit] (budget permitting)."""
-        return sieve_segment(1, limit, with_spf=with_spf, budget=self.budget)
+    def table(self, limit: int) -> SigmaSegment:
+        """One in-memory segment [1, limit], at most MAX_SEGMENT_LENGTH long."""
+        return sieve_segment(1, limit)

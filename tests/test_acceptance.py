@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from withinperfect.cache import cache_roundtrip
+from withinperfect.cache import read_segment, write_segment
 from withinperfect.cli import main
 from withinperfect.congruence import CongruenceProblem, census, sporadic_growth_report
 from withinperfect.distribution import phase_experiment
@@ -167,7 +167,8 @@ def test_determinism_and_cache(tmp_path, capsys):
     deterministic = len(outputs) == 1
 
     seg = sieve_segment(1, 4096)
-    back = cache_roundtrip(seg, str(tmp_path / "seg.sgma"))
+    write_segment(seg, str(tmp_path / "seg.sgma"))
+    back = read_segment(str(tmp_path / "seg.sgma"))
     roundtrip = np.array_equal(back.sigma, seg.sigma)
 
     ok = deterministic and roundtrip

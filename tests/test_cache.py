@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from withinperfect.cache import cache_roundtrip, read_segment, write_segment
+from withinperfect.cache import read_segment, write_segment
 from withinperfect.errors import CacheChecksumError, CacheFormatError
 from withinperfect.sieve import SigmaSource, sieve_segment
 
@@ -9,10 +9,11 @@ from withinperfect.sieve import SigmaSource, sieve_segment
 def test_roundtrip_identity(tmp_path):
     for lo, hi in ((1, 1000), (5000, 6000)):
         seg = sieve_segment(lo, hi)
-        back = cache_roundtrip(seg, str(tmp_path / f"s{lo}.sgma"))
+        path = str(tmp_path / f"s{lo}.sgma")
+        write_segment(seg, path)
+        back = read_segment(path)
         assert (back.lo, back.hi) == (lo, hi)
         assert np.array_equal(back.sigma, seg.sigma)
-        assert back.spf is None
 
 
 def test_truncated_file_rejected(tmp_path):

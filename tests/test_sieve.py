@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from withinperfect.errors import (BudgetExceededError, CapabilityError,
                                   SigmaOverflowError)
-from withinperfect.sieve import (DOMAIN_CAP, MIN_SEGMENT_LENGTH, FactorView,
-                                 SigmaSource, _icbrt, _is_prime, _prime_mask,
-                                 _spf_block, abundancy, factor, sieve_segment,
+from withinperfect.sieve import (DOMAIN_CAP, MAX_SEGMENT_LENGTH, MIN_SEGMENT_LENGTH,
+                                 FactorView, SigmaSource, _icbrt, _is_prime,
+                                 _prime_mask, abundancy, factor, sieve_segment,
                                  sigma_oracle)
 
-from conftest import trial_factor
+from conftest import trial_factor, trial_is_prime
 
 
 def test_sigma_single_points():
@@ -53,7 +53,7 @@ def test_segment_independence():
 
 def test_multiplicativity_random_pairs():
     rng = random.Random(42)
-    table = SigmaSource().table(10**7, with_spf=False)
+    table = SigmaSource().table(10**7)
     checked = 0
     while checked < 10**4:
         u = rng.randrange(2, 10**4)
@@ -65,14 +65,16 @@ def test_multiplicativity_random_pairs():
 
 
 def test_hardy_style_bound():
-    seg = sieve_segment(1, 10**5, with_spf=False)
+    seg = sieve_segment(1, 10**5)
     n = seg.n_values().astype(np.float64)
     assert np.all(seg.sigma.astype(np.float64) <= n * (1.0 + np.log(n)) + 1e-9)
 
 
 def test_budget_error():
     with pytest.raises(BudgetExceededError):
-        sieve_segment(1, 10**6, budget=10**5)
+        sieve_segment(1, MAX_SEGMENT_LENGTH + 1)
+    with pytest.raises(BudgetExceededError):
+        SigmaSource(segment_length=MAX_SEGMENT_LENGTH + 1)
 
 
 def test_overflow_guard():
@@ -89,19 +91,6 @@ def test_bad_range():
         sieve_segment(10, 5)
 
 
-def test_spf_full_table():
-    seg = sieve_segment(1, 10**4)
-    assert seg.spf_of(1) == 0
-    for n in range(2, 10**4 + 1):
-        assert seg.spf_of(n) == trial_factor(n)[0][0]
-
-
-def test_spf_high_segment():
-    seg = sieve_segment(10**6, 10**6 + 2000)
-    for n in range(10**6, 10**6 + 2001, 97):
-        assert seg.spf_of(n) == trial_factor(n)[0][0]
-
-
 def test_factor_views():
     assert factor(1) == FactorView(1, ())
     assert factor(1).omega == 0
@@ -114,9 +103,8 @@ def test_factor_views():
 
 
 def test_factor_spf_chain_matches_trial():
-    table = sieve_segment(1, 5000)
     for n in range(1, 5001):
-        assert factor(n, table).distinct_primes == tuple(trial_factor(n))
+        assert factor(n).distinct_primes == tuple(trial_factor(n))
 
 
 @settings(max_examples=60, deadline=None)
@@ -145,8 +133,15 @@ def test_abundancy():
     assert abundancy(1) == Fraction(1)
     assert abundancy(6) == Fraction(2)
     assert abundancy(10) == Fraction(9, 5)
-    seg = sieve_segment(1, 100)
-    assert abundancy(10, seg) == Fraction(9, 5)
+    p = 36028797018963913  # a prime just below 2^55
+    start = time.perf_counter()
+    assert abundancy(p) == Fraction(p + 1, p)
+    assert time.perf_counter() - start < 1.0
+    factors = ((3, 1), (11, 2), (683, 1), (2971, 1), (48912491, 1))
+    assert math.prod(q**e for q, e in factors) == 2**55 + 1
+    sigma = math.prod((q ** (e + 1) - 1) // (q - 1) for q, e in factors)
+    assert sigma == 52897643937798912
+    assert abundancy(2**55 + 1) == Fraction(sigma, 2**55 + 1)
 
 
 def test_segment_arrays_immutable():
@@ -226,20 +221,27 @@ BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 @settings(max_examples=30, deadline=None)
-@given(lo=st.integers(1, 10**7 - 2**12), width=st.integers(1, 2**12))
+@given(lo=st.one_of(st.just(1), st.integers(1, 10**6 - 2**12)), width=st.integers(1, 2**12))
 def test_is_prime_matches_the_spf_sieve(lo, width):
-    spf = _spf_block(lo, lo + width - 1)
+    # the reference is trial division, independent of the package
     ns = range(lo, lo + width)
-    assert [_is_prime(n) for n in ns] == (spf == np.arange(lo, lo + width)).tolist()
+    trial = [trial_is_prime(n) for n in ns]
+    assert [_is_prime(n) for n in ns] == trial
+    assert _prime_mask(lo, lo + width - 1).tolist() == trial
+
+
+def test_is_prime_and_prime_mask_match_trial_division_to_1e8():
+    rng = random.Random(8)
+    for n in [rng.randrange(1, 10**8) for _ in range(1000)] + [99999989, 10**8]:
+        assert _is_prime(n) == trial_is_prime(n)
+        assert _prime_mask(n, n)[0] == trial_is_prime(n)
 
 
 @settings(max_examples=40, deadline=None)
 @given(lo=st.one_of(st.just(1), st.integers(1, 10**8)), width=st.integers(1, 2**12))
 def test_prime_mask_matches_the_spf_sieve_and_is_prime(lo, width):
     hi = lo + width - 1
-    mask = _prime_mask(lo, hi).tolist()
-    assert mask == (_spf_block(lo, hi) == np.arange(lo, hi + 1)).tolist()
-    assert mask == [_is_prime(n) for n in range(lo, hi + 1)]
+    assert _prime_mask(lo, hi).tolist() == [_is_prime(n) for n in range(lo, hi + 1)]
 
 
 def test_is_prime_fixed_cases():

@@ -50,7 +50,7 @@ def test_perfect_members_always_inside():
 
 
 def test_exact_comparison_against_high_precision():
-    seg = sieve_segment(1, 10**4, with_spf=False)
+    seg = sieve_segment(1, 10**4)
     n = seg.n_values()
     D = np.abs(seg.sigma.view(np.int64) - 2 * n)
     Df = D.astype(np.float64)
