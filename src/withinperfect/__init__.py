@@ -17,7 +17,7 @@ from .exact import (DiophantineProblem, DiophantineSolution, GcdSumReport,
 from .sieve import (DEFAULT_SEGMENT_LENGTH, DOMAIN_CAP, FactorView, SigmaSegment,
                     SigmaSource, abundancy, factor, sieve_segment, sigma_oracle)
 from .types import (CheckpointSeries, RationalTarget, SolutionRecord,
-                    ThresholdSpec, normalized_quotient)
+                    SolutionTable, ThresholdSpec, normalized_quotient)
 from .within import (LimitCheckReport, REFERENCE_QUOTIENTS, TableOneReport,
                      count_at_limit, count_thresholds, count_within, series,
                      table1_reproduce, theorem_limit_check)

@@ -24,20 +24,18 @@ _TRAILER = struct.Struct("<I")
 
 def write_segment(segment: SigmaSegment, path: str) -> None:
     """Persist a segment; the write is atomic (temp file + rename)."""
-    payload = np.ascontiguousarray(segment.sigma, dtype="<u8").tobytes()
-    blob = (
-        _HEADER.pack(MAGIC, VERSION, segment.lo, segment.hi)
-        + payload
-        + _TRAILER.pack(zlib.crc32(payload))
-    )
+    payload = np.ascontiguousarray(segment.sigma, dtype="<u8")  # no copy on a little-endian host
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as fh:
-        fh.write(blob)
+        fh.write(_HEADER.pack(MAGIC, VERSION, segment.lo, segment.hi))
+        fh.write(payload)
+        fh.write(_TRAILER.pack(zlib.crc32(payload)))
     os.replace(tmp, path)
 
 
 def read_segment(path: str) -> SigmaSegment:
-    """Load a segment, rejecting bad magic/version/length/checksum."""
+    """Load a segment, rejecting bad magic/version/length/checksum.  The sigma
+    array is a read-only view of the bytes read, not a copy."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _HEADER.size + _TRAILER.size:
@@ -52,9 +50,8 @@ def read_segment(path: str) -> SigmaSegment:
     expected = _HEADER.size + (hi - lo + 1) * 8 + _TRAILER.size
     if len(blob) != expected:
         raise CacheChecksumError(f"{path}: expected {expected} bytes, found {len(blob)}")
-    payload = blob[_HEADER.size : -_TRAILER.size]
+    payload = memoryview(blob)[_HEADER.size : -_TRAILER.size]
     (crc,) = _TRAILER.unpack_from(blob, len(blob) - _TRAILER.size)
     if zlib.crc32(payload) != crc:
         raise CacheChecksumError(f"{path}: CRC32 mismatch")
-    sigma = np.frombuffer(payload, dtype="<u8").astype(np.uint64)
-    return SigmaSegment(lo, hi, sigma)
+    return SigmaSegment(lo, hi, np.frombuffer(payload, dtype="<u8"))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .exact import _counts_upto, _guard_linear
 from .sieve import SigmaSource, _witnesses
-from .types import CheckpointSeries, SolutionRecord
+from .types import CheckpointSeries, SolutionTable
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class CongruenceProblem:
         return abs(self.k) < self.b * self.limit ** (2.0 / 3.0)
 
 
-def census(problem: CongruenceProblem, source: Optional[SigmaSource] = None) -> list[SolutionRecord]:
+def census(problem: CongruenceProblem, source: Optional[SigmaSource] = None) -> SolutionTable:
     """Exhaustively list and classify the solutions n <= limit, ascending.
 
     The anchors are the solutions m with b*sigma(m) = k and m | k.  A regular
@@ -51,22 +51,22 @@ def census(problem: CongruenceProblem, source: Optional[SigmaSource] = None) -> 
     b, k, limit = problem.b, problem.k, problem.limit
     _guard_linear(1, b, limit, k)
     anchors: list[int] = []
-    records: list[SolutionRecord] = []
+    parts = []
     for seg in source.segments(limit):
-        n = seg.n_values()
-        lhs = seg.sigma.view(np.int64) * np.int64(b)
-        lhs -= np.int64(k)
-        idx = np.flatnonzero(lhs % n == 0)
-        value = lhs[idx]
-        del n, lhs  # the segment-wide arrays go before the records are built (peak RSS)
+        sig = seg.sigma.view(np.int64)
+        rem = sig * np.int64(b)
+        rem -= np.int64(k)
+        np.remainder(rem, seg.n_values(), out=rem)
+        idx = np.flatnonzero(rem == 0)
+        del rem
         ns = idx + seg.lo
+        sigma_n = sig[idx]
+        del seg, sig  # the segment goes before the next one is sieved (peak RSS)
+        value = sigma_n * np.int64(b) - np.int64(k)
         anchors += [m for m in ns[value == 0].tolist() if k % m == 0]
-        for nn, sig, v, wit in zip(ns.tolist(), seg.sigma[idx].tolist(), value.tolist(),
-                                   _witnesses(ns, anchors)):
-            records.append(SolutionRecord(
-                n=nn, sigma_n=sig, classification="regular" if wit else "sporadic",
-                witnesses=wit, q=v // nn if v >= 0 else None))
-    return records
+        q = np.where(value >= 0, value // ns, -1)
+        parts.append((ns, sigma_n, q, *_witnesses(ns, anchors)))
+    return SolutionTable.concat(parts)
 
 
 @dataclass
@@ -90,9 +90,8 @@ def sporadic_growth_report(b: int, k: int, checkpoints,
     exceed 10 (the empirical stand-in for the x^(2/3+o(1)) bound).
     """
     checkpoints = sorted(int(x) for x in checkpoints)
-    records = census(CongruenceProblem(b, k, checkpoints[-1]), source)
-    sporadics = [r.n for r in records if r.classification == "sporadic"]
-    counts = _counts_upto(sporadics, checkpoints).tolist()
+    table = census(CongruenceProblem(b, k, checkpoints[-1]), source)
+    counts = _counts_upto(table.n[table.p == 0], checkpoints).tolist()
     ratios, slack, sqrt_shape = [], [], []
     for x, c in zip(checkpoints, counts):
         ratios.append(c / (b * b * x ** (2.0 / 3.0)))

@@ -35,11 +35,11 @@ def _ratio_compare(s: int, n: int, u: Fraction) -> int:
     return (lhs > rhs) - (lhs < rhs)
 
 
-def _ratio_le_mask(sigma: np.ndarray, n: np.ndarray, u: Fraction,
+def _ratio_le_mask(ratio: np.ndarray, sigma: np.ndarray, n: np.ndarray, u: Fraction,
                    inclusive: bool = True) -> np.ndarray:
-    """Mask of n with sigma(n)/n <= u (or < u), decided exactly."""
+    """Mask of n with sigma(n)/n <= u (or < u), decided exactly; ratio is the
+    float64 sigma/n of the segment, computed once for every query point."""
     uf = float(u)
-    ratio = sigma.astype(np.float64) / n.astype(np.float64)
     strict = ratio < uf * (1.0 - _BAND)
     strict, tie = _settle(strict, np.flatnonzero(~strict & (ratio < uf * (1.0 + _BAND))),
                           lambda i: _ratio_compare(int(sigma[i]), int(n[i]), u))
@@ -78,8 +78,10 @@ def empirical_cdf(limit: int, grid, source: Optional[SigmaSource] = None,
     for seg in source.segments(limit):
         n = seg.n_values()
         sig = seg.sigma.view(np.int64)
+        ratio = sig / n
         for i, u in enumerate(fracs):
-            counts[i] += int(np.count_nonzero(_ratio_le_mask(sig, n, u, inclusive)))
+            counts[i] += int(np.count_nonzero(_ratio_le_mask(ratio, sig, n, u, inclusive)))
+        del seg, n, sig, ratio  # freed before the next segment arrives (peak RSS)
     return EmpiricalCDF(limit, fracs, labels, tuple(counts), inclusive)
 
 
@@ -163,9 +165,12 @@ def phase_experiment(target, regime: str, checkpoints,
         _check_scale(int(D.max(initial=0)) * slope.denominator,
                      slope.numerator * int(n[-1]))
         in_window = D * np.int64(slope.denominator) < np.int64(slope.numerator) * n
-        for row, mask in zip(counts, (in_window, _ratio_le_mask(sig, n, u_hi),
-                                      _ratio_le_mask(sig, n, u_lo))):
+        del D
+        ratio = sig / n
+        for row, mask in zip(counts, (in_window, _ratio_le_mask(ratio, sig, n, u_hi),
+                                      _ratio_le_mask(ratio, sig, n, u_lo))):
             row += _counts_upto(n[mask], checkpoints)
+        del seg, n, sig, ratio, in_window  # freed before the next segment arrives
     window, cdf_hi, cdf_lo = counts.tolist()
     densities = [w / x for w, x in zip(window, checkpoints)]
     references = [(h - l) / x for h, l, x in zip(cdf_hi, cdf_lo, checkpoints)]

@@ -12,7 +12,7 @@ from typing import Iterable
 from .congruence import SporadicGrowthReport
 from .distribution import EmpiricalCDF, PhaseReport, ProbeReport
 from .exact import DiophantineSolution, GcdSumReport, PerfectCensus, WirsingReport
-from .types import CheckpointSeries, SolutionRecord
+from .types import CheckpointSeries, SolutionRecord, SolutionTable
 from .within import TableOneReport
 
 
@@ -38,16 +38,25 @@ def records_json(records: Iterable[SolutionRecord]) -> str:
     return json.dumps([r.to_json_dict() for r in records], indent=2) + "\n"
 
 
+#: Rows rendered per block, so the per-row strings and ints stay small.
+_NDJSON_BLOCK = 1 << 16
+
+
 def records_ndjson(records: Iterable[SolutionRecord]) -> str:
     """One compact JSON object per line, the bytes json.dumps would give for
-    to_json_dict() (ints and the two classification names need no escaping)."""
-    return "".join(
-        f'{{"n":{r.n},"sigma_n":{r.sigma_n},"classification":"{r.classification}",'
-        f'"witness":{_witness_json(r.witnesses)}}}\n' for r in records)
+    to_json_dict() (ints and the two classification names need no escaping),
+    rendered from the columns of a SolutionTable block by block."""
+    if not isinstance(records, SolutionTable):
+        records = SolutionTable.from_records(records)
+    return "".join(_ndjson_block(records[i : i + _NDJSON_BLOCK])
+                   for i in range(0, len(records), _NDJSON_BLOCK))
 
 
-def _witness_json(witnesses: tuple[tuple[int, int], ...]) -> str:
-    return f'{{"p":{witnesses[0][0]},"m":{witnesses[0][1]}}}' if witnesses else "null"
+def _ndjson_block(t: SolutionTable) -> str:
+    return "".join([
+        f'{{"n":{n},"sigma_n":{s},"classification":"regular","witness":{{"p":{p},"m":{m}}}}}\n'
+        if p else f'{{"n":{n},"sigma_n":{s},"classification":"sporadic","witness":null}}\n'
+        for n, s, p, m in zip(t.n.tolist(), t.sigma_n.tolist(), t.p.tolist(), t.m.tolist())])
 
 
 def perfect_json(census: PerfectCensus) -> str:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import CapabilityError, InvalidProblemError
 from .sieve import SigmaSource, _icbrt, _witnesses, factor
-from .types import CheckpointSeries, RationalTarget, SolutionRecord
+from .types import CheckpointSeries, RationalTarget, SolutionTable
 
 if TYPE_CHECKING:
     import mpmath
@@ -254,7 +254,7 @@ class DiophantineProblem:
 @dataclass
 class DiophantineSolution:
     problem: DiophantineProblem
-    records: list[SolutionRecord]
+    records: SolutionTable
     series: CheckpointSeries
     regular_family: bool          # the regular-family branch conditions hold
     family_anchor: Optional[int]  # m0 = k/a when they do
@@ -286,21 +286,19 @@ def solve_diophantine(problem: DiophantineProblem, source: Optional[SigmaSource]
     _guard_linear(a, b, limit, k)
     m0 = regular_family_anchor(a, b, k)
 
-    records: list[SolutionRecord] = []
     anchors = (m0,) if m0 is not None else ()
     av, bv, kv = np.int64(a), np.int64(b), np.int64(k)
+    parts = []
     for seg in source.segments(limit):
         n = seg.n_values()
-        idx = np.flatnonzero(bv * seg.sigma.view(np.int64) - av * n == kv)
+        sig = seg.sigma.view(np.int64)
+        idx = np.flatnonzero(bv * sig - av * n == kv)
         ns = n[idx]
-        for nn, sig, wit in zip(ns.tolist(), seg.sigma[idx].tolist(), _witnesses(ns, anchors)):
-            records.append(SolutionRecord(
-                n=nn, sigma_n=sig, classification="regular" if wit else "sporadic",
-                witnesses=wit, q=a))
+        parts.append((ns, sig[idx], np.full(len(ns), av), *_witnesses(ns, anchors)))
+    records = SolutionTable.concat(parts)
 
     cks = checkpoints or [limit]
-    members = [r.n for r in records]
-    series = CheckpointSeries(cks, _counts_upto(members, cks).tolist(),
+    series = CheckpointSeries(cks, _counts_upto(records.n, cks).tolist(),
                               label=f"dioph {b}*sigma(n)={a}*n+{k}")
     return DiophantineSolution(
         problem=problem, records=records, series=series,

@@ -219,11 +219,22 @@ def _prime_mask(lo: int, hi: int) -> np.ndarray:
     return mask
 
 
-def _witnesses(n: np.ndarray, anchors) -> list[tuple[tuple[int, int], ...]]:
-    """The witnesses (p, m) of each solution in the int64 array n: n = p*m
-    with m one of the ascending anchors and p a prime not dividing m.  Each
-    tuple is ascending in m; () marks a sporadic solution."""
-    out = [()] * len(n)
+def _witnesses(n: np.ndarray, anchors) -> tuple[np.ndarray, np.ndarray]:
+    """The witness (p, m) of each solution in the int64 array n, as two int64
+    columns: n = p*m with m one of the anchors and p a prime not dividing m,
+    and p = m = 0 where n has none (a sporadic solution).
+
+    Every anchor m has the same sigma(m) = k/b (census anchors solve
+    b*sigma(m) = k; the one Diophantine anchor k/a has sigma(k/a) = k/b), so
+    n has at most one witness and assigning by mask loses nothing.  Suppose
+    n = p1*m1 = p2*m2 with primes p1 != p2.  Then p2 | m1, so m1 = p2*r and
+    m2 = p1*r, where p1 does not divide r (it does not divide m1) and p2 does
+    not divide r (it does not divide m2).  So sigma(m1) = (p2 + 1)*sigma(r)
+    != (p1 + 1)*sigma(r) = sigma(m2), a contradiction; and p1 = p2 forces
+    m1 = m2.
+    """
+    wp = np.zeros(len(n), dtype=np.int64)
+    wm = np.zeros(len(n), dtype=np.int64)
     for m in anchors:
         p, rem = np.divmod(n, m)
         idx = np.flatnonzero(rem == 0)
@@ -233,9 +244,8 @@ def _witnesses(n: np.ndarray, anchors) -> list[tuple[tuple[int, int], ...]]:
         if len(p):
             lo = int(p.min())
             prime = _prime_mask(lo, int(p.max()))[p - lo]
-            for i, q in zip(idx[prime].tolist(), p[prime].tolist()):
-                out[i] += ((q, m),)
-    return out
+            wp[idx[prime]], wm[idx[prime]] = p[prime], m
+    return wp, wm
 
 
 def _icbrt(v: int) -> int:

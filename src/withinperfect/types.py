@@ -6,7 +6,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import InvalidThresholdError
 
@@ -216,8 +218,8 @@ class SolutionRecord:
     def __post_init__(self):
         if self.classification not in ("regular", "sporadic"):
             raise ValueError(f"bad classification {self.classification!r}")
-        if self.classification == "regular" and not self.witnesses:
-            raise ValueError("regular record needs at least one witness")
+        if (self.classification == "regular") != bool(self.witnesses):
+            raise ValueError("a record is regular exactly when it has a witness")
 
     def to_json_dict(self) -> dict:
         w = self.witnesses[0] if self.witnesses else None
@@ -227,6 +229,54 @@ class SolutionRecord:
             "classification": self.classification,
             "witness": {"p": w[0], "m": w[1]} if w else None,
         }
+
+
+class SolutionTable(Sequence[SolutionRecord]):
+    """Solutions as int64 columns, ascending in n: n, sigma_n, q (-1 where q
+    is None) and the witness p, m (p = 0 where the solution is sporadic).
+
+    A solution of census or solve_diophantine has at most one witness (see
+    sieve._witnesses), so the columns lose nothing.  A SolutionRecord is
+    built only when one is indexed or iterated over.
+    """
+
+    __slots__ = ("n", "sigma_n", "q", "p", "m")
+
+    def __init__(self, n: np.ndarray, sigma_n: np.ndarray, q: np.ndarray,
+                 p: np.ndarray, m: np.ndarray):
+        self.n, self.sigma_n, self.q, self.p, self.m = n, sigma_n, q, p, m
+
+    @classmethod
+    def concat(cls, parts: list[tuple[np.ndarray, ...]]) -> "SolutionTable":
+        """One table from per-segment (n, sigma_n, q, p, m) column tuples."""
+        return cls(*(np.concatenate(col) for col in zip(*parts)))
+
+    @classmethod
+    def from_records(cls, records: Iterable[SolutionRecord]) -> "SolutionTable":
+        """The columns of any records; a record keeps its first witness only,
+        the one to_json_dict reports."""
+        rows = [(r.n, r.sigma_n, -1 if r.q is None else r.q,
+                 *(r.witnesses[0] if r.witnesses else (0, 0))) for r in records]
+        return cls(*np.array(rows, dtype=np.int64).reshape(-1, 5).T)
+
+    def __len__(self) -> int:
+        return len(self.n)
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return self.n, self.sigma_n, self.q, self.p, self.m
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return SolutionTable(*(c[i] for c in self._columns()))
+        return _record(*(int(c[i]) for c in self._columns()))
+
+    def __iter__(self):
+        return (_record(*row) for row in zip(*(c.tolist() for c in self._columns())))
+
+
+def _record(n: int, sigma_n: int, q: int, p: int, m: int) -> SolutionRecord:
+    return SolutionRecord(n, sigma_n, "regular" if p else "sporadic",
+                          ((p, m),) if p else (), q if q >= 0 else None)
 
 
 def parse_checkpoints(text: str | Sequence) -> list[int]:

@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -74,3 +77,15 @@ def test_source_resieves_corrupt_cache(tmp_path):
     victim.write_bytes(bytes(blob))
     segs = list(source.segments(2000))
     assert segs[0].sigma_of(24) == 60  # repaired transparently
+
+
+def test_file_layout_and_read_only_view(tmp_path):
+    seg = sieve_segment(7, 700)
+    path = tmp_path / "seg.sgma"
+    write_segment(seg, str(path))
+    payload = seg.sigma.astype("<u8").tobytes()
+    assert path.read_bytes() == (struct.pack("<4sIQQ", b"SGMA", 1, 7, 700) + payload
+                                 + struct.pack("<I", zlib.crc32(payload)))
+    back = read_segment(str(path))
+    assert back.sigma.dtype == np.uint64 and not back.sigma.flags.writeable
+    assert np.array_equal(back.sigma, seg.sigma)

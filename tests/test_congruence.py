@@ -1,11 +1,17 @@
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from withinperfect.cli import main
 from withinperfect.congruence import (CongruenceProblem, census,
                                       sporadic_growth_report)
+from withinperfect.emit import records_ndjson
 from withinperfect.errors import CapabilityError
 from withinperfect.exact import enumerate_perfect
 from withinperfect.sieve import SigmaSource, sigma_oracle
+from withinperfect.types import SolutionRecord, SolutionTable
 
 from conftest import brute_census, trial_is_prime
 
@@ -164,3 +170,52 @@ def test_census_large_positive_k_needs_no_anchor_scan(oracle_sigma):
     got = {r.n: (r.classification, r.witnesses)
            for r in census(CongruenceProblem(1, k, 200))}
     assert got == brute_census(1, k, 200, oracle_sigma)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(-60, 60), st.integers(1, 3000))
+def test_census_property_against_brute_force(oracle_sigma, b, k, limit):
+    # 1024-element segments, so anchors and solutions fall in different segments
+    brute = brute_census(b, k, limit, oracle_sigma)
+    # at most one witness per solution: the invariant the int64 columns rely on
+    assert all(len(witnesses) <= 1 for _, witnesses in brute.values())
+    got = census(CongruenceProblem(b, k, limit), SigmaSource(segment_length=1024))
+    assert {r.n: (r.classification, r.witnesses) for r in got} == brute
+
+
+def _brute_records(b, k, limit, sigma):
+    """The SolutionRecords census should give, built from brute_census."""
+    out = []
+    for n, (classification, witnesses) in sorted(brute_census(b, k, limit, sigma).items()):
+        lhs = b * sigma[n] - k
+        out.append(SolutionRecord(n, sigma[n], classification, witnesses,
+                                  lhs // n if lhs >= 0 else None))
+    return out
+
+
+def test_solution_table_is_a_sequence_of_records(oracle_sigma):
+    for b, k in ((1, 12), (2, 6), (1, -6), (3, 1)):
+        table = census(CongruenceProblem(b, k, 10**4))
+        expected = _brute_records(b, k, 10**4, oracle_sigma)
+        assert isinstance(table, SolutionTable)
+        assert len(table) == len(expected)
+        assert list(table) == expected
+        assert table[0] == expected[0] and table[-1] == expected[-1]
+        assert table[len(table) // 2] == expected[len(expected) // 2]
+        assert list(table[3:11]) == expected[3:11]
+        assert list(table[-5:]) == expected[-5:]
+        assert isinstance(table[2:4], SolutionTable)
+        with pytest.raises(IndexError):
+            table[len(table)]
+    table = census(CongruenceProblem(1, 12, 50))
+    assert table[0].q is None and table[0].witnesses == ()  # sigma(1) - 12 < 0
+    assert table[-1] == SolutionRecord(42, 96, "regular", ((7, 6),), 2)
+
+
+def test_solution_table_ndjson_is_the_record_rendering():
+    table = census(CongruenceProblem(1, 1, 10**5))
+    records = list(table)
+    text = records_ndjson(table)
+    assert text == records_ndjson(records)
+    assert text == "".join(json.dumps(r.to_json_dict(), separators=(",", ":")) + "\n"
+                           for r in records)

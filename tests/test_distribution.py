@@ -4,7 +4,7 @@ import pytest
 
 from withinperfect.distribution import (empirical_cdf, phase_experiment,
                                         sigma_approx_probe)
-from withinperfect.sieve import sigma_oracle
+from withinperfect.sieve import SigmaSource, sigma_oracle
 
 from conftest import trial_is_prime
 
@@ -137,3 +137,21 @@ def test_query_points_parse_like_every_other_rational():
         empirical_cdf(10, ["1/0"])
     with pytest.raises(TypeError):
         phase_experiment("2", "linear", [100], c=0.1)
+
+
+def test_cdf_counts_across_segments_match_exact_brute_force():
+    # 1024-element segments share one ratio array per segment; the grid holds
+    # 2 (hit by 6, 28 and 496), points inside the guard band on either side
+    # of it, and 7/4 (hit by 4), so the band fallback and the tie both run
+    limit = 5000
+    grid = ["3/2", "7/4", "1999999999999/1000000000000", "2",
+            "2000000000001/1000000000000", "3"]
+    ratios = [Fraction(sigma_oracle(n), n) for n in range(1, limit + 1)]
+    source = SigmaSource(segment_length=1024)
+    for inclusive in (True, False):
+        cdf = empirical_cdf(limit, grid, source, inclusive=inclusive)
+        expected = tuple(sum(1 for r in ratios if (r <= Fraction(u) if inclusive
+                                                   else r < Fraction(u)))
+                         for u in grid)
+        assert cdf.counts == expected
+    assert cdf.counts[3] + 3 == empirical_cdf(limit, grid, source).counts[3]

@@ -267,3 +267,23 @@ def test_dioph_anchor_above_the_sieve_cap(capsys):
         out = json.loads(capsys.readouterr().out)
         assert out["regular_family"] is family
         assert out["family_anchor"] == (m if family else None)
+
+
+def test_diophantine_records_table_contract(oracle_sigma):
+    from withinperfect.emit import records_ndjson
+    from withinperfect.types import SolutionRecord, SolutionTable
+
+    for a, b, k in ((2, 1, 12), (3, 2, 6), (2, 1, 1), (2, 1, -1)):
+        records = solve_diophantine(DiophantineProblem(a, b, k, 10**4)).records
+        m0 = k // a
+        expected = [SolutionRecord(n, oracle_sigma[n], c,
+                                   ((n // m0, m0),) if c == "regular" else (), a)
+                    for n, c in sorted(brute_diophantine(a, b, k, 10**4, oracle_sigma).items())]
+        assert isinstance(records, SolutionTable)
+        assert len(records) == len(expected) and list(records) == expected
+        if expected:
+            assert records[0] == expected[0] and records[-1] == expected[-1]
+            assert list(records[1:4]) == expected[1:4]
+        text = records_ndjson(records)
+        assert text == records_ndjson(expected) == "".join(
+            json.dumps(r.to_json_dict(), separators=(",", ":")) + "\n" for r in expected)
