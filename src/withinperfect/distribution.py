@@ -6,10 +6,11 @@ density phase-transition experiments for sublinear/linear/superlinear
 thresholds, and probe how well a target ratio can be approximated by
 abundancy ratios.
 
-All ratio comparisons are decided exactly: a float64 prefilter with a
-relative guard band classifies nearly every n, and band candidates fall
-back to exact cross-multiplication with arbitrary-precision integers.
-Ratios equal to a query point u count as <= u (inclusive convention).
+Every per-n predicate is decided exactly by the counting engine's decide:
+sigma(n)/n <= u goes through within._banded (a float64 prefilter with a
+relative guard band, then exact cross-multiplication for the candidates), and
+the windows of the phase experiments are within thresholds.  Ratios equal to
+a query point u count as <= u (inclusive convention).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .exact import _counts_upto
 from .sieve import SigmaSource
 from .types import RationalTarget, ThresholdSpec, as_exact_fraction
-from .within import _check_scale, _settle, count_thresholds
+from .within import _banded, _decide_segment, count_thresholds
 
 _BAND = 1e-12
 
@@ -35,15 +36,13 @@ def _ratio_compare(s: int, n: int, u: Fraction) -> int:
     return (lhs > rhs) - (lhs < rhs)
 
 
-def _ratio_le_mask(ratio: np.ndarray, sigma: np.ndarray, n: np.ndarray, u: Fraction,
-                   inclusive: bool = True) -> np.ndarray:
-    """Mask of n with sigma(n)/n <= u (or < u), decided exactly; ratio is the
+def _ratio_below(ratio: np.ndarray, sigma: np.ndarray, n: np.ndarray,
+                 u: Fraction) -> tuple[np.ndarray, np.ndarray]:
+    """(below, ties) of sigma(n)/n against u, decided exactly; ratio is the
     float64 sigma/n of the segment, computed once for every query point."""
     uf = float(u)
-    strict = ratio < uf * (1.0 - _BAND)
-    strict, tie = _settle(strict, np.flatnonzero(~strict & (ratio < uf * (1.0 + _BAND))),
-                          lambda i: _ratio_compare(int(sigma[i]), int(n[i]), u))
-    return strict | tie if inclusive else strict
+    return _banded(ratio, uf * (1.0 - _BAND), uf * (1.0 + _BAND),
+                   lambda i: _ratio_compare(int(sigma[i]), int(n[i]), u))
 
 
 @dataclass
@@ -80,7 +79,8 @@ def empirical_cdf(limit: int, grid, source: Optional[SigmaSource] = None,
         sig = seg.sigma.view(np.int64)
         ratio = sig / n
         for i, u in enumerate(fracs):
-            counts[i] += int(np.count_nonzero(_ratio_le_mask(ratio, sig, n, u, inclusive)))
+            below, ties = _ratio_below(ratio, sig, n, u)
+            counts[i] += int(np.count_nonzero(below)) + (len(ties) if inclusive else 0)
         del seg, n, sig, ratio  # freed before the next segment arrives (peak RSS)
     return EmpiricalCDF(limit, fracs, labels, tuple(counts), inclusive)
 
@@ -91,8 +91,7 @@ class PhaseReport:
 
     sublinear expects the density to fall toward 0, superlinear to rise
     toward 1; linear compares against the same-pass CDF difference
-    F_x(l+c) - F_x(l-c).  linear_band reports densities for both slopes and
-    asserts nothing (no target value is known for k comparable to n).
+    F_x(l+c) - F_x(l-c).
     """
 
     regime: str
@@ -103,74 +102,55 @@ class PhaseReport:
     references: list[float]
     deviations: list[float]
     trend_ok: Optional[bool]
-    upper_densities: Optional[list[float]] = None  # linear_band only
 
 
 def phase_experiment(target, regime: str, checkpoints,
-                     source: Optional[SigmaSource] = None, c=None,
-                     c_upper=None) -> PhaseReport:
+                     source: Optional[SigmaSource] = None, c=None) -> PhaseReport:
     """Run the density experiment for one threshold regime.
 
-    regime: "sublinear" (k = y^c, default c = 1/2), "linear" (k = c*y),
-    "superlinear" (k = y*log y), or "linear_band" (two slopes c, c_upper).
+    regime: "sublinear" (k = y^c, default c = 1/2), "linear" (k = c*y), or
+    "superlinear" (k = y*log y).
     """
     target = RationalTarget.parse(target)
     checkpoints = sorted(int(x) for x in checkpoints)
     source = source or SigmaSource()
 
-    if regime == "sublinear":
-        cf = Fraction(1, 2) if c is None else ThresholdSpec.power(c).param
-        counts = count_thresholds(target, [ThresholdSpec.power(cf)], checkpoints, source)
-        densities = [counts.strict[0][j] / x for j, x in enumerate(checkpoints)]
-        trend_ok = all(d2 <= d1 + 1e-12 for d1, d2 in zip(densities, densities[1:]))
-        return PhaseReport(regime, target, cf, checkpoints, densities,
-                           [0.0] * len(checkpoints), densities[:], trend_ok)
-
-    if regime == "superlinear":
-        spec = ThresholdSpec.custom(lambda y: y * np.log(y))
+    if regime in ("sublinear", "superlinear"):  # the density tends to 0 or to 1
+        if regime == "sublinear":
+            cf = Fraction(1, 2) if c is None else ThresholdSpec.power(c).param
+            spec, goal = ThresholdSpec.power(cf), 0.0
+        else:
+            cf, spec, goal = None, ThresholdSpec.custom(lambda y: y * np.log(y)), 1.0
         counts = count_thresholds(target, [spec], checkpoints, source)
-        densities = [counts.strict[0][j] / x for j, x in enumerate(checkpoints)]
-        trend_ok = all(d1 <= d2 + 1e-12 for d1, d2 in zip(densities, densities[1:]))
-        return PhaseReport(regime, target, None, checkpoints, densities,
-                           [1.0] * len(checkpoints),
-                           [1.0 - d for d in densities], trend_ok)
-
-    if regime == "linear_band":
-        if c is None or c_upper is None:
-            raise ValueError("linear_band needs both c and c_upper")
-        lo = phase_experiment(target, "linear", checkpoints, source, c)
-        hi = phase_experiment(target, "linear", checkpoints, source, c_upper)
-        return PhaseReport(regime, target, lo.c, checkpoints, lo.densities,
-                           hi.densities,
-                           [h - l for l, h in zip(lo.densities, hi.densities)],
-                           None, upper_densities=hi.densities)
+        densities = [s / x for s, x in zip(counts.strict[0], checkpoints)]
+        deviations = [abs(d - goal) for d in densities]
+        trend_ok = all(e2 <= e1 + 1e-12 for e1, e2 in zip(deviations, deviations[1:]))
+        return PhaseReport(regime, target, cf, checkpoints, densities,
+                           [goal] * len(checkpoints), deviations, trend_ok)
 
     if regime != "linear":
         raise ValueError(f"unknown regime {regime!r}")
     if c is None:
         raise ValueError("linear regime needs the slope c")
-    cf = as_exact_fraction(c, "slope")
-    if cf <= 0:
-        raise ValueError("slope must be positive")
-    ell = target.fraction
-    u_hi, u_lo = ell + cf, ell - cf
+    spec = ThresholdSpec.linear(c)  # |sigma/n - l| < c is D < b*c*n, c > 0
+    cf, ell = spec.param, target.fraction
 
-    # one pass: the open window |sigma/n - l| < c and both CDF counts
+    # one pass: the open window and the CDF counts at l + c and l - c
     counts = np.zeros((3, len(checkpoints)), dtype=np.int64)
-    slope = cf * target.b  # window test cleared of b: D = |b*sigma - a*n| < b*c*n
+    cks = np.asarray(checkpoints, dtype=np.int64)
     for seg in source.segments(checkpoints[-1]):
         n = seg.n_values()
         sig = seg.sigma.view(np.int64)
+        upto = cks - seg.lo  # checkpoints as offsets into the segment
         D = np.abs(np.int64(target.b) * sig - np.int64(target.a) * n)
-        _check_scale(int(D.max(initial=0)) * slope.denominator,
-                     slope.numerator * int(n[-1]))
-        in_window = D * np.int64(slope.denominator) < np.int64(slope.numerator) * n
-        del D
+        inside, _ = _decide_segment(spec, target.b, D, n)
+        counts[0] += _counts_upto(np.flatnonzero(inside), upto)
+        del D, inside
         ratio = sig / n
-        for row, mask in zip(counts, (in_window, _ratio_le_mask(ratio, sig, n, u_hi),
-                                      _ratio_le_mask(ratio, sig, n, u_lo))):
-            row += _counts_upto(n[mask], checkpoints)
-        del seg, n, sig, ratio, in_window  # freed before the next segment arrives
+        for row, u in zip(counts[1:], (ell + cf, ell - cf)):
+            below, ties = _ratio_below(ratio, sig, n, u)
+            row += _counts_upto(np.flatnonzero(below), upto) + _counts_upto(ties, upto)
+        del seg, n, sig, ratio, below  # freed before the next segment arrives
     window, cdf_hi, cdf_lo = counts.tolist()
     densities = [w / x for w, x in zip(window, checkpoints)]
     references = [(h - l) / x for h, l, x in zip(cdf_hi, cdf_lo, checkpoints)]

@@ -80,8 +80,7 @@ class ThresholdSpec:
     kind        one of THRESHOLD_KINDS
     param       exact Fraction parameter (exponent c, constant k0, or slope)
     fn          callable for kind="custom"; must accept a numpy float array
-    floor, ceiling
-                optional clip bounds applied to a custom threshold
+                and do any clipping itself
     strict      compare with "<" (default) instead of "<="
     at_limit    evaluate the threshold at the counting limit x instead of n
     """
@@ -89,8 +88,6 @@ class ThresholdSpec:
     kind: str
     param: Optional[Fraction] = None
     fn: Optional[Callable] = None
-    floor: Optional[float] = None
-    ceiling: Optional[float] = None
     strict: bool = True
     at_limit: bool = False
 
@@ -135,15 +132,14 @@ class ThresholdSpec:
         return cls("x_over_log", strict=strict, at_limit=at_limit)
 
     @classmethod
-    def custom(cls, fn: Callable, *, floor=None, ceiling=None, strict: bool = True,
+    def custom(cls, fn: Callable, *, strict: bool = True,
                at_limit: bool = False) -> "ThresholdSpec":
         """A tabulated/callable threshold, decided in float64 with no exact
         fallback: |b*sigma(n) - a*n| and b*fn(n) are compared as float64, so
         two values that round to the same double are a tie (Df == t), left
         out under strict "<" and counted under "<=", even when the exact
-        values differ."""
-        return cls("custom", fn=fn, floor=floor, ceiling=ceiling,
-                   strict=strict, at_limit=at_limit)
+        values differ.  fn does its own clipping (np.maximum, np.minimum)."""
+        return cls("custom", fn=fn, strict=strict, at_limit=at_limit)
 
     @classmethod
     def parse(cls, text: str) -> "ThresholdSpec":

@@ -1,18 +1,20 @@
 """Counting within-perfect numbers: n <= x with |b*sigma(n) - a*n| < b*k(n).
 
 The comparison clears the denominator b first, so everything is decided on
-integers D = |b*sigma(n) - a*n|.  Power thresholds n^(p/q) are decided
-exactly: one float64 effective exponent e(n) = log(D/b)/log(n) per n settles
-every exponent c by a compare, and the few e inside a guard band around c
-fall back to the integer comparison D^q vs b^q * n^p.  Ties (equality) are tracked separately so both the strict
-and non-strict conventions come out of a single pass.
+integers D = |b*sigma(n) - a*n|.  Constant and linear thresholds are int64
+compares.  Power and y/log y thresholds (and distribution's sigma(n)/n <= u)
+share one exact decide, _banded: a float64 prefilter with a guard band, then
+an exact sign for the few values inside the band.  A power n^(p/q) is
+prefiltered on one effective exponent e(n) = log(D/b)/log(n) per n for every
+exponent, and its sign compares D^q with b^q * n^p.  Ties come back as
+offsets, so the strict and non-strict conventions share a single pass.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -24,20 +26,12 @@ from .sieve import SigmaSource
 from .types import (CheckpointSeries, RationalTarget, ThresholdSpec,
                     normalized_quotient)
 
-#: Relative width of the float64 guard band around the threshold.
+#: Relative width of the float64 guard band around b*n/log n.
 _BAND = 1e-9
 
 #: Absolute width of the guard band around a power exponent c.  The error of a
 #: computed e(n) is below 1e-13 for 2 <= n <= 2^55 (log n >= log 2, |log D| < 44).
 _EXPONENT_BAND = 1e-9
-
-
-def _check_scale(*values: int) -> None:
-    """Vectorized comparisons live in int64; refuse anything that would wrap."""
-    for v in values:
-        if abs(v) >= 2**62:
-            raise CapabilityError(
-                "threshold parameters at this limit exceed the int64 working range")
 
 
 def _power_compare(D: int, b: int, n: int, c: Fraction) -> int:
@@ -64,7 +58,7 @@ def _exponents(D: np.ndarray, b: int, n: np.ndarray) -> np.ndarray:
 
     D = 0 gives e = -inf (inside every power threshold).  n = 1 gives NaN:
     there n^c = 1 for every c, so the sign of D - b is the whole answer and
-    _decide_power sends it to the exact comparison.
+    _banded sends it to the exact comparison.
     """
     e = D.astype(np.float64)
     with np.errstate(divide="ignore"):
@@ -79,63 +73,65 @@ def _exponents(D: np.ndarray, b: int, n: np.ndarray) -> np.ndarray:
     return e
 
 
-def _settle(strict: np.ndarray, candidates: np.ndarray,
-            sign) -> tuple[np.ndarray, np.ndarray]:
-    """Decide the guard-band candidates exactly: sign(i) < 0 inside, 0 a tie."""
-    tie = np.zeros_like(strict)
-    for i in candidates:
-        s = sign(int(i))
-        strict[i], tie[i] = s < 0, s == 0
-    return strict, tie
+def _banded(x: np.ndarray, lo, hi, sign) -> tuple[np.ndarray, np.ndarray]:
+    """Decide "inside" per element from a float64 value and its guard band.
+
+    x < lo is inside and x > hi is outside; everything else, NaN included, is
+    decided by the exact sign(i) of offset i: -1 inside, 0 a tie, +1 outside.
+    Returns the inside mask and the ascending int64 offsets of the ties.
+    """
+    inside = x < lo
+    band = ~(inside | (x > hi))  # NaN fails both compares, so it lands here
+    ties = []
+    for i in np.flatnonzero(band).tolist():
+        s = sign(i)
+        if s < 0:
+            inside[i] = True
+        elif s == 0:
+            ties.append(i)
+    return inside, np.array(ties, dtype=np.int64)
 
 
 def _decide_power(c: Fraction, b: int, D: np.ndarray, n: np.ndarray,
                   e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(strictly_inside, tie) masks for k(y) = y^c from the effective exponents.
+    """(inside, ties) for k(y) = y^c from the effective exponents.
 
     Rounding moves e by far less than _EXPONENT_BAND for every n <= 2^55, so
     only e within the band of c (and the NaN at n = 1) is decided exactly.
     """
     cf = float(c)
-    strict = e < cf - _EXPONENT_BAND
-    return _settle(strict, np.flatnonzero(~(strict | (e > cf + _EXPONENT_BAND))),
+    return _banded(e, cf - _EXPONENT_BAND, cf + _EXPONENT_BAND,
                    lambda i: _power_compare(int(D[i]), b, int(n[i]), c))
 
 
-def _decide_segment(threshold: ThresholdSpec, b: int, D: np.ndarray, n: np.ndarray,
-                    Df: np.ndarray, logn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean (strictly_inside, tie) masks for one segment, decided exactly
-    for the analytic threshold kinds."""
+def _decide_segment(threshold: ThresholdSpec, b: int, D: np.ndarray,
+                    n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(inside, ties) for D < b*k(n) over one segment: a bool mask and the
+    ascending int64 offsets where D = b*k(n), decided exactly for every kind
+    but custom."""
     kind = threshold.kind
     if kind == "power":
         return _decide_power(threshold.param, b, D, n, _exponents(D, b, n))
-    if kind == "constant":
-        k0 = threshold.param
-        _check_scale(int(D.max(initial=0)) * k0.denominator, b * k0.numerator)
-        lhs = D * np.int64(k0.denominator)
-        rhs = np.int64(b * k0.numerator)
-        return lhs < rhs, lhs == rhs
-    if kind == "linear":
-        s = threshold.param
-        _check_scale(int(D.max(initial=0)) * s.denominator,
-                     b * s.numerator * int(n[-1]))
-        lhs = D * np.int64(s.denominator)
-        rhs = np.int64(b * s.numerator) * n
-        return lhs < rhs, lhs == rhs
+    if kind in ("constant", "linear"):
+        k = b * threshold.param  # D < k or D < k*n, cleared of k's denominator
+        linear = kind == "linear"
+        if max(int(D.max(initial=0)) * k.denominator,
+               k.numerator * (int(n[-1]) if linear else 1)) >= 2**62:
+            raise CapabilityError(  # the compares below live in int64
+                "threshold parameters at this limit exceed the int64 working range")
+        lhs = D * np.int64(k.denominator)
+        rhs = np.int64(k.numerator) * (n if linear else 1)
+        return lhs < rhs, np.flatnonzero(lhs == rhs)
+    Df = D.astype(np.float64)
     if kind == "x_over_log":
+        logn = np.log(n.astype(np.float64))
         t = np.divide(b * n.astype(np.float64), logn,
                       out=np.full(len(n), np.inf), where=logn > 0)
-        strict = Df < t * (1.0 - _BAND)
-        return _settle(strict, np.flatnonzero(~strict & (Df < t * (1.0 + _BAND))),
+        return _banded(Df, t * (1.0 - _BAND), t * (1.0 + _BAND),
                        lambda i: _xlog_compare(int(D[i]), b, int(n[i])))
     if kind == "custom":
-        t = np.asarray(threshold.fn(n.astype(np.float64)), dtype=np.float64)
-        if threshold.floor is not None:
-            t = np.maximum(t, threshold.floor)
-        if threshold.ceiling is not None:
-            t = np.minimum(t, threshold.ceiling)
-        t = b * t
-        return Df < t, Df == t
+        t = b * np.asarray(threshold.fn(n.astype(np.float64)), dtype=np.float64)
+        return Df < t, np.flatnonzero(Df == t)
     raise InvalidThresholdError(f"unsupported threshold kind {kind!r}")
 
 
@@ -167,27 +163,25 @@ def count_thresholds(target, thresholds: list[ThresholdSpec], checkpoints,
             "at_limit thresholds need count_at_limit (k is evaluated per checkpoint)")
 
     a, b = target.a, target.b
-    powers = [t.kind == "power" for t in thresholds]
     cks = np.asarray(checkpoints, dtype=np.int64)
     strict_counts = np.zeros((len(thresholds), len(cks)), dtype=np.int64)
     tie_counts = np.zeros_like(strict_counts)
     for seg in source.segments(limit):
         n = seg.n_values()
         D = np.abs(np.int64(b) * seg.sigma.view(np.int64) - np.int64(a) * n)
-        e = _exponents(D, b, n) if any(powers) else None
-        if not all(powers):
-            Df = D.astype(np.float64)
-            logn = np.log(n.astype(np.float64))
+        e = None  # effective exponents, shared by every power threshold
         upto = cks - seg.lo  # checkpoints as offsets into the segment
         for i, threshold in enumerate(thresholds):
-            if powers[i]:
-                strict, tie = _decide_power(threshold.param, b, D, n, e)
+            if threshold.kind == "power":
+                e = _exponents(D, b, n) if e is None else e
+                inside, ties = _decide_power(threshold.param, b, D, n, e)
             else:
-                strict, tie = _decide_segment(threshold, b, D, n, Df, logn)
+                inside, ties = _decide_segment(threshold, b, D, n)
             if not include_one and seg.lo == 1:
-                strict[0] = tie[0] = False
-            strict_counts[i] += _counts_upto(np.flatnonzero(strict), upto)
-            tie_counts[i] += _counts_upto(np.flatnonzero(tie), upto)
+                inside[0] = False
+                ties = ties[ties > 0]
+            strict_counts[i] += _counts_upto(np.flatnonzero(inside), upto)
+            tie_counts[i] += _counts_upto(ties, upto)
     return ThresholdCounts(target, list(thresholds), checkpoints,
                            strict_counts.tolist(), tie_counts.tolist())
 
@@ -207,7 +201,6 @@ def count_at_limit(target, threshold: ThresholdSpec, checkpoints,
     _guard_linear(target.a, target.b, limit)
     a, b = target.a, target.b
 
-    at_n = replace(threshold, at_limit=False)
     counts = np.zeros((2, len(checkpoints)), dtype=np.int64)
     for seg in source.segments(limit):
         n = seg.n_values()
@@ -217,9 +210,8 @@ def count_at_limit(target, threshold: ThresholdSpec, checkpoints,
             if ck >= seg.lo + skip:
                 d = D[skip:min(ck, seg.hi) - seg.lo + 1]
                 x = np.full(len(d), ck, dtype=np.int64)
-                masks = _decide_segment(at_n, b, d, x, d.astype(np.float64),
-                                        np.log(x.astype(np.float64)))
-                counts[:, j] += [np.count_nonzero(m) for m in masks]
+                inside, ties = _decide_segment(threshold, b, d, x)
+                counts[:, j] += [np.count_nonzero(inside), len(ties)]
     strict, ties = counts.tolist()
     return ThresholdCounts(target, [threshold], checkpoints, [strict], [ties])
 

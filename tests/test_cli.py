@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -100,6 +101,45 @@ def test_gcdsum_bytes(capsys, x, row):
     code, out = run_cli(capsys, "gcdsum", "--x", str(x))
     assert code == 0
     assert out == f"x,m_lo,m_hi,value,bound,bound_ratio,scaled\n{row}\n"
+
+
+#: Checkpoints on and beside the edges of 1024-element segments.
+EDGE_CHECKPOINTS = "1,2,3,1023,1024,1025,2048,2049,5000,20000"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["series", "--ell", "2", "--threshold", "xlog"],
+     "5a0b50f0f0e573b58cc77822323c470943a89f96f6f3eea9dc876ebfaac52b3b"),
+    (["series", "--ell", "2", "--threshold", "xlog", "--non-strict"],
+     "5a0b50f0f0e573b58cc77822323c470943a89f96f6f3eea9dc876ebfaac52b3b"),
+    (["series", "--ell", "2", "--threshold", "xlog", "--from-two"],
+     "cf55c483d05f276b66088e367943649d3ad5ff4c83dc342163e7f7488ecd0be1"),
+    (["series", "--ell", "2", "--threshold", "pow:1/2", "--at-limit"],
+     "97da30a53abbcf8da68da8ff26f0005b9f62132ccff2eb61ef81f7a690b03ed2"),
+    (["series", "--ell", "2", "--threshold", "const:2"],
+     "478c0426bbfc4d711a5fa7351c350c3c4239d8d535281a5d61d867fb6bcf3697"),
+    (["series", "--ell", "2", "--threshold", "lin:1/10"],
+     "083abee05262606a8ad86954d1eca639507799cc1a379e0763835962184c146c"),
+    (["phase", "--ell", "2", "--regime", "linear", "--c", "1/10"],
+     "1630150480a1051d5eee022ce20e20be2fe4ac893323ce886d96cddac0c20779"),
+    (["phase", "--ell", "2", "--regime", "sublinear"],
+     "8f02b25c2384afdcd1279359fa73d6a40f69733ef9f5b2dfd2e3d7663cbdf931"),
+    (["phase", "--ell", "2", "--regime", "superlinear"],
+     "9123296f203ff136ef1542366abd6b2f3730cf990af519bc1e4e374d2dd1497a"),
+])
+def test_decide_consumers_bytes(capsys, argv, digest):
+    code, out = run_cli(capsys, "--segment-length", "1024", *argv,
+                        "--checkpoints", EDGE_CHECKPOINTS)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_cdf_bytes_with_tie_points(capsys):
+    # sigma(6)/6 = 2 and sigma(20)/20 = 21/10 sit exactly on grid points
+    code, out = run_cli(capsys, "--segment-length", "1024", "cdf", "--limit", "20000",
+                        "--grid", "1.5,2,21/10,3")
+    assert code == 0
+    assert out == "u,value\n1.5,0.427850\n2,0.752350\n21/10,0.804150\n3,0.979800\n"
 
 
 def test_phase_csv(capsys):

@@ -5,6 +5,8 @@ import pytest
 from withinperfect.distribution import (empirical_cdf, phase_experiment,
                                         sigma_approx_probe)
 from withinperfect.sieve import SigmaSource, sigma_oracle
+from withinperfect.types import RationalTarget, ThresholdSpec
+from withinperfect.within import count_thresholds
 
 from conftest import trial_is_prime
 
@@ -69,11 +71,16 @@ def test_phase_superlinear_rises_to_one():
     assert report.trend_ok
 
 
-def test_phase_linear_band():
-    report = phase_experiment("2", "linear_band", [10**3], c="0.05", c_upper="0.2")
-    assert report.upper_densities is not None
-    assert report.upper_densities[0] >= report.densities[0]
-    assert report.trend_ok is None  # nothing asserted for k comparable to n
+def test_phase_linear_window_is_the_linear_threshold():
+    # the window |sigma(n)/n - l| < c is the within count for k(y) = c*y,
+    # decided per 1024-element segment; checkpoints sit on segment edges
+    source = SigmaSource(segment_length=1024)
+    checkpoints = [1, 1023, 1024, 1025, 2048, 2049, 5000]
+    for target, c in (("2", "1/10"), ("3/2", "1/4"), ("7/2", "3/5")):
+        report = phase_experiment(target, "linear", checkpoints, source, c=c)
+        counts = count_thresholds(RationalTarget.parse(target),
+                                  [ThresholdSpec.linear(c)], checkpoints, source)
+        assert report.densities == [s / x for s, x in zip(counts.strict[0], checkpoints)]
 
 
 def test_phase_validation():

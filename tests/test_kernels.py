@@ -8,14 +8,15 @@ a segment, at its first and last n, inside it) and exponents p/q, q <= 10.
 
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from withinperfect.sieve import SigmaSource
 from withinperfect.types import RationalTarget, ThresholdSpec
-from withinperfect.within import (_decide_power, _exponents, _power_compare,
-                                  count_thresholds)
+from withinperfect.within import (_decide_power, _decide_segment, _exponents,
+                                  _power_compare, _xlog_compare, count_thresholds)
 
 TARGETS = ("2", "3/2", "7/2", "3", "5/4")
 
@@ -111,8 +112,32 @@ def test_power_decide_near_the_threshold_up_to_the_domain_cap():
                     nn.append(n)
             D = np.array(Ds, dtype=np.int64)
             n = np.array(nn, dtype=np.int64)
-            strict, tie = _decide_power(c, b, D, n, _exponents(D, b, n))
+            inside, ties = _decide_power(c, b, D, n, _exponents(D, b, n))
             want = [_power_compare(d, b, m, c) for d, m in zip(Ds, nn)]
-            assert strict.tolist() == [s < 0 for s in want]
-            assert tie.tolist() == [s == 0 for s in want]
+            assert inside.tolist() == [s < 0 for s in want]
+            assert ties.tolist() == [i for i, s in enumerate(want) if s == 0]
+            assert np.all(np.diff(ties) > 0)
             assert any(s == 0 for s in want)
+
+
+def test_xlog_decide_near_the_threshold_up_to_the_domain_cap():
+    # D just below and above b*n/log n for n up to 2^55; the band sends
+    # every large D to the exact sign.  n = 1 reads k(1) as +inf.
+    rng = np.random.default_rng(7)
+    ns = rng.integers(4, 2**55, size=60).tolist() + [2, 3]
+    for b in (1, 3):
+        Ds, nn = [], []
+        with mpmath.workdps(50):
+            for n in ns:
+                r = int(mpmath.floor(mpmath.mpf(b * n) / mpmath.log(n)))
+                Ds += [r - 1, r, r + 1]
+                nn += [n] * 3
+        Ds += [0, 1, 2**53]
+        nn += [1] * 3
+        D = np.array(Ds, dtype=np.int64)
+        n = np.array(nn, dtype=np.int64)
+        inside, ties = _decide_segment(ThresholdSpec.x_over_log(), b, D, n)
+        want = [-1 if m == 1 else _xlog_compare(d, b, m) for d, m in zip(Ds, nn)]
+        assert inside.tolist() == [s < 0 for s in want]
+        assert ties.tolist() == [i for i, s in enumerate(want) if s == 0] == []
+        assert want.count(1) == len(ns)  # r + 1 is outside for every n >= 2

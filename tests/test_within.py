@@ -53,20 +53,20 @@ def test_exact_comparison_against_high_precision():
     seg = sieve_segment(1, 10**4)
     n = seg.n_values()
     D = np.abs(seg.sigma.view(np.int64) - 2 * n)
-    Df = D.astype(np.float64)
-    logn = np.log(n.astype(np.float64))
     with mpmath.workdps(50):
         for c in (Fraction(c10, 10) for c10 in range(2, 10)):
-            strict, tie = _decide_segment(ThresholdSpec.power(c), 1, D, n, Df, logn)
+            inside, ties = _decide_segment(ThresholdSpec.power(c), 1, D, n)
+            assert ties.dtype == np.int64 and np.all(np.diff(ties) > 0)
+            tie_set = set(ties.tolist())
             cf = mpmath.mpf(c.numerator) / c.denominator
             for i in range(0, 10**4, 7):  # dense sample
                 ref = mpmath.power(int(n[i]), cf)
                 d = int(D[i])
                 if abs(d - ref) > mpmath.mpf(10) ** -30:
-                    assert bool(strict[i]) == (d < ref), (int(n[i]), c)
-                    assert not tie[i]
+                    assert bool(inside[i]) == (d < ref), (int(n[i]), c)
+                    assert i not in tie_set
                 else:
-                    assert tie[i]
+                    assert i in tie_set and not inside[i]
 
 
 def test_series_matches_pointwise_counts():
@@ -126,7 +126,7 @@ def test_custom_threshold():
     got = count_within("2", spec, 100)
     want = count_within("2", ThresholdSpec.constant(5), 100)
     assert got.counts == want.counts
-    clipped = ThresholdSpec.custom(lambda y: y * 0.0, floor=5.0)
+    clipped = ThresholdSpec.custom(lambda y: np.maximum(0.0 * y, 5.0))
     assert count_within("2", clipped, 100).counts == want.counts
 
 
