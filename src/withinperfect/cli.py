@@ -361,8 +361,6 @@ def main(argv=None) -> int:
         env_cache = os.environ.get(CACHE_DIR_ENV)
         if env_cache:
             config = replace(config, cache_dir=env_cache)
-        if config.cache_dir:
-            os.makedirs(config.cache_dir, exist_ok=True)
 
         text = _dispatch(args, config)
     except (InvalidProblemError, InvalidThresholdError, ValueError, TypeError) as exc:

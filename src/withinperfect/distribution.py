@@ -122,7 +122,7 @@ def phase_experiment(target, regime: str, checkpoints,
         else:
             cf, spec, goal = None, ThresholdSpec.custom(lambda y: y * np.log(y)), 1.0
         counts = count_thresholds(target, [spec], checkpoints, source)
-        densities = [s / x for s, x in zip(counts.strict[0], checkpoints)]
+        densities = [s / x for s, x in zip(counts.strict[0].tolist(), checkpoints)]
         deviations = [abs(d - goal) for d in densities]
         trend_ok = all(e2 <= e1 + 1e-12 for e1, e2 in zip(deviations, deviations[1:]))
         return PhaseReport(regime, target, cf, checkpoints, densities,

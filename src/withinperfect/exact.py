@@ -77,7 +77,7 @@ def enumerate_perfect(target, limit: int, source: Optional[SigmaSource] = None,
         hits = n[b * seg.sigma.view(np.int64) == a * n]
         members.extend(int(v) for v in hits)
     cks = checkpoints or [limit]
-    counting = CheckpointSeries(cks, _counts_upto(members, cks).tolist(),
+    counting = CheckpointSeries(cks, _counts_upto(members, cks),
                                 label=f"perfect l={target}")
     return PerfectCensus(target, limit, members, counting)
 
@@ -298,7 +298,7 @@ def solve_diophantine(problem: DiophantineProblem, source: Optional[SigmaSource]
     records = SolutionTable.concat(parts)
 
     cks = checkpoints or [limit]
-    series = CheckpointSeries(cks, _counts_upto(records.n, cks).tolist(),
+    series = CheckpointSeries(cks, _counts_upto(records.n, cks),
                               label=f"dioph {b}*sigma(n)={a}*n+{k}")
     return DiophantineSolution(
         problem=problem, records=records, series=series,

@@ -327,9 +327,9 @@ class SigmaSource:
     """Streams SigmaSegments covering [1, limit] in ascending order.
 
     Segments are sieved on demand (optionally on a thread pool) and, when a
-    cache directory is configured, persisted in the binary segment format so
-    later passes reload instead of resieving.  Results are deterministic and
-    identical for any thread count.
+    cache directory is configured (it is made here if missing), persisted in
+    the binary segment format so later passes reload instead of resieving.
+    Results are deterministic and identical for any thread count.
     """
 
     def __init__(self, *, segment_length: int = DEFAULT_SEGMENT_LENGTH, threads: int = 1,
@@ -343,6 +343,8 @@ class SigmaSource:
         self.segment_length = segment_length
         self.threads = threads
         self.cache_dir = cache_dir
+        if cache_dir:
+            os.makedirs(cache_dir, exist_ok=True)
 
     def ranges(self, limit: int) -> Iterator[tuple[int, int]]:
         """The (lo, hi) bounds covering [1, limit], generated as they are taken;

@@ -1,10 +1,14 @@
-"""Common domain types: target ratios, threshold functions, checkpoint series."""
+"""Common domain types: target ratios and threshold functions, plus the two
+result shapes kept as numpy columns, CheckpointSeries (x, count, quotient)
+and SolutionTable (one row per solution), whose Python lists and records are
+built only when read."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -170,25 +174,66 @@ class ThresholdSpec:
         return "custom"
 
 
-@dataclass
+def int64_column(values) -> np.ndarray:
+    """values as an int64 array; a range becomes np.arange, so no list of ints is built."""
+    if isinstance(values, range):
+        return np.arange(values.start, values.stop, values.step, dtype=np.int64)
+    return np.asarray(values, dtype=np.int64)
+
+
 class CheckpointSeries:
-    """Counts at ascending checkpoints plus the normalized quotient count/(x/log x)."""
+    """Counts at ascending checkpoints and a quotient per checkpoint, held as
+    int64 x, int64 count and float64 quotient columns.
 
-    checkpoints: list[int]
-    counts: list[int]
-    quotients: list[float] = field(default_factory=list)
-    label: str = ""
+    The quotient defaults to count/(x/log x), NaN below x = 2, computed in
+    numpy with a math.log per x.  It is bit-identical to normalized_quotient:
+    the int-to-float conversions and both divisions are correctly rounded in
+    numpy as in Python.  np.log is not used, because it may differ from
+    math.log by one ulp (it does at 54 of the x <= 10^6 on AVX-512 hosts),
+    which can move a sixth decimal.  The list-valued checkpoints, counts and
+    quotients are built on first read.  Two series are equal when their labels
+    and columns are, NaN quotients matching NaN.
+    """
 
-    def __post_init__(self):
-        if list(self.checkpoints) != sorted(self.checkpoints):
+    def __init__(self, checkpoints, counts, quotients=None, label: str = ""):
+        self.x = int64_column(checkpoints)
+        if np.any(self.x[1:] < self.x[:-1]):
             raise ValueError("checkpoints must be ascending")
-        if not self.quotients:  # normalized_quotient, inlined for long series
-            log, nan = math.log, math.nan
-            self.quotients = [c / (x / log(x)) if x >= 2 else nan
-                              for c, x in zip(self.counts, self.checkpoints)]
+        self.count = np.asarray(counts, dtype=np.int64)
+        if quotients is None:
+            quotients = np.full(len(self.x), math.nan)
+            start = int(np.searchsorted(self.x, 2))  # x < 2 is an ascending prefix
+            x = self.x[start:].astype(np.float64)
+            logs = np.fromiter(map(math.log, memoryview(x)), dtype=np.float64, count=len(x))
+            quotients[start:] = self.count[start:] / (x / logs)
+        self.quotient = np.asarray(quotients, dtype=np.float64)
+        self.label = label
+
+    @cached_property
+    def checkpoints(self) -> list[int]:
+        return self.x.tolist()
+
+    @cached_property
+    def counts(self) -> list[int]:
+        return self.count.tolist()
+
+    @cached_property
+    def quotients(self) -> list[float]:
+        return self.quotient.tolist()
 
     def __len__(self) -> int:
-        return len(self.checkpoints)
+        return len(self.x)
+
+    def __eq__(self, other):
+        if not isinstance(other, CheckpointSeries):
+            return NotImplemented
+        return (self.label == other.label and np.array_equal(self.x, other.x)
+                and np.array_equal(self.count, other.count)
+                and np.array_equal(self.quotient, other.quotient, equal_nan=True))
+
+    def __repr__(self) -> str:
+        return (f"CheckpointSeries(x={self.x!r}, count={self.count!r}, "
+                f"quotient={self.quotient!r}, label={self.label!r})")
 
     def rows(self):
         return list(zip(self.checkpoints, self.counts, self.quotients))

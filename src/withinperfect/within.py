@@ -23,7 +23,7 @@ import numpy as np
 from .errors import CapabilityError, InvalidThresholdError
 from .exact import _counts_upto, _guard_linear, enumerate_perfect, _fraction_sum
 from .sieve import SigmaSource
-from .types import (CheckpointSeries, RationalTarget, ThresholdSpec,
+from .types import (CheckpointSeries, RationalTarget, ThresholdSpec, int64_column,
                     normalized_quotient)
 
 #: Relative width of the float64 guard band around b*n/log n.
@@ -135,18 +135,19 @@ def _decide_segment(threshold: ThresholdSpec, b: int, D: np.ndarray,
     raise InvalidThresholdError(f"unsupported threshold kind {kind!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class ThresholdCounts:
-    """Strict and tie counts per (threshold, checkpoint) from one pass."""
+    """Strict and tie counts per (threshold, checkpoint) from one pass: the
+    ascending int64 checkpoints and int64 [threshold, checkpoint] grids."""
 
     target: RationalTarget
     thresholds: list[ThresholdSpec]
-    checkpoints: list[int]
-    strict: list[list[int]]  # [threshold][checkpoint]
-    ties: list[list[int]]
+    checkpoints: np.ndarray
+    strict: np.ndarray
+    ties: np.ndarray
 
     def resolved(self, i: int, j: int, strict_mode: bool) -> int:
-        return self.strict[i][j] + (0 if strict_mode else self.ties[i][j])
+        return int(self.strict[i, j]) + (0 if strict_mode else int(self.ties[i, j]))
 
 
 def count_thresholds(target, thresholds: list[ThresholdSpec], checkpoints,
@@ -154,8 +155,8 @@ def count_thresholds(target, thresholds: list[ThresholdSpec], checkpoints,
                      include_one: bool = True) -> ThresholdCounts:
     """One streaming pass over [1, max checkpoint] for several thresholds at once."""
     target = RationalTarget.parse(target)
-    checkpoints = sorted(map(int, checkpoints))
-    limit = checkpoints[-1]
+    cks = np.sort(int64_column(checkpoints))
+    limit = int(cks[-1])
     source = source or SigmaSource()
     _guard_linear(target.a, target.b, limit)
     if any(t.at_limit for t in thresholds):
@@ -163,7 +164,6 @@ def count_thresholds(target, thresholds: list[ThresholdSpec], checkpoints,
             "at_limit thresholds need count_at_limit (k is evaluated per checkpoint)")
 
     a, b = target.a, target.b
-    cks = np.asarray(checkpoints, dtype=np.int64)
     strict_counts = np.zeros((len(thresholds), len(cks)), dtype=np.int64)
     tie_counts = np.zeros_like(strict_counts)
     for seg in source.segments(limit):
@@ -182,8 +182,7 @@ def count_thresholds(target, thresholds: list[ThresholdSpec], checkpoints,
                 ties = ties[ties > 0]
             strict_counts[i] += _counts_upto(np.flatnonzero(inside), upto)
             tie_counts[i] += _counts_upto(ties, upto)
-    return ThresholdCounts(target, list(thresholds), checkpoints,
-                           strict_counts.tolist(), tie_counts.tolist())
+    return ThresholdCounts(target, list(thresholds), cks, strict_counts, tie_counts)
 
 
 def count_at_limit(target, threshold: ThresholdSpec, checkpoints,
@@ -195,25 +194,24 @@ def count_at_limit(target, threshold: ThresholdSpec, checkpoints,
     value changes with x.
     """
     target = RationalTarget.parse(target)
-    checkpoints = sorted(int(x) for x in checkpoints)
-    limit = checkpoints[-1]
+    cks = np.sort(int64_column(checkpoints))
+    limit = int(cks[-1])
     source = source or SigmaSource()
     _guard_linear(target.a, target.b, limit)
     a, b = target.a, target.b
 
-    counts = np.zeros((2, len(checkpoints)), dtype=np.int64)
+    counts = np.zeros((2, len(cks)), dtype=np.int64)
     for seg in source.segments(limit):
         n = seg.n_values()
         D = np.abs(np.int64(b) * seg.sigma.view(np.int64) - np.int64(a) * n)
         skip = int(not include_one and seg.lo == 1)  # leaves out n = 1
-        for j, ck in enumerate(checkpoints):
+        for j, ck in enumerate(cks):
             if ck >= seg.lo + skip:
                 d = D[skip:min(ck, seg.hi) - seg.lo + 1]
                 x = np.full(len(d), ck, dtype=np.int64)
                 inside, ties = _decide_segment(threshold, b, d, x)
                 counts[:, j] += [np.count_nonzero(inside), len(ties)]
-    strict, ties = counts.tolist()
-    return ThresholdCounts(target, [threshold], checkpoints, [strict], [ties])
+    return ThresholdCounts(target, [threshold], cks, counts[:1], counts[1:])
 
 
 def series(target, threshold: ThresholdSpec, checkpoints,
@@ -227,7 +225,7 @@ def series(target, threshold: ThresholdSpec, checkpoints,
         counts = count_thresholds(target, [threshold], checkpoints, source, include_one)
     resolved = counts.strict[0]
     if not threshold.strict:
-        resolved = np.add(resolved, counts.ties[0]).tolist()
+        resolved = resolved + counts.ties[0]
     return CheckpointSeries(
         counts.checkpoints, resolved,
         label=f"within l={target} k={threshold.describe()}")
@@ -301,9 +299,9 @@ def table1_reproduce(source: Optional[SigmaSource] = None,
     t0 = time.monotonic()
     thresholds = [ThresholdSpec.power(c) for c in TABLE_EXPONENTS]
     counts = count_thresholds(RationalTarget(2, 1), thresholds,
-                              list(TABLE_CHECKPOINTS), source, include_one=True)
+                              TABLE_CHECKPOINTS, source, include_one=True)
 
-    strict, ties = np.array(counts.strict), np.array(counts.ties)
+    strict, ties = counts.strict, counts.ties
     # n = 1 (D = a - b = 1 = k(1)) is a tie for every exponent; the n>=2 grids drop it
     one = np.array([[_power_compare(1, 1, 1, c)] for c in TABLE_EXPONENTS])
 

@@ -68,6 +68,23 @@ def test_source_populates_and_reuses_cache(tmp_path):
         assert np.array_equal(a, b)
 
 
+def test_source_makes_a_missing_cache_dir(tmp_path, monkeypatch):
+    from withinperfect import sieve
+    from withinperfect.distribution import empirical_cdf
+
+    cache_dir = str(tmp_path / "a" / "b")
+    grid = ["3/2", "2", "21/10", "3"]
+    first = empirical_cdf(5000, grid, SigmaSource(cache_dir=cache_dir, segment_length=1024))
+    assert len(list((tmp_path / "a" / "b").iterdir())) == 5  # ceil(5000 / 1024) segments
+
+    def no_sieving(lo, hi):
+        raise AssertionError(f"segment [{lo}, {hi}] sieved instead of read")
+
+    monkeypatch.setattr(sieve, "sieve_segment", no_sieving)
+    second = empirical_cdf(5000, grid, SigmaSource(cache_dir=cache_dir, segment_length=1024))
+    assert second.counts == first.counts
+
+
 def test_source_resieves_corrupt_cache(tmp_path):
     source = SigmaSource(segment_length=2**10, cache_dir=str(tmp_path))
     list(source.segments(2000))

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from withinperfect.cache import read_segment
 from withinperfect.cli import CACHE_DIR_ENV, apply_config_file, main, RunConfig
-from withinperfect.emit import records_ndjson
+from withinperfect.emit import records_json, records_ndjson
 from withinperfect.types import SolutionRecord, parse_checkpoints
 
 
@@ -134,6 +134,29 @@ def test_decide_consumers_bytes(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["figure1", "--limit", "100000"],
+     "fa6b4f2cf75204a84bd4b324e61b433d2528b012647c08de8e727b8659144778"),
+    (["--non-strict", "figure1", "--limit", "100000"],
+     "fa6b4f2cf75204a84bd4b324e61b433d2528b012647c08de8e727b8659144778"),
+    (["--from-two", "figure1", "--limit", "100000"],
+     "c8a2bb1d29edf3671020b126691d947457434ee658e3b01792e81f3871b9e263"),
+    (["--at-limit", "figure1", "--limit", "2000"],
+     "53be0f3d83b296af39a0621cec956ae70d6ba567461ed97501f6ed43af5c8861"),
+    (["series", "--ell", "2", "--threshold", "pow:1/2", "--checkpoints", "1,2,10,1e5"],
+     "9b06c60830e041f712721f5f17e6545e5c7aa382408b14d232861e518373e3b7"),
+    (["perfect", "--ell", "2", "--limit", "10000", "--checkpoints", "10,1e4",
+      "--format", "csv"],
+     "2298cf7fdc3f0a9425b86cec559088c2873d616fbf83c43b81bf95617a61c9dd"),
+    (["sporadic", "--b", "1", "--k", "1", "--checkpoints", "1e3,1e4"],
+     "df3b67a0613e4d37f75f8c763f5bc5ca73436f47a2a5e5292165d337e47f3acf"),
+])
+def test_series_csv_bytes(capsys, argv, digest):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_cdf_bytes_with_tie_points(capsys):
     # sigma(6)/6 = 2 and sigma(20)/20 = 21/10 sit exactly on grid points
     code, out = run_cli(capsys, "--segment-length", "1024", "cdf", "--limit", "20000",
@@ -188,6 +211,12 @@ def test_capability_exit_codes(capsys):
     assert run_cli(capsys, "table1", "--limit", "1000")[0] == 2
     huge = str((1 << 55) + 10)
     assert run_cli(capsys, "sieve", "--lo", "1", "--hi", huge)[0] == 2
+
+
+def test_cache_dir_under_a_regular_file_exits_2(capsys, tmp_path):
+    (tmp_path / "file").write_text("")
+    assert run_cli(capsys, "--cache-dir", str(tmp_path / "file" / "cache"), "count",
+                   "--ell", "2", "--threshold", "pow:0.5", "--limit", "30")[0] == 2
 
 
 def test_sieve_cache_roundtrip(capsys, tmp_path):
@@ -324,6 +353,8 @@ def test_records_ndjson_is_the_json_dumps_rendering(rows):
                for n, s, w in rows]
     assert records_ndjson(records) == "".join(
         json.dumps(r.to_json_dict(), separators=(",", ":")) + "\n" for r in records)
+    assert records_json(records) == json.dumps(
+        [r.to_json_dict() for r in records], indent=2) + "\n"
 
 
 def _ints(lo, hi):

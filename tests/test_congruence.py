@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from withinperfect.cli import main
 from withinperfect.congruence import (CongruenceProblem, census,
                                       sporadic_growth_report)
-from withinperfect.emit import records_ndjson
+from withinperfect.emit import records_json, records_ndjson
 from withinperfect.errors import CapabilityError
 from withinperfect.exact import enumerate_perfect
 from withinperfect.sieve import SigmaSource, sigma_oracle
@@ -219,3 +219,7 @@ def test_solution_table_ndjson_is_the_record_rendering():
     assert text == records_ndjson(records)
     assert text == "".join(json.dumps(r.to_json_dict(), separators=(",", ":")) + "\n"
                            for r in records)
+    for table in (table, census(CongruenceProblem(1, 12, 10**4)), table[:0]):
+        # 1 and 9 sporadic rows among the regular ones, then the empty table
+        assert records_json(table) == json.dumps(
+            [r.to_json_dict() for r in table], indent=2) + "\n"

@@ -270,11 +270,20 @@ def test_dioph_anchor_above_the_sieve_cap(capsys):
 
 
 def test_diophantine_records_table_contract(oracle_sigma):
-    from withinperfect.emit import records_ndjson
+    from withinperfect.emit import dioph_json, records_ndjson
     from withinperfect.types import SolutionRecord, SolutionTable
 
     for a, b, k in ((2, 1, 12), (3, 2, 6), (2, 1, 1), (2, 1, -1)):
-        records = solve_diophantine(DiophantineProblem(a, b, k, 10**4)).records
+        solution = solve_diophantine(DiophantineProblem(a, b, k, 10**4))
+        records = solution.records
+        # regular rows with 3 and 1 sporadic ones, no rows, and only sporadic rows
+        assert dioph_json(solution) == json.dumps({
+            "a": a, "b": b, "k": k, "limit": 10**4,
+            "regular_family": solution.regular_family,
+            "family_anchor": solution.family_anchor,
+            "predicted_density": (str(solution.predicted_density)
+                                  if solution.predicted_density is not None else None),
+            "records": [r.to_json_dict() for r in records]}, indent=2) + "\n"
         m0 = k // a
         expected = [SolutionRecord(n, oracle_sigma[n], c,
                                    ((n // m0, m0),) if c == "regular" else (), a)

@@ -110,7 +110,19 @@ def test_threshold_at_limit_variant():
     spec = ThresholdSpec.power("0.5", at_limit=True)
     result = count_within("2", spec, 100)
     assert result.counts == [26]
-    assert count_at_limit("2", ThresholdSpec.power("0.5"), [100]).strict[0] == [26]
+    assert count_at_limit("2", ThresholdSpec.power("0.5"), [100]).strict[0].tolist() == [26]
+
+
+@pytest.mark.parametrize("count", [count_thresholds, count_at_limit])
+def test_checkpoints_in_any_order(count):
+    # a list, a descending range or an array of checkpoints is counted in ascending order
+    spec = ThresholdSpec.power("1/2")
+    specs = [spec] if count is count_thresholds else spec
+    for checkpoints in ([1000, 10, 100], range(1000, 9, -495), np.array([100, 1000, 10])):
+        ascending = sorted(int(x) for x in checkpoints)
+        got, want = count("2", specs, checkpoints), count("2", specs, ascending)
+        assert got.checkpoints.tolist() == ascending
+        assert (got.strict.tolist(), got.ties.tolist()) == (want.strict.tolist(), want.ties.tolist())
 
 
 def test_x_over_log_series_defined_everywhere():
