@@ -19,7 +19,7 @@ from . import cache, congruence, distribution, emit, exact, within
 from .errors import (BudgetExceededError, CacheFormatError, CapabilityError,
                      InvalidProblemError, InvalidThresholdError, SigmaOverflowError)
 from .sieve import DEFAULT_SEGMENT_LENGTH, SigmaSource, sieve_segment
-from .types import RationalTarget, ThresholdSpec, parse_checkpoints
+from .types import RationalTarget, ThresholdSpec, parse_checkpoints, parse_integer
 
 CACHE_DIR_ENV = "WITHINPERFECT_CACHE_DIR"
 
@@ -100,6 +100,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _integer(text: str) -> int:
+    """The limits and bounds, parsed exactly like a checkpoint: "1e4" is 10000."""
+    try:
+        return parse_integer(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _common_options(for_subparser: bool) -> argparse.ArgumentParser:
     """Global options, accepted both before and after the subcommand.
 
@@ -143,8 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sieve", parents=[common],
                        help="sieve sigma over [lo, hi]; optionally cache it")
-    p.add_argument("--lo", type=int, required=True)
-    p.add_argument("--hi", type=int, required=True)
+    p.add_argument("--lo", type=_integer, required=True)
+    p.add_argument("--hi", type=_integer, required=True)
     p.add_argument("--cache-path", default=None,
                    help="write the segment in the binary cache format")
 
@@ -152,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="count n <= limit with |sigma(n)-l*n| < k(n)")
     p.add_argument("--ell", required=True)
     p.add_argument("--threshold", required=True, help="pow:C | const:K | lin:C | xlog")
-    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--limit", type=_integer, required=True)
 
     p = sub.add_parser("series", parents=[common],
                        help="within-perfect counts at several checkpoints")
@@ -162,16 +170,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table1", parents=[common],
                        help="recompute the published 8x3 quotient grid (l=2)")
-    p.add_argument("--limit", type=int, default=2 * 10**7)
+    p.add_argument("--limit", type=_integer, default=2 * 10**7)
 
     p = sub.add_parser("figure1", parents=[common],
                        help="quotient series for k(y)=y/log y, x=2..limit")
-    p.add_argument("--limit", type=int, default=10**4)
+    p.add_argument("--limit", type=_integer, default=10**4)
 
     p = sub.add_parser("perfect", parents=[common],
                        help="enumerate m <= limit with b*sigma(m) = a*m")
     p.add_argument("--ell", required=True)
-    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--limit", type=_integer, required=True)
     p.add_argument("--checkpoints", default=None)
 
     p = sub.add_parser("wirsing", parents=[common],
@@ -184,14 +192,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--limit", type=_integer, required=True)
     p.add_argument("--checkpoints", default=None)
 
     p = sub.add_parser("census", parents=[common],
                        help="solutions of b*sigma(n) = k (mod n), classified")
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--limit", type=_integer, required=True)
 
     p = sub.add_parser("sporadic", parents=[common],
                        help="sporadic-solution growth report")
@@ -201,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cdf", parents=[common],
                        help="empirical distribution of sigma(n)/n")
-    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--limit", type=_integer, required=True)
     p.add_argument("--grid", required=True, help="comma list of query points")
 
     p = sub.add_parser("phase", parents=[common],
@@ -216,11 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="approximate a target by abundancy ratios")
     p.add_argument("--ell", required=True, help="target value > 1 (exact decimal)")
     p.add_argument("--depth", type=int, default=8)
-    p.add_argument("--search-limit", type=int, default=10**4)
+    p.add_argument("--search-limit", type=_integer, default=10**4)
 
     p = sub.add_parser("gcdsum", parents=[common],
                        help="sum of gcd(m, sigma(m))/m^2 over the middle range")
-    p.add_argument("--x", type=int, required=True)
+    p.add_argument("--x", type=_integer, required=True)
 
     return parser
 

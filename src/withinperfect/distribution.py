@@ -10,7 +10,9 @@ Every per-n predicate is decided exactly by the counting engine's decide:
 sigma(n)/n <= u goes through within._banded (a float64 prefilter with a
 relative guard band, then exact cross-multiplication for the candidates), and
 the windows of the phase experiments are within thresholds.  Ratios equal to
-a query point u count as <= u (inclusive convention).
+a query point u count as <= u (inclusive convention).  The CDF and the linear
+phase experiment stream SigmaSource.blocks, so one block's sigma/n and masks
+are all that is held per n, and count through exact._CheckpointCounter.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exact import _counts_upto
+from .exact import _CheckpointCounter
 from .sieve import SigmaSource
 from .types import RationalTarget, ThresholdSpec, as_exact_fraction
 from .within import _banded, _decide_segment, count_thresholds
@@ -39,7 +41,7 @@ def _ratio_compare(s: int, n: int, u: Fraction) -> int:
 def _ratio_below(ratio: np.ndarray, sigma: np.ndarray, n: np.ndarray,
                  u: Fraction) -> tuple[np.ndarray, np.ndarray]:
     """(below, ties) of sigma(n)/n against u, decided exactly; ratio is the
-    float64 sigma/n of the segment, computed once for every query point."""
+    float64 sigma/n of the block, computed once for every query point."""
     uf = float(u)
     return _banded(ratio, uf * (1.0 - _BAND), uf * (1.0 + _BAND),
                    lambda i: _ratio_compare(int(sigma[i]), int(n[i]), u))
@@ -59,9 +61,6 @@ class EmpiricalCDF:
     def values(self) -> tuple[float, ...]:
         return tuple(c / self.limit for c in self.counts)
 
-    def value_at(self, u) -> float:
-        return self.values[self.grid.index(as_exact_fraction(u, "query point"))]
-
 
 def empirical_cdf(limit: int, grid, source: Optional[SigmaSource] = None,
                   inclusive: bool = True) -> EmpiricalCDF:
@@ -73,16 +72,19 @@ def empirical_cdf(limit: int, grid, source: Optional[SigmaSource] = None,
     if list(fracs) != sorted(fracs):
         raise ValueError("grid must be ascending")
     source = source or SigmaSource()
-    counts = [0] * len(fracs)
-    for seg in source.segments(limit):
-        n = seg.n_values()
-        sig = seg.sigma.view(np.int64)
+    counter = _CheckpointCounter(np.array([limit], dtype=np.int64), len(fracs))
+    for blk in source.blocks(limit):
+        n = blk.n_values()
+        sig = blk.sigma.view(np.int64)
         ratio = sig / n
+        counter.block(blk)
         for i, u in enumerate(fracs):
             below, ties = _ratio_below(ratio, sig, n, u)
-            counts[i] += int(np.count_nonzero(below)) + (len(ties) if inclusive else 0)
-        del seg, n, sig, ratio  # freed before the next segment arrives (peak RSS)
-    return EmpiricalCDF(limit, fracs, labels, tuple(counts), inclusive)
+            counter.add(i, below)
+            if inclusive:
+                counter.add(i, ties)
+    return EmpiricalCDF(limit, fracs, labels, tuple(counter.counts()[:, 0].tolist()),
+                        inclusive)
 
 
 @dataclass
@@ -136,22 +138,19 @@ def phase_experiment(target, regime: str, checkpoints,
     cf, ell = spec.param, target.fraction
 
     # one pass: the open window and the CDF counts at l + c and l - c
-    counts = np.zeros((3, len(checkpoints)), dtype=np.int64)
-    cks = np.asarray(checkpoints, dtype=np.int64)
-    for seg in source.segments(checkpoints[-1]):
-        n = seg.n_values()
-        sig = seg.sigma.view(np.int64)
-        upto = cks - seg.lo  # checkpoints as offsets into the segment
+    counter = _CheckpointCounter(np.asarray(checkpoints, dtype=np.int64), 3)
+    for blk in source.blocks(checkpoints[-1]):
+        n = blk.n_values()
+        sig = blk.sigma.view(np.int64)
+        counter.block(blk)
         D = np.abs(np.int64(target.b) * sig - np.int64(target.a) * n)
-        inside, _ = _decide_segment(spec, target.b, D, n)
-        counts[0] += _counts_upto(np.flatnonzero(inside), upto)
-        del D, inside
+        counter.add(0, _decide_segment(spec, target.b, D, n)[0])
         ratio = sig / n
-        for row, u in zip(counts[1:], (ell + cf, ell - cf)):
+        for row, u in ((1, ell + cf), (2, ell - cf)):
             below, ties = _ratio_below(ratio, sig, n, u)
-            row += _counts_upto(np.flatnonzero(below), upto) + _counts_upto(ties, upto)
-        del seg, n, sig, ratio, below  # freed before the next segment arrives
-    window, cdf_hi, cdf_lo = counts.tolist()
+            counter.add(row, below)
+            counter.add(row, ties)
+    window, cdf_hi, cdf_lo = counter.counts().tolist()
     densities = [w / x for w, x in zip(window, checkpoints)]
     references = [(h - l) / x for h, l, x in zip(cdf_hi, cdf_lo, checkpoints)]
     deviations = [abs(d - r) for d, r in zip(densities, references)]

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Iterator, Optional
 import numpy as np
 
 from .errors import CapabilityError, InvalidProblemError
-from .sieve import SigmaSource, _icbrt, _witnesses, factor
+from .sieve import SigmaSegment, SigmaSource, _icbrt, _witnesses, factor
 from .types import CheckpointSeries, RationalTarget, SolutionTable
 
 if TYPE_CHECKING:
@@ -45,9 +45,43 @@ def _counts_upto(hits, checkpoints) -> np.ndarray:
     """How many of the ascending hits are <= each checkpoint, in one call.
 
     A checkpoint below every hit counts 0 and one at or past the last counts
-    them all, so a streaming pass adds this per segment with no case split.
+    them all.
     """
     return np.searchsorted(hits, checkpoints, side="right")
+
+
+class _CheckpointCounter:
+    """Rows of hit counts up to each ascending checkpoint, accumulated over
+    ascending blocks that end at or before the last checkpoint.
+
+    A block [lo, hi] searches only the checkpoints in [lo, hi) and adds its
+    total to a carry at the first checkpoint >= hi; counts() adds one cumsum
+    of the carries, so no checkpoint is touched by a block that does not hold
+    it (figure1 has 10^6 of them).
+    """
+
+    def __init__(self, checkpoints: np.ndarray, rows: int):
+        self.checkpoints = checkpoints
+        self.partial = np.zeros((rows, len(checkpoints)), dtype=np.int64)
+        self.carry = np.zeros_like(self.partial)
+
+    def block(self, blk: SigmaSegment) -> None:
+        """Start counting the hits of blk."""
+        j0, self._j1 = np.searchsorted(self.checkpoints, (blk.lo, blk.hi)).tolist()
+        self._inner = slice(j0, self._j1)
+        self._upto = self.checkpoints[self._inner] - blk.lo  # as offsets into blk
+
+    def add(self, row: int, hits: np.ndarray) -> None:
+        """Count hits of the current block: a bool mask or ascending int64 offsets."""
+        mask = hits.dtype == bool
+        if len(self._upto):
+            offsets = np.flatnonzero(hits) if mask else hits
+            self.partial[row, self._inner] += _counts_upto(offsets, self._upto)
+        self.carry[row, self._j1] += np.count_nonzero(hits) if mask else len(hits)
+
+    def counts(self) -> np.ndarray:
+        """The int64 [row, checkpoint] grid of hits <= each checkpoint."""
+        return np.cumsum(self.carry, axis=1) + self.partial
 
 
 @dataclass

@@ -2,13 +2,19 @@
 and the exact integer arithmetic built beside them (primality, cube roots).
 
 A segment holds sigma(n) over [lo, hi] and nothing else.  SigmaSource is the
-one streaming source every statistic reads; its ``table`` (one segment from 1)
-has no caller in the package and stays only because the benchmark traces it.
-The kernel enumerates divisor pairs (d, n/d) with d <= sqrt(hi), so a segment
-of length L costs O(L * log(sqrt(hi))) strided numpy additions and O(L)
-memory.  Factorization is Pollard-Brent rho, exact below 2^64.  The
-trial-division oracle stays deliberately naive; it is the independent
-cross-check, never the fast path.
+one streaming source every statistic reads: ``segments`` sieves (or loads from
+the cache) segment_length elements at a time, and ``blocks`` cuts each segment
+into read-only views of at most BLOCK_LENGTH elements, so a per-n decide works
+on arrays that stay in L2.  Its ``table`` (one segment from 1) has no caller in
+the package and stays only because the benchmark traces it.
+
+The kernel enumerates divisor pairs (d, n/d) with d <= sqrt(hi): about
+sqrt(hi) numpy calls and L * log(sqrt(hi)) strided additions for a segment of
+length L, with O(L) memory.  The additions are memory-bound, so they run in
+u32 (half the bytes) while hi <= 2^27, where every sigma(n) fits, and the
+segment is widened to u64 once.  Factorization is Pollard-Brent rho, exact
+below 2^64.  The trial-division oracle stays deliberately naive; it is the
+independent cross-check, never the fast path.
 """
 
 from __future__ import annotations
@@ -37,6 +43,13 @@ MIN_SEGMENT_LENGTH = 1 << 10
 
 #: Longest segment that is sieved; anything longer is refused before allocating.
 MAX_SEGMENT_LENGTH = 1 << 25
+
+#: Longest view SigmaSource.blocks yields: the per-n working arrays of one
+#: block (int64 n and D, float64 exponents, bool masks) stay in L2.
+BLOCK_LENGTH = 1 << 16
+
+#: Largest hi that _sigma_block accumulates in u32.
+U32_SIGMA_LIMIT = 1 << 27
 
 #: The first twelve primes: trial divisors and Miller-Rabin bases of _is_prime.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -130,20 +143,25 @@ def base_primes(limit: int) -> np.ndarray:
 
 
 def _sigma_block(lo: int, hi: int) -> np.ndarray:
-    """Exact sigma(n) for n in [lo, hi] by divisor-pair accumulation."""
-    sig = np.zeros(hi - lo + 1, dtype=np.uint64)
+    """Exact sigma(n) for n in [lo, hi] by divisor-pair accumulation, as u64.
+
+    Up to hi = U32_SIGMA_LIMIT the sums are taken in u32 (half the bytes per
+    strided add): sigma(n)/n <= H_n <= 1 + ln n, so sigma(n) <= 2^27 *
+    (1 + ln 2^27) < 2.7e9 < 2^32, and each addend q + d <= hi + 1.
+    """
+    dtype = np.uint32 if hi <= U32_SIGMA_LIMIT else np.uint64
+    sig = np.zeros(hi - lo + 1, dtype=dtype)
     for d in range(1, math.isqrt(hi) + 1):
         first_q = max(d, -(-lo // d))  # ceil(lo/d), but never the small side twice
         last_q = hi // d
         if first_q > last_q:
             continue
-        vals = np.arange(first_q, last_q + 1, dtype=np.uint64)
-        vals += np.uint64(d)
+        vals = np.arange(first_q + d, last_q + d + 1, dtype=dtype)  # the pair sums q + d
         if first_q == d:
             vals[0] = d  # n = d*d: the divisor d counts once
         start = d * first_q - lo
         sig[start :: d][: len(vals)] += vals
-    return sig
+    return sig.astype(np.uint64, copy=False)
 
 
 def sieve_segment(lo: int, hi: int) -> SigmaSegment:
@@ -391,6 +409,22 @@ class SigmaSource:
                 yield pending.popleft().result()
         finally:
             pool.shutdown(cancel_futures=True)
+
+    def blocks(self, limit: int) -> Iterator[SigmaSegment]:
+        """Yield read-only views of at most BLOCK_LENGTH elements covering
+        [1, limit] in order, cut from the segments of ``segments``.
+
+        A segment's last block is a copy, so the consumer holding it does not
+        keep the whole spent segment alive while the next one is sieved.
+        """
+        for seg in self.segments(limit):
+            lo, sigma = seg.lo, seg.sigma
+            del seg
+            for start in range(0, len(sigma), BLOCK_LENGTH):
+                part = sigma[start:start + BLOCK_LENGTH]
+                if start + BLOCK_LENGTH >= len(sigma):  # the last block
+                    part, sigma = part.copy(), None
+                yield SigmaSegment(lo + start, lo + start + len(part) - 1, part)
 
     def table(self, limit: int) -> SigmaSegment:
         """One in-memory segment [1, limit], at most MAX_SEGMENT_LENGTH long."""

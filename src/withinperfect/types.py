@@ -19,19 +19,28 @@ from .errors import InvalidThresholdError
 #: Largest admissible denominator for an exact power-threshold exponent.
 MAX_EXPONENT_DENOMINATOR = 10
 
+#: Most digits a decimal exponent of an exact input may have.
+MAX_EXPONENT_DIGITS = 4
+
 
 def as_exact_fraction(value, what: str = "value") -> Fraction:
     """Convert int/str/Fraction input to an exact Fraction.
 
-    Strings are parsed exactly ("3/2" and "1.25" are both fine).  Floats are
-    rejected: a float has already lost the distinction between e.g. 0.3 and
-    5404319552844595/2**54, and exactness is the whole point here.
+    Strings are parsed exactly ("3/2" and "1.25" are both fine); a decimal
+    exponent has at most MAX_EXPONENT_DIGITS digits, since "1e100000000"
+    would build a 41 MB integer first.  Floats are rejected: a float has
+    already lost the distinction between e.g. 0.3 and 5404319552844595/2**54,
+    and exactness is the whole point here.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        _, e, exponent = value.lower().partition("e")
+        if e and len(exponent.strip().lstrip("+-")) > MAX_EXPONENT_DIGITS:
+            raise ValueError(f"{what} {value!r} has a decimal exponent of more than "
+                             f"{MAX_EXPONENT_DIGITS} digits")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -320,11 +329,20 @@ def _record(n: int, sigma_n: int, q: int, p: int, m: int) -> SolutionRecord:
                           ((p, m),) if p else (), q if q >= 0 else None)
 
 
+def parse_integer(text: str, what: str = "value") -> int:
+    """An integer written exactly: "10000", "1e4" and "2.5e3" parse, while
+    "1.5" and "1.23456789012345678e16" are refused, never rounded."""
+    exact = as_exact_fraction(text.strip(), what)
+    if exact.denominator != 1:
+        raise ValueError(f"{what} {text.strip()!r} is not an integer")
+    return exact.numerator
+
+
 def parse_checkpoints(text: str | Sequence) -> list[int]:
     """Parse "1e4,100000,2e7" (or a sequence) into ascending ints.
 
-    Strings are parsed exactly, so "1e30" is 10**30 and a decimal that is not
-    an integer ("1.5", "1.23456789012345678e16") is refused, never rounded.
+    Strings are parsed by parse_integer, so "1e30" is 10**30 and a decimal
+    that is not an integer is refused.
     """
     if isinstance(text, str):
         parts = [p for p in text.split(",") if p.strip()]
@@ -333,10 +351,7 @@ def parse_checkpoints(text: str | Sequence) -> list[int]:
     out = []
     for p in parts:
         if isinstance(p, str):
-            exact = as_exact_fraction(p.strip(), "checkpoint")
-            if exact.denominator != 1:
-                raise ValueError(f"checkpoint {p.strip()!r} is not an integer")
-            value = exact.numerator
+            value = parse_integer(p, "checkpoint")
         else:
             value = int(p)
             if value != p:

@@ -8,6 +8,10 @@ an exact sign for the few values inside the band.  A power n^(p/q) is
 prefiltered on one effective exponent e(n) = log(D/b)/log(n) per n for every
 exponent, and its sign compares D^q with b^q * n^p.  Ties come back as
 offsets, so the strict and non-strict conventions share a single pass.
+
+count_thresholds decides SigmaSource.blocks, views of at most 2^16 n whose
+working arrays stay in L2, and counts hits up to each checkpoint through
+exact._CheckpointCounter.  count_at_limit still walks whole segments.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapabilityError, InvalidThresholdError
-from .exact import _counts_upto, _guard_linear, enumerate_perfect, _fraction_sum
+from .exact import _CheckpointCounter, _fraction_sum, _guard_linear, enumerate_perfect
 from .sieve import SigmaSource
 from .types import (CheckpointSeries, RationalTarget, ThresholdSpec, int64_column,
                     normalized_quotient)
@@ -42,23 +46,37 @@ def _power_compare(D: int, b: int, n: int, c: Fraction) -> int:
 
 
 def _xlog_compare(D: int, b: int, n: int) -> int:
-    """Sign of D - b*n/log(n) at 50 digits (exact ties cannot occur for n >= 2)."""
-    import mpmath  # deferred: mpmath is about a fifth of the CLI's import time
+    """Certified sign of D - b*n/log(n) for n >= 2: -1 below, +1 above.
 
-    with mpmath.workdps(50):
-        diff = mpmath.mpf(D) - mpmath.mpf(b * n) / mpmath.log(n)
-        if abs(diff) < mpmath.mpf(10) ** -30:
-            return 0
-        return 1 if diff > 0 else -1
+    log n is transcendental for n >= 2, so b*n/log n is irrational and never
+    ties the integer D.  It is enclosed in [lo, hi] by rounding log n and the
+    quotient outward, and the precision doubles until D lies outside.
+    """
+    # deferred: mpmath is about a fifth of the CLI's import time
+    from mpmath.libmp import from_int, mpf_cmp, mpf_div, mpf_log, round_ceiling, round_floor
+
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    d, bn, m = from_int(D), from_int(b * n), from_int(n)
+    prec = 64
+    while True:
+        lo = mpf_div(bn, mpf_log(m, prec, round_ceiling), prec, round_floor)
+        hi = mpf_div(bn, mpf_log(m, prec, round_floor), prec, round_ceiling)
+        if mpf_cmp(d, hi) > 0:
+            return 1
+        if mpf_cmp(d, lo) < 0:
+            return -1
+        prec *= 2
 
 
 def _exponents(D: np.ndarray, b: int, n: np.ndarray) -> np.ndarray:
     """Effective exponents e(n) = (log D - log b)/log n, so D < b*n^c exactly
     when e < c, up to float rounding (see _decide_power).
 
-    D = 0 gives e = -inf (inside every power threshold).  n = 1 gives NaN:
-    there n^c = 1 for every c, so the sign of D - b is the whole answer and
-    _banded sends it to the exact comparison.
+    D = 0 gives e = -inf (inside every power threshold).  n = 1, which can
+    only be n[0] of the ascending n, gives NaN: there n^c = 1 for every c, so
+    the sign of D - b is the whole answer and _banded sends it to the exact
+    comparison.
     """
     e = D.astype(np.float64)
     with np.errstate(divide="ignore"):
@@ -69,7 +87,8 @@ def _exponents(D: np.ndarray, b: int, n: np.ndarray) -> np.ndarray:
     np.log(logn, out=logn)
     with np.errstate(divide="ignore", invalid="ignore"):
         e /= logn
-    e[n == 1] = np.nan
+    if n[0] == 1:
+        e[0] = np.nan
     return e
 
 
@@ -106,7 +125,7 @@ def _decide_power(c: Fraction, b: int, D: np.ndarray, n: np.ndarray,
 
 def _decide_segment(threshold: ThresholdSpec, b: int, D: np.ndarray,
                     n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(inside, ties) for D < b*k(n) over one segment: a bool mask and the
+    """(inside, ties) for D < b*k(n) over one block: a bool mask and the
     ascending int64 offsets where D = b*k(n), decided exactly for every kind
     but custom."""
     kind = threshold.kind
@@ -164,25 +183,26 @@ def count_thresholds(target, thresholds: list[ThresholdSpec], checkpoints,
             "at_limit thresholds need count_at_limit (k is evaluated per checkpoint)")
 
     a, b = target.a, target.b
-    strict_counts = np.zeros((len(thresholds), len(cks)), dtype=np.int64)
-    tie_counts = np.zeros_like(strict_counts)
-    for seg in source.segments(limit):
-        n = seg.n_values()
-        D = np.abs(np.int64(b) * seg.sigma.view(np.int64) - np.int64(a) * n)
+    rows = len(thresholds)  # strict counts in rows [0, rows), ties in [rows, 2*rows)
+    counter = _CheckpointCounter(cks, 2 * rows)
+    for blk in source.blocks(limit):
+        n = blk.n_values()
+        D = np.abs(np.int64(b) * blk.sigma.view(np.int64) - np.int64(a) * n)
         e = None  # effective exponents, shared by every power threshold
-        upto = cks - seg.lo  # checkpoints as offsets into the segment
+        counter.block(blk)
         for i, threshold in enumerate(thresholds):
             if threshold.kind == "power":
                 e = _exponents(D, b, n) if e is None else e
                 inside, ties = _decide_power(threshold.param, b, D, n, e)
             else:
                 inside, ties = _decide_segment(threshold, b, D, n)
-            if not include_one and seg.lo == 1:
+            if not include_one and blk.lo == 1:
                 inside[0] = False
                 ties = ties[ties > 0]
-            strict_counts[i] += _counts_upto(np.flatnonzero(inside), upto)
-            tie_counts[i] += _counts_upto(ties, upto)
-    return ThresholdCounts(target, list(thresholds), cks, strict_counts, tie_counts)
+            counter.add(i, inside)
+            counter.add(rows + i, ties)
+    counts = counter.counts()
+    return ThresholdCounts(target, list(thresholds), cks, counts[:rows], counts[rows:])
 
 
 def count_at_limit(target, threshold: ThresholdSpec, checkpoints,

@@ -316,6 +316,34 @@ def test_parse_checkpoints_is_exact():
             parse_checkpoints(bad)
 
 
+@pytest.mark.parametrize("argv", [
+    ("perfect", "--ell", "2", "--limit", "{}"),
+    ("table1", "--limit", "{}"),  # below the grid's 2e7: exit 2 either way
+    ("figure1", "--limit", "{}"),
+    ("cdf", "--limit", "{}", "--grid", "2"),
+    ("probe", "--ell", "1.7", "--search-limit", "{}"),
+    ("gcdsum", "--x", "{}"),
+    ("sieve", "--lo", "{}", "--hi", "{}"),
+])
+def test_integer_options_parse_exactly(capsys, argv):
+    # a limit, bound or x is an exact integer like a checkpoint: 1e4 is 10000
+    runs = [run_cli(capsys, *(w.format(v) for w in argv))
+            for v in ("10000", "1e4", "1.0e4", "10e3")]
+    assert runs[0][0] in (0, 2)
+    assert all(run == runs[0] for run in runs)
+    assert run_cli(capsys, *(w.format("1.5") for w in argv))[0] == 1
+
+
+def test_huge_decimal_exponents_are_refused(capsys):
+    # "1e100000000" would build a 41 MB integer before any range check
+    assert run_cli(capsys, "perfect", "--ell", "2", "--limit", "1e100000000")[0] == 1
+    assert run_cli(capsys, "series", "--ell", "2", "--threshold", "xlog",
+                   "--checkpoints", "1e100000000")[0] == 1
+    assert run_cli(capsys, "count", "--ell", "2e-100000000", "--threshold", "xlog",
+                   "--limit", "10")[0] == 1
+    assert parse_checkpoints("1e9999") == [10**9999]
+
+
 def test_cli_imports_no_sympy():
     # the runtime dependencies are numpy and mpmath only
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

@@ -11,7 +11,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from withinperfect.sieve import SigmaSource
 from withinperfect.types import RationalTarget, ThresholdSpec
@@ -141,3 +141,17 @@ def test_xlog_decide_near_the_threshold_up_to_the_domain_cap():
         assert inside.tolist() == [s < 0 for s in want]
         assert ties.tolist() == [i for i, s in enumerate(want) if s == 0] == []
         assert want.count(1) == len(ns)  # r + 1 is outside for every n >= 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 2**55), b=st.integers(1, 64), offset=st.integers(-2, 2))
+@example(n=27141237679848073, b=1, offset=0)  # n/log n is 3.1e-6 above an integer,
+@example(n=27141237679848073, b=1, offset=1)  # so 64 bits cannot place it
+def test_xlog_compare_is_a_certified_sign(n, b, offset):
+    # b*n/log n is irrational for n >= 2, so the sign is never 0; D is drawn
+    # beside floor(b*n/log n), as close to it as an integer gets
+    with mpmath.workdps(60):
+        t = mpmath.mpf(b * n) / mpmath.log(n)
+        D = max(int(mpmath.floor(t)) + offset, 0)
+        want = 1 if D > t else -1
+    assert _xlog_compare(D, b, n) == want
