@@ -2,7 +2,7 @@
 
 One subcommand per reproducible computation.  Exit codes: 0 success,
 1 validation error (bad arguments, malformed rationals), 2 capability,
-overflow, cache, or I/O failure.  Output is deterministic for a fixed
+overflow, memory, cache, or I/O failure.  Output is deterministic for a fixed
 configuration: CSV uses commas and LF with no BOM, quotients carry six
 decimals, and thread count never changes a result.
 """
@@ -67,7 +67,7 @@ def apply_config_file(config: RunConfig, path: str) -> RunConfig:
                 raise ValueError(f"malformed config line {raw.strip()!r}")
             key, value = key.strip(), value.strip()
             if key in ("segment_length", "threads"):
-                updates[key] = int(value)
+                updates[key] = parse_integer(value, key)
             elif key == "cache_dir":
                 updates[key] = value or None
             elif key in ("format", "output_format"):
@@ -101,7 +101,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _integer(text: str) -> int:
-    """The limits and bounds, parsed exactly like a checkpoint: "1e4" is 10000."""
+    """Every integer option, parsed exactly like a checkpoint: "1e4" is 10000."""
     try:
         return parse_integer(text)
     except ValueError as exc:
@@ -120,10 +120,10 @@ def _common_options(for_subparser: bool) -> argparse.ArgumentParser:
     g = common.add_argument_group("common options")
     g.add_argument("--config", metavar="FILE", default=s if for_subparser else None,
                    help="key=value file overriding the other flags")
-    g.add_argument("--segment-length", type=int,
+    g.add_argument("--segment-length", type=_integer,
                    default=s if for_subparser else DEFAULT_SEGMENT_LENGTH)
     g.add_argument("--cache-dir", default=s if for_subparser else None)
-    g.add_argument("--threads", type=int, default=s if for_subparser else 1)
+    g.add_argument("--threads", type=_integer, default=s if for_subparser else 1)
     g.add_argument("--format", choices=_FORMATS, default=s if for_subparser else None,
                    help="output format (default depends on the subcommand)")
     g.add_argument("--out", metavar="FILE", default=s if for_subparser else None,
@@ -189,22 +189,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dioph", parents=[common],
                        help="solve b*sigma(n) = a*n + k exhaustively")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--a", type=_integer, required=True)
+    p.add_argument("--b", type=_integer, required=True)
+    p.add_argument("--k", type=_integer, required=True)
     p.add_argument("--limit", type=_integer, required=True)
     p.add_argument("--checkpoints", default=None)
 
     p = sub.add_parser("census", parents=[common],
                        help="solutions of b*sigma(n) = k (mod n), classified")
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--b", type=_integer, required=True)
+    p.add_argument("--k", type=_integer, required=True)
     p.add_argument("--limit", type=_integer, required=True)
 
     p = sub.add_parser("sporadic", parents=[common],
                        help="sporadic-solution growth report")
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--b", type=_integer, required=True)
+    p.add_argument("--k", type=_integer, required=True)
     p.add_argument("--checkpoints", required=True)
 
     p = sub.add_parser("cdf", parents=[common],
@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe", parents=[common],
                        help="approximate a target by abundancy ratios")
     p.add_argument("--ell", required=True, help="target value > 1 (exact decimal)")
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--depth", type=_integer, default=8)
     p.add_argument("--search-limit", type=_integer, default=10**4)
 
     p = sub.add_parser("gcdsum", parents=[common],
@@ -378,6 +378,9 @@ def main(argv=None) -> int:
             CacheFormatError, OSError, OverflowError) as exc:
         # OverflowError: an exact input (such as --ell 1e400) beyond float64 or int64
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except MemoryError as exc:  # such as figure1's checkpoint column at --limit 1e15
+        sys.stderr.write(f"error: out of memory: {exc}\n")
         return 2
 
     if args.out:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .exact import _CheckpointCounter
 from .sieve import SigmaSource
-from .types import RationalTarget, ThresholdSpec, as_exact_fraction
+from .types import RationalTarget, ThresholdSpec, as_exact_fraction, int64_column
 from .within import _banded, _decide_segment, count_thresholds
 
 _BAND = 1e-12
@@ -72,7 +72,7 @@ def empirical_cdf(limit: int, grid, source: Optional[SigmaSource] = None,
     if list(fracs) != sorted(fracs):
         raise ValueError("grid must be ascending")
     source = source or SigmaSource()
-    counter = _CheckpointCounter(np.array([limit], dtype=np.int64), len(fracs))
+    counter = _CheckpointCounter(int64_column([limit]), len(fracs))
     for blk in source.blocks(limit):
         n = blk.n_values()
         sig = blk.sigma.view(np.int64)
@@ -122,7 +122,7 @@ def phase_experiment(target, regime: str, checkpoints,
             cf = Fraction(1, 2) if c is None else ThresholdSpec.power(c).param
             spec, goal = ThresholdSpec.power(cf), 0.0
         else:
-            cf, spec, goal = None, ThresholdSpec.custom(lambda y: y * np.log(y)), 1.0
+            cf, spec, goal = None, ThresholdSpec.x_log_x(), 1.0
         counts = count_thresholds(target, [spec], checkpoints, source)
         densities = [s / x for s, x in zip(counts.strict[0].tolist(), checkpoints)]
         deviations = [abs(d - goal) for d in densities]
@@ -138,7 +138,7 @@ def phase_experiment(target, regime: str, checkpoints,
     cf, ell = spec.param, target.fraction
 
     # one pass: the open window and the CDF counts at l + c and l - c
-    counter = _CheckpointCounter(np.asarray(checkpoints, dtype=np.int64), 3)
+    counter = _CheckpointCounter(int64_column(checkpoints), 3)
     for blk in source.blocks(checkpoints[-1]):
         n = blk.n_values()
         sig = blk.sigma.view(np.int64)

@@ -79,6 +79,11 @@ class _CheckpointCounter:
             self.partial[row, self._inner] += _counts_upto(offsets, self._upto)
         self.carry[row, self._j1] += np.count_nonzero(hits) if mask else len(hits)
 
+    def add_from(self, row: int, first: np.ndarray, sign: int = 1) -> None:
+        """Count sign hits at each checkpoint index of first and at every later
+        one (an index of len(checkpoints) is none of them)."""
+        self.carry[row] += sign * np.bincount(first, minlength=len(self.checkpoints) + 1)[:-1]
+
     def counts(self) -> np.ndarray:
         """The int64 [row, checkpoint] grid of hits <= each checkpoint."""
         return np.cumsum(self.carry, axis=1) + self.partial
@@ -136,12 +141,9 @@ def wirsing_count_check(target, checkpoints, source: Optional[SigmaSource] = Non
     target = RationalTarget.parse(target)
     checkpoints = sorted(int(x) for x in checkpoints)
     census = enumerate_perfect(target, checkpoints[-1], source, checkpoints)
-    ratios = []
-    for x, count in zip(checkpoints, census.counting.counts):
-        if count < 1 or x < 3:
-            ratios.append(math.nan)
-        else:
-            ratios.append(math.log(count) / (math.log(x) / math.log(math.log(x))))
+    ratios = [math.nan if count < 1 or x < 3 else
+              math.log(count) / (math.log(x) / math.log(math.log(x)))
+              for x, count in zip(checkpoints, census.counting.counts)]
     finite = [r for r in ratios if not math.isnan(r)]
     grew = len(finite) >= 2 and finite[-1] > finite[0] + 1e-12
     series = CheckpointSeries(checkpoints, census.counting.counts,
@@ -158,12 +160,6 @@ class SeriesSums:
     members: list[int]
     reciprocal: Fraction          # sum of 1/m, exact
     log_weighted: mpmath.mpf      # sum of log(m)/m at 50 digits
-
-    def reciprocal_decimal(self, places: int = 12) -> str:
-        import mpmath  # deferred: mpmath is about a fifth of the CLI's import time
-
-        return mpmath.nstr(mpmath.mpf(self.reciprocal.numerator) / self.reciprocal.denominator,
-                           places, strip_zeros=False)
 
 
 def series_partial_sums(target, limit: int, source: Optional[SigmaSource] = None) -> SeriesSums:

@@ -10,11 +10,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidThresholdError
+from .errors import InvalidThresholdError, SigmaOverflowError
 
 #: Largest admissible denominator for an exact power-threshold exponent.
 MAX_EXPONENT_DENOMINATOR = 10
@@ -83,7 +83,7 @@ class RationalTarget:
 
 
 #: Threshold kinds understood by the counting engine.
-THRESHOLD_KINDS = ("power", "constant", "linear", "x_over_log", "custom")
+THRESHOLD_KINDS = ("power", "constant", "linear", "x_over_log", "x_log_x")
 
 
 @dataclass(frozen=True)
@@ -92,15 +92,12 @@ class ThresholdSpec:
 
     kind        one of THRESHOLD_KINDS
     param       exact Fraction parameter (exponent c, constant k0, or slope)
-    fn          callable for kind="custom"; must accept a numpy float array
-                and do any clipping itself
     strict      compare with "<" (default) instead of "<="
     at_limit    evaluate the threshold at the counting limit x instead of n
     """
 
     kind: str
     param: Optional[Fraction] = None
-    fn: Optional[Callable] = None
     strict: bool = True
     at_limit: bool = False
 
@@ -119,8 +116,6 @@ class ThresholdSpec:
         elif self.kind in ("constant", "linear"):
             if self.param is None or self.param <= 0:
                 raise InvalidThresholdError(f"{self.kind} threshold needs a positive parameter")
-        elif self.kind == "custom" and self.fn is None:
-            raise InvalidThresholdError("custom threshold needs a callable")
 
     # --- constructors ---
 
@@ -145,14 +140,9 @@ class ThresholdSpec:
         return cls("x_over_log", strict=strict, at_limit=at_limit)
 
     @classmethod
-    def custom(cls, fn: Callable, *, strict: bool = True,
-               at_limit: bool = False) -> "ThresholdSpec":
-        """A tabulated/callable threshold, decided in float64 with no exact
-        fallback: |b*sigma(n) - a*n| and b*fn(n) are compared as float64, so
-        two values that round to the same double are a tie (Df == t), left
-        out under strict "<" and counted under "<=", even when the exact
-        values differ.  fn does its own clipping (np.maximum, np.minimum)."""
-        return cls("custom", fn=fn, strict=strict, at_limit=at_limit)
+    def x_log_x(cls, *, strict: bool = True, at_limit: bool = False) -> "ThresholdSpec":
+        """k(y) = y*log(y), the superlinear regime (k(1) = 0)."""
+        return cls("x_log_x", strict=strict, at_limit=at_limit)
 
     @classmethod
     def parse(cls, text: str) -> "ThresholdSpec":
@@ -172,22 +162,21 @@ class ThresholdSpec:
         raise InvalidThresholdError(f"malformed threshold {text!r}")
 
     def describe(self) -> str:
-        if self.kind == "power":
-            return f"y^{self.param}"
-        if self.kind == "constant":
-            return str(self.param)
-        if self.kind == "linear":
-            return f"{self.param}*y"
-        if self.kind == "x_over_log":
-            return "y/log y"
-        return "custom"
+        return {"power": f"y^{self.param}", "constant": str(self.param),
+                "linear": f"{self.param}*y", "x_over_log": "y/log y",
+                "x_log_x": "y*log y"}[self.kind]
 
 
 def int64_column(values) -> np.ndarray:
-    """values as an int64 array; a range becomes np.arange, so no list of ints is built."""
-    if isinstance(values, range):
-        return np.arange(values.start, values.stop, values.step, dtype=np.int64)
-    return np.asarray(values, dtype=np.int64)
+    """values as an int64 array; a range becomes np.arange, so no list of ints
+    is built.  A value beyond int64 is refused as beyond the domain cap."""
+    try:
+        if isinstance(values, range):
+            return np.arange(values.start, values.stop, values.step, dtype=np.int64)
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        top = max(values[0], values[-1]) if isinstance(values, range) else max(values)
+        raise SigmaOverflowError(f"limit {top} exceeds the domain cap 2^55") from None
 
 
 class CheckpointSeries:

@@ -2,23 +2,23 @@
 
 The comparison clears the denominator b first, so everything is decided on
 integers D = |b*sigma(n) - a*n|.  Constant and linear thresholds are int64
-compares.  Power and y/log y thresholds (and distribution's sigma(n)/n <= u)
-share one exact decide, _banded: a float64 prefilter with a guard band, then
-an exact sign for the few values inside the band.  A power n^(p/q) is
+compares.  Power, y/log y and y*log y thresholds (and distribution's
+sigma(n)/n <= u) share one exact decide, _banded: a float64 prefilter with a
+guard band, then an exact sign for the values inside it.  A power n^(p/q) is
 prefiltered on one effective exponent e(n) = log(D/b)/log(n) per n for every
 exponent, and its sign compares D^q with b^q * n^p.  Ties come back as
 offsets, so the strict and non-strict conventions share a single pass.
 
 count_thresholds decides SigmaSource.blocks, views of at most 2^16 n whose
 working arrays stay in L2, and counts hits up to each checkpoint through
-exact._CheckpointCounter.  count_at_limit still walks whole segments.
+exact._CheckpointCounter, thresholds frozen at the checkpoint (at_limit) too.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -45,23 +45,30 @@ def _power_compare(D: int, b: int, n: int, c: Fraction) -> int:
     return (lhs > rhs) - (lhs < rhs)
 
 
-def _xlog_compare(D: int, b: int, n: int) -> int:
-    """Certified sign of D - b*n/log(n) for n >= 2: -1 below, +1 above.
+def _xlog_compare(D: int, b: int, n: int, power: int = -1) -> int:
+    """Certified sign of D - b*n*log(n)^power for power -1 (y/log y) or +1
+    (y*log y): -1 below, +1 above, 0 only at n = 1, where y*log y is 0.
 
-    log n is transcendental for n >= 2, so b*n/log n is irrational and never
-    ties the integer D.  It is enclosed in [lo, hi] by rounding log n and the
-    quotient outward, and the precision doubles until D lies outside.
+    log n is transcendental for n >= 2, so b*n*log(n)^power is irrational and
+    never ties the integer D.  It is enclosed in [lo, hi] by rounding log n and
+    the quotient or product outward, and the precision doubles until D lies
+    outside.
     """
     # deferred: mpmath is about a fifth of the CLI's import time
-    from mpmath.libmp import from_int, mpf_cmp, mpf_div, mpf_log, round_ceiling, round_floor
+    from mpmath.libmp import (from_int, mpf_cmp, mpf_div, mpf_log, mpf_mul,
+                              round_ceiling, round_floor)
 
+    if n == 1 and power > 0:
+        return (D > 0) - (D < 0)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     d, bn, m = from_int(D), from_int(b * n), from_int(n)
+    op, down, up = ((mpf_div, round_ceiling, round_floor) if power < 0
+                    else (mpf_mul, round_floor, round_ceiling))
     prec = 64
     while True:
-        lo = mpf_div(bn, mpf_log(m, prec, round_ceiling), prec, round_floor)
-        hi = mpf_div(bn, mpf_log(m, prec, round_floor), prec, round_ceiling)
+        lo = op(bn, mpf_log(m, prec, down), prec, round_floor)
+        hi = op(bn, mpf_log(m, prec, up), prec, round_ceiling)
         if mpf_cmp(d, hi) > 0:
             return 1
         if mpf_cmp(d, lo) < 0:
@@ -126,8 +133,8 @@ def _decide_power(c: Fraction, b: int, D: np.ndarray, n: np.ndarray,
 def _decide_segment(threshold: ThresholdSpec, b: int, D: np.ndarray,
                     n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(inside, ties) for D < b*k(n) over one block: a bool mask and the
-    ascending int64 offsets where D = b*k(n), decided exactly for every kind
-    but custom."""
+    ascending int64 offsets where D = b*k(n), decided exactly for every kind.
+    n need not be ascending (at-limit rows pass one checkpoint per element)."""
     kind = threshold.kind
     if kind == "power":
         return _decide_power(threshold.param, b, D, n, _exponents(D, b, n))
@@ -135,23 +142,43 @@ def _decide_segment(threshold: ThresholdSpec, b: int, D: np.ndarray,
         k = b * threshold.param  # D < k or D < k*n, cleared of k's denominator
         linear = kind == "linear"
         if max(int(D.max(initial=0)) * k.denominator,
-               k.numerator * (int(n[-1]) if linear else 1)) >= 2**62:
+               k.numerator * (int(n.max(initial=0)) if linear else 1)) >= 2**62:
             raise CapabilityError(  # the compares below live in int64
                 "threshold parameters at this limit exceed the int64 working range")
         lhs = D * np.int64(k.denominator)
         rhs = np.int64(k.numerator) * (n if linear else 1)
         return lhs < rhs, np.flatnonzero(lhs == rhs)
-    Df = D.astype(np.float64)
-    if kind == "x_over_log":
-        logn = np.log(n.astype(np.float64))
-        t = np.divide(b * n.astype(np.float64), logn,
-                      out=np.full(len(n), np.inf), where=logn > 0)
-        return _banded(Df, t * (1.0 - _BAND), t * (1.0 + _BAND),
-                       lambda i: _xlog_compare(int(D[i]), b, int(n[i])))
-    if kind == "custom":
-        t = b * np.asarray(threshold.fn(n.astype(np.float64)), dtype=np.float64)
-        return Df < t, np.flatnonzero(Df == t)
+    if kind in ("x_over_log", "x_log_x"):  # k(1) is +inf for y/log y, 0 for y*log y
+        nf = n.astype(np.float64)
+        logn = np.log(nf)
+        power = -1 if kind == "x_over_log" else 1
+        t = (np.divide(b * nf, logn, out=np.full(len(n), np.inf), where=logn > 0)
+             if power < 0 else b * nf * logn)
+        return _banded(D.astype(np.float64), t * (1.0 - _BAND), t * (1.0 + _BAND),
+                       lambda i: _xlog_compare(int(D[i]), b, int(n[i]), power))
     raise InvalidThresholdError(f"unsupported threshold kind {kind!r}")
+
+
+def _bisect(threshold: ThresholdSpec, b: int, D: np.ndarray, start: np.ndarray,
+            cks: np.ndarray, strict: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Per element, the least checkpoint index j >= start with D < b*k(cks[j])
+    (<= unless strict), len(cks) if none, and whether D = b*k(cks[j]) there.
+    k is nondecreasing over checkpoints >= 3, so each round decides every open
+    element exactly at the middle of its own index range."""
+    lo, hi = start.copy(), np.full_like(start, len(cks))
+    tie = np.zeros(len(lo), dtype=bool)  # whether the decide at hi was a tie
+    active = np.flatnonzero(lo < hi)
+    while len(active):
+        mid = (lo[active] + hi[active]) // 2
+        inside, ties = _decide_segment(threshold, b, D[active], cks[mid])
+        at = np.zeros(len(active), dtype=bool)
+        at[ties] = not strict
+        inside |= at
+        hi[active[inside]] = mid[inside]
+        tie[active[inside]] = at[inside]
+        lo[active[~inside]] = mid[~inside] + 1
+        active = active[lo[active] < hi[active]]
+    return lo, tie
 
 
 @dataclass(eq=False)
@@ -172,31 +199,50 @@ class ThresholdCounts:
 def count_thresholds(target, thresholds: list[ThresholdSpec], checkpoints,
                      source: Optional[SigmaSource] = None,
                      include_one: bool = True) -> ThresholdCounts:
-    """One streaming pass over [1, max checkpoint] for several thresholds at once."""
+    """One streaming pass over [1, max checkpoint] for several thresholds at once.
+
+    An at_limit threshold counts n at x when n <= x and D(n) < b*k(x).  From
+    x = 3 on every kind is nondecreasing, so n counts from the first such
+    checkpoint on (_bisect) and ties are the <= first indices less the < ones.
+    """
     target = RationalTarget.parse(target)
     cks = np.sort(int64_column(checkpoints))
     limit = int(cks[-1])
     source = source or SigmaSource()
     _guard_linear(target.a, target.b, limit)
-    if any(t.at_limit for t in thresholds):
-        raise InvalidThresholdError(
-            "at_limit thresholds need count_at_limit (k is evaluated per checkpoint)")
 
     a, b = target.a, target.b
     rows = len(thresholds)  # strict counts in rows [0, rows), ties in [rows, 2*rows)
     counter = _CheckpointCounter(cks, 2 * rows)
+    at_limit = any(t.at_limit for t in thresholds)
     for blk in source.blocks(limit):
         n = blk.n_values()
         D = np.abs(np.int64(b) * blk.sigma.view(np.int64) - np.int64(a) * n)
+        skip = int(not include_one and blk.lo == 1)  # leaves out n = 1
         e = None  # effective exponents, shared by every power threshold
+        start = np.searchsorted(cks, np.maximum(n[skip:], 3)) if at_limit else None
         counter.block(blk)
         for i, threshold in enumerate(thresholds):
+            if threshold.at_limit:  # from the first checkpoint >= max(n, 3)
+                loose, tie = _bisect(threshold, b, D[skip:], start, cks, strict=False)
+                strict, t = loose.copy(), np.flatnonzero(tie)  # only a tie moves on
+                strict[t] = _bisect(threshold, b, D[skip:][t], loose[t] + 1, cks, True)[0]
+                counter.add_from(i, strict)
+                counter.add_from(rows + i, loose)
+                counter.add_from(rows + i, strict, -1)
+                if blk.lo == 1:  # y/log y falls up to e: x = 1, 2 (x > skip) directly
+                    for j in range(*np.searchsorted(cks, (1 + skip, 3))):
+                        x = int(cks[j])
+                        inside, ties = _decide_segment(threshold, b, D[skip:x],
+                                                       np.full(x - skip, x))
+                        counter.partial[[i, rows + i], j] += np.count_nonzero(inside), len(ties)
+                continue
             if threshold.kind == "power":
                 e = _exponents(D, b, n) if e is None else e
                 inside, ties = _decide_power(threshold.param, b, D, n, e)
             else:
                 inside, ties = _decide_segment(threshold, b, D, n)
-            if not include_one and blk.lo == 1:
+            if skip:
                 inside[0] = False
                 ties = ties[ties > 0]
             counter.add(i, inside)
@@ -208,30 +254,9 @@ def count_thresholds(target, thresholds: list[ThresholdSpec], checkpoints,
 def count_at_limit(target, threshold: ThresholdSpec, checkpoints,
                    source: Optional[SigmaSource] = None,
                    include_one: bool = True) -> ThresholdCounts:
-    """Variant with the threshold frozen at each checkpoint: |D| < b*k(x).
-
-    Counts need not be monotone across checkpoints here, since the threshold
-    value changes with x.
-    """
-    target = RationalTarget.parse(target)
-    cks = np.sort(int64_column(checkpoints))
-    limit = int(cks[-1])
-    source = source or SigmaSource()
-    _guard_linear(target.a, target.b, limit)
-    a, b = target.a, target.b
-
-    counts = np.zeros((2, len(cks)), dtype=np.int64)
-    for seg in source.segments(limit):
-        n = seg.n_values()
-        D = np.abs(np.int64(b) * seg.sigma.view(np.int64) - np.int64(a) * n)
-        skip = int(not include_one and seg.lo == 1)  # leaves out n = 1
-        for j, ck in enumerate(cks):
-            if ck >= seg.lo + skip:
-                d = D[skip:min(ck, seg.hi) - seg.lo + 1]
-                x = np.full(len(d), ck, dtype=np.int64)
-                inside, ties = _decide_segment(threshold, b, d, x)
-                counts[:, j] += [np.count_nonzero(inside), len(ties)]
-    return ThresholdCounts(target, [threshold], cks, counts[:1], counts[1:])
+    """count_thresholds with the threshold frozen at each checkpoint: D < b*k(x)."""
+    return count_thresholds(target, [replace(threshold, at_limit=True)], checkpoints,
+                            source, include_one)
 
 
 def series(target, threshold: ThresholdSpec, checkpoints,
@@ -239,13 +264,8 @@ def series(target, threshold: ThresholdSpec, checkpoints,
            include_one: bool = True) -> CheckpointSeries:
     """Within-perfect counts and quotients count/(x/log x) at each checkpoint."""
     target = RationalTarget.parse(target)
-    if threshold.at_limit:
-        counts = count_at_limit(target, threshold, checkpoints, source, include_one)
-    else:
-        counts = count_thresholds(target, [threshold], checkpoints, source, include_one)
-    resolved = counts.strict[0]
-    if not threshold.strict:
-        resolved = resolved + counts.ties[0]
+    counts = count_thresholds(target, [threshold], checkpoints, source, include_one)
+    resolved = counts.strict[0] + (0 if threshold.strict else counts.ties[0])
     return CheckpointSeries(
         counts.checkpoints, resolved,
         label=f"within l={target} k={threshold.describe()}")
@@ -383,16 +403,11 @@ def theorem_limit_check(target, threshold: ThresholdSpec, checkpoints,
     c = threshold.param
 
     if census.members:
-        partials, deviations = [], []
-        for j, x in enumerate(checkpoints):
-            upto = [m for m in census.members if m <= x]
-            partial = float(_fraction_sum([Fraction(1, m) for m in upto]))
-            partials.append(partial)
-            deviations.append(abs(within_counts.quotients[j] - partial))
-        if len(deviations) >= 2:
-            trend = "narrowing" if deviations[-1] <= deviations[0] else "widening"
-        else:
-            trend = "n/a"
+        partials = [float(_fraction_sum([Fraction(1, m) for m in census.members if m <= x]))
+                    for x in checkpoints]
+        deviations = [abs(q - p) for q, p in zip(within_counts.quotients, partials)]
+        trend = ("n/a" if len(deviations) < 2 else
+                 "narrowing" if deviations[-1] <= deviations[0] else "widening")
         return LimitCheckReport(target, c, checkpoints, "limit",
                                 within_counts.counts, within_counts.quotients,
                                 partials, deviations, trend, [], None)

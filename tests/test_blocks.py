@@ -10,8 +10,10 @@ U32_SIGMA_LIMIT and in u64 above; both sides are checked against the oracle.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,11 +27,10 @@ from withinperfect.within import count_thresholds
 
 LENGTHS = (DEFAULT_SEGMENT_LENGTH, 1024, 5000)
 
-#: Every threshold kind; the custom one is decided in float64 only.
+#: Every threshold kind.
 THRESHOLDS = (ThresholdSpec.power("1/2"), ThresholdSpec.power("7/10"),
               ThresholdSpec.constant("5/2"), ThresholdSpec.linear("1/10"),
-              ThresholdSpec.x_over_log(),
-              ThresholdSpec.custom(lambda y: 3 * np.sqrt(y)))
+              ThresholdSpec.x_over_log(), ThresholdSpec.x_log_x())
 
 #: Query points hit exactly: 7/4 by 4, 2 by the perfect numbers, 21/10 by 20,
 #: 3 by 120 and 672; the two beside 2 sit inside its guard band.
@@ -65,6 +66,66 @@ def test_counts_do_not_depend_on_block_edges(checkpoints, target, include_one):
                      phase.densities, phase.references))
     assert runs[1] == runs[0]
     assert runs[2] == runs[0]
+
+
+def _threshold_floor(spec, b, x):
+    """(floor of b*k(x), whether b*k(x) is that integer) from the definition,
+    or None where b*k(x) is +inf (y/log y at x = 1)."""
+    if spec.kind in ("constant", "linear"):
+        t = b * spec.param * (x if spec.kind == "linear" else 1)
+        return t.numerator // t.denominator, t.denominator == 1
+    if spec.kind == "power":  # b*x^(p/q) is the q-th root of b^q * x^p
+        p, q = spec.param.numerator, spec.param.denominator
+        v = b**q * x**p
+        r = int(round(v ** (1.0 / q)))
+        while r**q > v:
+            r -= 1
+        while (r + 1) ** q <= v:
+            r += 1
+        return r, r**q == v
+    if x == 1:  # log 1 = 0
+        return (None, False) if spec.kind == "x_over_log" else (0, True)
+    with mpmath.workdps(40):  # irrational for x >= 2
+        power = -1 if spec.kind == "x_over_log" else 1
+        return int(mpmath.floor(b * x * mpmath.log(x) ** power)), False
+
+
+@st.composite
+def at_limit_checkpoints(draw):
+    """1, 2, 3, 4, some of BLOCK_LENGTH - 1, BLOCK_LENGTH, BLOCK_LENGTH + 1, a
+    few more anywhere, and duplicates of some of them, ascending."""
+    edges = [BLOCK_LENGTH + d for d in (-1, 0, 1)]
+    chosen = [1, 2, 3, 4] + draw(st.lists(st.sampled_from(edges), max_size=3))
+    chosen += draw(st.lists(st.integers(1, BLOCK_LENGTH + 1), max_size=3))
+    return sorted(chosen + draw(st.lists(st.sampled_from(chosen), min_size=1, max_size=3)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(checkpoints=at_limit_checkpoints(), target=st.sampled_from(("2", "3/2", "7/2")),
+       include_one=st.booleans(), length=st.sampled_from((DEFAULT_SEGMENT_LENGTH, 1024)))
+def test_at_limit_rows_match_brute_force(oracle_sigma, checkpoints, target,
+                                         include_one, length):
+    # n <= x counts at x when D(n) < b*k(x) (ties: D(n) = b*k(x)), for every kind
+    target = RationalTarget.parse(target)
+    a, b = target.a, target.b
+    top = checkpoints[-1]
+    D = np.abs(b * np.array(oracle_sigma[1:top + 1]) - a * np.arange(1, top + 1))
+    specs = [replace(spec, at_limit=True) for spec in THRESHOLDS]
+    got = count_thresholds(target, specs, checkpoints, SigmaSource(segment_length=length),
+                           include_one)
+    for i, spec in enumerate(specs):
+        strict, ties = [], []
+        for x in checkpoints:
+            d = D[(0 if include_one else 1):x]
+            floor, exact = _threshold_floor(spec, b, x)
+            if floor is None:
+                strict.append(len(d))
+                ties.append(0)
+            else:
+                strict.append(int(np.count_nonzero(d < floor if exact else d <= floor)))
+                ties.append(int(np.count_nonzero(d == floor)) if exact else 0)
+        assert got.strict[i].tolist() == strict, spec
+        assert got.ties[i].tolist() == ties, spec
 
 
 @pytest.mark.parametrize("include_one", [True, False])

@@ -6,6 +6,7 @@ comparison D^q vs b^q * n^p, for random segment layouts, checkpoints (before
 a segment, at its first and last n, inside it) and exponents p/q, q <= 10.
 """
 
+import itertools
 from fractions import Fraction
 
 import mpmath
@@ -121,37 +122,48 @@ def test_power_decide_near_the_threshold_up_to_the_domain_cap():
 
 
 def test_xlog_decide_near_the_threshold_up_to_the_domain_cap():
-    # D just below and above b*n/log n for n up to 2^55; the band sends
-    # every large D to the exact sign.  n = 1 reads k(1) as +inf.
+    # D just below and above b*n*log(n)^power for n up to 2^55, for y/log y
+    # (power -1) and y*log y (+1); the band sends every large D to the exact
+    # sign.  At n = 1, y/log y is read as +inf and y*log y is 0, which D = 0 ties.
     rng = np.random.default_rng(7)
     ns = rng.integers(4, 2**55, size=60).tolist() + [2, 3]
-    for b in (1, 3):
+    for (kind, power), b in itertools.product((("x_over_log", -1), ("x_log_x", 1)), (1, 3)):
         Ds, nn = [], []
         with mpmath.workdps(50):
             for n in ns:
-                r = int(mpmath.floor(mpmath.mpf(b * n) / mpmath.log(n)))
+                r = int(mpmath.floor(b * n * mpmath.log(n) ** power))
                 Ds += [r - 1, r, r + 1]
                 nn += [n] * 3
         Ds += [0, 1, 2**53]
         nn += [1] * 3
         D = np.array(Ds, dtype=np.int64)
         n = np.array(nn, dtype=np.int64)
-        inside, ties = _decide_segment(ThresholdSpec.x_over_log(), b, D, n)
-        want = [-1 if m == 1 else _xlog_compare(d, b, m) for d, m in zip(Ds, nn)]
+        inside, ties = _decide_segment(ThresholdSpec(kind), b, D, n)
+        want = [-1 if m == 1 and power < 0 else _xlog_compare(d, b, m, power)
+                for d, m in zip(Ds, nn)]
         assert inside.tolist() == [s < 0 for s in want]
-        assert ties.tolist() == [i for i, s in enumerate(want) if s == 0] == []
-        assert want.count(1) == len(ns)  # r + 1 is outside for every n >= 2
+        assert ties.tolist() == [i for i, s in enumerate(want) if s == 0]
+        assert ties.tolist() == ([] if power < 0 else [len(Ds) - 3])
+        assert want.count(1) == len(ns) + (0 if power < 0 else 2)
 
 
 @settings(max_examples=200, deadline=None)
-@given(n=st.integers(2, 2**55), b=st.integers(1, 64), offset=st.integers(-2, 2))
-@example(n=27141237679848073, b=1, offset=0)  # n/log n is 3.1e-6 above an integer,
-@example(n=27141237679848073, b=1, offset=1)  # so 64 bits cannot place it
-def test_xlog_compare_is_a_certified_sign(n, b, offset):
-    # b*n/log n is irrational for n >= 2, so the sign is never 0; D is drawn
-    # beside floor(b*n/log n), as close to it as an integer gets
+@given(n=st.integers(2, 2**55), b=st.integers(1, 64), offset=st.integers(-2, 2),
+       power=st.sampled_from((-1, 1)))
+@example(n=27141237679848073, b=1, offset=0, power=-1)  # n/log n is 3.1e-6 above an
+@example(n=27141237679848073, b=1, offset=1, power=-1)  # integer: 64 bits cannot place it
+def test_xlog_compare_is_a_certified_sign(n, b, offset, power):
+    # b*n*log(n)^(+-1) is irrational for n >= 2, so the sign is never 0; D is
+    # drawn beside its floor, as close to it as an integer gets
     with mpmath.workdps(60):
-        t = mpmath.mpf(b * n) / mpmath.log(n)
+        t = b * n * mpmath.log(n) ** power
         D = max(int(mpmath.floor(t)) + offset, 0)
         want = 1 if D > t else -1
-    assert _xlog_compare(D, b, n) == want
+    assert _xlog_compare(D, b, n, power) == want
+
+
+def test_xlog_compare_at_one():
+    # 1*log 1 = 0 exactly, so the y*log y sign at n = 1 is that of D
+    assert [_xlog_compare(d, 3, 1, 1) for d in (0, 1, 5)] == [0, 1, 1]
+    with pytest.raises(ValueError):
+        _xlog_compare(0, 1, 1)

@@ -81,7 +81,7 @@ def test_series_matches_pointwise_counts():
 def test_segmentation_invariance():
     spec = ThresholdSpec.power("0.7")
     a = series("2", spec, [10**4], SigmaSource(segment_length=2**10))
-    b = series("2", spec, [10**4], SigmaSource(segment_length=2**14, threads=4))
+    b = series("2", spec, [10**4], SigmaSource(segment_length=2**14, threads=2))
     assert a.counts == b.counts
 
 
@@ -125,21 +125,37 @@ def test_checkpoints_in_any_order(count):
         assert (got.strict.tolist(), got.ties.tolist()) == (want.strict.tolist(), want.ties.tolist())
 
 
+def test_mixed_at_n_and_at_limit_rows_equal_separate_calls():
+    specs = [ThresholdSpec.power("1/2"), ThresholdSpec.power("1/2", at_limit=True),
+             ThresholdSpec.x_over_log(at_limit=True), ThresholdSpec.x_over_log(),
+             ThresholdSpec.constant(2), ThresholdSpec.linear("1/10", at_limit=True),
+             ThresholdSpec.x_log_x(at_limit=True)]
+    checkpoints = [1, 2, 2, 3, 4, 100, 1025, 5000, 5000, 70000]
+    for include_one in (True, False):
+        source = SigmaSource(segment_length=1024)
+        mixed = count_thresholds("3/2", specs, checkpoints, source, include_one)
+        for i, spec in enumerate(specs):
+            alone = count_thresholds("3/2", [spec], checkpoints, source, include_one)
+            assert mixed.strict[i].tolist() == alone.strict[0].tolist()
+            assert mixed.ties[i].tolist() == alone.ties[0].tolist()
+
+
+def test_linear_guard_reads_the_largest_x():
+    # at-limit rows decide each n at its own checkpoint, so x is not ascending
+    spec = ThresholdSpec.linear(2**59, at_limit=True)
+    D = np.array([1, 1], dtype=np.int64)
+    with pytest.raises(CapabilityError):
+        _decide_segment(spec, 1, D, np.array([8, 3], dtype=np.int64))
+    inside, ties = _decide_segment(spec, 1, D, np.array([7, 3], dtype=np.int64))
+    assert inside.tolist() == [True, True] and ties.tolist() == []
+
+
 def test_x_over_log_series_defined_everywhere():
     result = series("2", ThresholdSpec.x_over_log(), list(range(2, 101)))
     assert len(result.counts) == 99
     assert result.counts[0] == 2  # n=1 (k(1) = +inf) and n=2
     assert all(q > 0 for q in result.quotients)
     assert all(b >= a for a, b in zip(result.counts, result.counts[1:]))
-
-
-def test_custom_threshold():
-    spec = ThresholdSpec.custom(lambda y: 5.0 * np.ones_like(y))
-    got = count_within("2", spec, 100)
-    want = count_within("2", ThresholdSpec.constant(5), 100)
-    assert got.counts == want.counts
-    clipped = ThresholdSpec.custom(lambda y: np.maximum(0.0 * y, 5.0))
-    assert count_within("2", clipped, 100).counts == want.counts
 
 
 def test_threshold_validation():
