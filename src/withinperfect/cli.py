@@ -247,7 +247,11 @@ def _dispatch(args, config: RunConfig) -> str:
         segment = sieve_segment(args.lo, args.hi)
         if args.cache_path:
             cache.write_segment(segment, args.cache_path)
-        total = int(segment.sigma.sum(dtype=object))
+        # A u64 sum of 2^25 values below 2^61 can wrap, so the low and high
+        # 32-bit halves are summed apart (each below 2^57) and joined exactly.
+        halves = segment.sigma.astype("<u8", copy=False).view("<u4").reshape(-1, 2)
+        low, high = (int(halves[:, j].sum(dtype="u8")) for j in (0, 1))
+        total = low + (high << 32)
         return f"lo,hi,length,sigma_total\n{segment.lo},{segment.hi},{len(segment)},{total}\n"
 
     if args.command == "count":
@@ -316,7 +320,7 @@ def _dispatch(args, config: RunConfig) -> str:
     if args.command == "sporadic":
         report = congruence.sporadic_growth_report(
             args.b, args.k, parse_checkpoints(args.checkpoints), source)
-        return emit.sporadic_text(report) if fmt == "table" else emit.sporadic_csv(report)
+        return emit.sporadic_text(report) if fmt == "table" else emit.series_csv(report.series)
 
     if args.command == "cdf":
         grid = [g.strip() for g in args.grid.split(",") if g.strip()]

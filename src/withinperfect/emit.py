@@ -1,19 +1,17 @@
 """Deterministic text emitters: CSV (comma, LF, no BOM) and JSON/NDJSON.
 
 Field order is fixed and quotients print with 6 decimals so identical runs
-produce byte-identical artifacts.  The long outputs (a checkpoint series as
-CSV, solution records as JSON or NDJSON) are rendered from their numpy
-columns in blocks of _BLOCK rows, with the bytes the per-row f-string or
-json.dumps gives.  The series CSV is built in numpy (digits by integer
-division, the sixth decimal by rint with an exact per-row fallback in a
-guard band, see _series_block).
+produce byte-identical artifacts.  The long outputs (a series or Wirsing
+CSV, solution records as JSON or NDJSON) are rendered from their columns in
+blocks of _BLOCK rows by one renderer, _rows, with the bytes of json.dumps
+or the f-string that the rows it cannot render exactly fall back to.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -28,62 +26,31 @@ def fmt6(value: float) -> str:
     return f"{value:.6f}"  # NaN (of either sign) prints as "nan"
 
 
-#: Rows rendered per block, so the per-block arrays, strings and ints stay small.
+#: Rows per block of a series, whose uint8 matrix is then about 2 MB.  A record
+#: is about four times as wide, so records go _BLOCK // 4 to a block.
 _BLOCK = 1 << 16
 
-#: The sixth decimal of q is rint(q * 10^6) only below this scaled value.
-_SCALED_LIMIT = 2.0**52
 
-_COMMA, _POINT, _NEWLINE = (np.frombuffer(ch, dtype=np.uint8)[None, :]
-                            for ch in (b",", b".", b"\n"))
-
-
-def series_csv(series: CheckpointSeries) -> str:
-    """x,count,quotient rows, the bytes of f"{x},{c},{q:.6f}" per row,
-    rendered from the columns block by block (see _series_block)."""
-    return "x,count,quotient\n" + "".join(
-        _series_block(series.x[i : i + _BLOCK], series.count[i : i + _BLOCK],
-                      series.quotient[i : i + _BLOCK])
-        for i in range(0, len(series), _BLOCK))
-
-
-def _series_block(x: np.ndarray, c: np.ndarray, q: np.ndarray) -> str:
-    """The rows of one block, laid out in a uint8 array whose 0 bytes are dropped.
-
-    The quotient prints as rint(s) with s = q * 10^6, split at the point.
-    format(q, ".6f") is the exact value of q rounded half-even to six
-    decimals, i.e. the integer nearest the exact S = q * 10^6.  The one
-    rounding of the product gives |s - S| <= 2^-53 * s.  For s < 2^52 that is
-    below 1/2, so S can lie across no half-integer but h = floor(s) + 1/2
-    (the others are at least 1/2 from s), and rint(s) is the integer nearest
-    S whenever |s - h| > 2^-53 * s.  Rows with |s - h| <= 2^-52 * s, a band
-    twice that wide, which absorbs the rounding of the test itself, fall back
-    to the per-row f-string.  So do non-finite q, q with the sign bit set
-    ("-0.000000"), s >= 2^52, and a negative x or count.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = q * 1e6
-        fast = (s < _SCALED_LIMIT) & ~np.signbit(q) & (x >= 0) & (c >= 0)
-        s[~fast] = 0.0
-        fast &= np.abs(s - (np.floor(s) + 0.5)) > s * 2.0**-52
-    r = np.rint(s).astype(np.int64)
-    whole = r // 10**6
-    fields = [_digits(x), _COMMA, _digits(c), _COMMA,
-              _digits(whole), _POINT, _digits(r % 10**6, 6), _NEWLINE]
-    rows = np.concatenate([np.broadcast_to(f, (len(x), f.shape[1])) for f in fields], axis=1)
-    rows[~fast] = 0
+def _rows(fields: list, blanks, slow: np.ndarray, fallback: Callable) -> str:
+    """One block of rows, its fields (a uint8 digit block from _digits or a
+    literal str) side by side in a uint8 matrix.  Each (mask, first, stop) of
+    blanks sets fields first..stop-1 to 0 on the rows of mask, and the rows
+    of slow are set to 0 whole.  The 0 bytes are dropped, and fallback(i) is
+    spliced in where each slow row i was (where the row before it ends)."""
+    fields = [np.frombuffer(f.encode(), "u1")[None] if isinstance(f, str) else f for f in fields]
+    edges = np.cumsum([0] + [f.shape[1] for f in fields]).tolist()
+    rows = np.empty((max(len(f) for f in fields), edges[-1]), dtype=np.uint8)
+    for field, a, b in zip(fields, edges, edges[1:]):
+        rows[:, a:b] = field
+    for mask, first, stop in blanks:
+        rows[mask, edges[first]:edges[stop]] = 0
+    late = np.flatnonzero(slow).tolist()
+    rows[late] = 0
     text = rows[rows != 0].tobytes().decode("ascii")
-    slow = np.flatnonzero(~fast).tolist()
-    if not slow:
+    if not late:
         return text
-    ends = np.cumsum(np.count_nonzero(rows, axis=1))  # a slow row is empty: its end is its start
-    parts, prev = [], 0
-    for i in slow:
-        at = int(ends[i])
-        parts += [text[prev:at], f"{int(x[i])},{int(c[i])},{float(q[i]):.6f}\n"]
-        prev = at
-    parts.append(text[prev:])
-    return "".join(parts)
+    cuts = [0, *np.cumsum(np.count_nonzero(rows, axis=1))[late].tolist(), len(text)]
+    return "".join(text[a:b] + row for a, b, row in zip(cuts, cuts[1:], [*map(fallback, late), ""]))
 
 
 def _digits(v: np.ndarray, pad_to: int = 0) -> np.ndarray:
@@ -105,11 +72,42 @@ def _digits(v: np.ndarray, pad_to: int = 0) -> np.ndarray:
     return digits
 
 
+def series_csv(series: CheckpointSeries, header: str = "x,count,quotient") -> str:
+    """The header, then the bytes of f"{x},{c},{q:.6f}" per row."""
+    return header + "\n" + "".join(
+        _series_block(series.x[i : i + _BLOCK], series.count[i : i + _BLOCK],
+                      series.quotient[i : i + _BLOCK])
+        for i in range(0, len(series), _BLOCK))
+
+
 def wirsing_csv(report: WirsingReport) -> str:
-    lines = ["x,count,ratio"]
-    lines += [f"{x},{c},{fmt6(r)}" for (x, c, _), r
-              in zip(report.series.rows(), report.ratios)]
-    return "\n".join(lines) + "\n"
+    s = report.series
+    return series_csv(CheckpointSeries(s.x, s.count, report.ratios), "x,count,ratio")
+
+
+def _series_block(x: np.ndarray, c: np.ndarray, q: np.ndarray) -> str:
+    """The rows f"{x},{c},{q:.6f}\n" of one block, through _rows.
+
+    The quotient prints as rint(s) with s = q * 10^6, split at the point.
+    format(q, ".6f") is the exact value of q rounded half-even to six
+    decimals, i.e. the integer nearest the exact S = q * 10^6.  The one
+    rounding of the product gives |s - S| <= 2^-53 * s.  For s < 2^52 that is
+    below 1/2, so S can lie across no half-integer but h = floor(s) + 1/2
+    (the others are at least 1/2 from s), and rint(s) is the integer nearest
+    S whenever |s - h| > 2^-53 * s.  Rows with |s - h| <= 2^-52 * s, a band
+    twice that wide, which absorbs the rounding of the test itself, fall back
+    to the per-row f-string.  So do non-finite q, q with the sign bit set
+    ("-0.000000"), s >= 2^52, and a negative x or count.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = q * 1e6
+        fast = (s < 2.0**52) & ~np.signbit(q) & (x >= 0) & (c >= 0)
+        s[~fast] = 0.0
+        fast &= np.abs(s - (np.floor(s) + 0.5)) > s * 2.0**-52
+    r = np.rint(s).astype(np.int64)
+    fields = [_digits(x), ",", _digits(c), ",",
+              _digits(r // 10**6), ".", _digits(r % 10**6, 6), "\n"]
+    return _rows(fields, (), ~fast, lambda i: f"{int(x[i])},{int(c[i])},{float(q[i]):.6f}\n")
 
 
 def records_json(records: Iterable[SolutionRecord]) -> str:
@@ -139,33 +137,38 @@ def _json_array(t: SolutionTable, depth: int) -> str:
 
 
 def _records_text(t: SolutionTable, end: str, pad: Optional[str]) -> str:
-    """The records of t, each followed by end, with the bytes json.dumps
-    gives for its to_json_dict(): compact (separators "," and ":") with pad
-    None, else indent=2 with pad before every line.  Rendered from the
-    columns block by block, between the literal pieces of _record_layout."""
-    (r0, r1, r2, r3, r4), (s0, s1, s2) = _record_layout(pad)
-    r4, s2 = r4 + end, s2 + end
-    return "".join("".join([
-        f"{r0}{n}{r1}{s}{r2}{p}{r3}{m}{r4}" if p else f"{s0}{n}{s1}{s}{s2}"
-        for n, s, p, m in zip(b.n.tolist(), b.sigma_n.tolist(), b.p.tolist(), b.m.tolist())])
-        for b in (t[i : i + _BLOCK] for i in range(0, len(t), _BLOCK)))
+    """The records of t, each followed by end, with the bytes of _dumps: the
+    pieces of _record_layout around the digits of n, sigma_n, p and m.  Both
+    kinds of record start with n and sigma_n; the regular fields are blanked
+    on sporadic rows (p = 0), the sporadic tail on regular rows, and a row
+    with a negative column falls back to _dumps of its record."""
+    (head, mid, regular, inner, regular_end), (_, _, sporadic_end) = _record_layout(pad, end)
+
+    def block(b: SolutionTable) -> str:
+        fields = [head, _digits(b.n), mid, _digits(b.sigma_n),
+                  regular, _digits(b.p), inner, _digits(b.m), regular_end, sporadic_end]
+        return _rows(fields, [(b.p == 0, 4, 9), (b.p != 0, 9, 10)],
+                     (b.n < 0) | (b.sigma_n < 0) | (b.p < 0) | (b.m < 0),
+                     lambda i: _dumps(b[i], pad) + end)
+
+    return "".join(block(t[i : i + _BLOCK // 4]) for i in range(0, len(t), _BLOCK // 4))
 
 
-def _record_layout(pad: Optional[str]) -> list[list[str]]:
-    """The literal pieces around n, sigma_n, p and m of a regular record and
-    around n and sigma_n of a sporadic one, cut from json.dumps of the
-    to_json_dict() of records holding the placeholders -1 to -4 (its keys and
-    classification names hold no digits), so the record layout is written
-    once, in SolutionRecord."""
-    kwargs = {"separators": (",", ":")} if pad is None else {"indent": 2}
-    pieces = []
-    for record in (SolutionRecord(-1, -2, "regular", ((-3, -4),)),
-                   SolutionRecord(-1, -2, "sporadic")):
-        text = json.dumps(record.to_json_dict(), **kwargs)
-        if pad is not None:
-            text = pad + text.replace("\n", "\n" + pad)
-        pieces.append(re.split(r"-\d", text))
-    return pieces
+def _dumps(record: SolutionRecord, pad: Optional[str]) -> str:
+    """json.dumps of record.to_json_dict(), compact with pad None, else with
+    indent=2 and pad before every line."""
+    if pad is None:
+        return json.dumps(record.to_json_dict(), separators=(",", ":"))
+    return pad + json.dumps(record.to_json_dict(), indent=2).replace("\n", "\n" + pad)
+
+
+def _record_layout(pad: Optional[str], end: str) -> list[list[str]]:
+    """The pieces around the numbers of a regular and a sporadic record, cut
+    from _dumps(...) + end with the placeholders -1 to -4 (no key or name
+    holds a digit), so a record's layout is written once, in SolutionRecord."""
+    return [re.split(r"-\d", _dumps(record, pad) + end)
+            for record in (SolutionRecord(-1, -2, "regular", ((-3, -4),)),
+                           SolutionRecord(-1, -2, "sporadic"))]
 
 
 def perfect_json(census: PerfectCensus) -> str:
@@ -220,10 +223,6 @@ def gcdsum_csv(report: GcdSumReport) -> str:
     return ("x,m_lo,m_hi,value,bound,bound_ratio,scaled\n"
             f"{report.x},{report.m_lo},{report.m_hi},{report.rounded:.6e},"
             f"{report.bound:.6e},{fmt6(report.bound_ratio)},{fmt6(report.scaled)}\n")
-
-
-def sporadic_csv(report: SporadicGrowthReport) -> str:
-    return series_csv(report.series)
 
 
 def sporadic_text(report: SporadicGrowthReport) -> str:

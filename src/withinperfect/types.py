@@ -195,16 +195,17 @@ class CheckpointSeries:
 
     def __init__(self, checkpoints, counts, quotients=None, label: str = ""):
         self.x = int64_column(checkpoints)
+        _column(self.x, "checkpoints")
         if np.any(self.x[1:] < self.x[:-1]):
             raise ValueError("checkpoints must be ascending")
-        self.count = np.asarray(counts, dtype=np.int64)
+        self.count = _column(np.asarray(counts, dtype=np.int64), "counts", len(self.x))
         if quotients is None:
             quotients = np.full(len(self.x), math.nan)
             start = int(np.searchsorted(self.x, 2))  # x < 2 is an ascending prefix
             x = self.x[start:].astype(np.float64)
             logs = np.fromiter(map(math.log, memoryview(x)), dtype=np.float64, count=len(x))
             quotients[start:] = self.count[start:] / (x / logs)
-        self.quotient = np.asarray(quotients, dtype=np.float64)
+        self.quotient = _column(np.asarray(quotients, dtype=np.float64), "quotients", len(self.x))
         self.label = label
 
     @cached_property
@@ -235,6 +236,15 @@ class CheckpointSeries:
 
     def rows(self):
         return list(zip(self.checkpoints, self.counts, self.quotients))
+
+
+def _column(column: np.ndarray, name: str, length: Optional[int] = None) -> np.ndarray:
+    """column, refused unless it is 1-D and, given a length, that long."""
+    if np.ndim(column) != 1 or length not in (None, len(column)):
+        raise ValueError(f"{name} must be a 1-D column"
+                         f"{'' if length is None else f' of length {length}'}, "
+                         f"got shape {np.shape(column)}")
+    return column
 
 
 def normalized_quotient(count: int, x: int) -> float:
@@ -276,7 +286,8 @@ class SolutionTable(Sequence[SolutionRecord]):
 
     A solution of census or solve_diophantine has at most one witness (see
     sieve._witnesses), so the columns lose nothing.  A SolutionRecord is
-    built only when one is indexed or iterated over.
+    built only when one is indexed or iterated over.  The columns must be
+    1-D and as long as n.
     """
 
     __slots__ = ("n", "sigma_n", "q", "p", "m")
@@ -284,6 +295,9 @@ class SolutionTable(Sequence[SolutionRecord]):
     def __init__(self, n: np.ndarray, sigma_n: np.ndarray, q: np.ndarray,
                  p: np.ndarray, m: np.ndarray):
         self.n, self.sigma_n, self.q, self.p, self.m = n, sigma_n, q, p, m
+        length = len(_column(n, "n"))
+        for name in self.__slots__:
+            _column(getattr(self, name), name, length)
 
     @classmethod
     def concat(cls, parts: list[tuple[np.ndarray, ...]]) -> "SolutionTable":
@@ -293,9 +307,10 @@ class SolutionTable(Sequence[SolutionRecord]):
     @classmethod
     def from_records(cls, records: Iterable[SolutionRecord]) -> "SolutionTable":
         """The columns of any records; a record keeps its first witness only,
-        the one to_json_dict reports."""
-        rows = [(r.n, r.sigma_n, -1 if r.q is None else r.q,
-                 *(r.witnesses[0] if r.witnesses else (0, 0))) for r in records]
+        the one to_json_dict reports.  A witness p of 0 is refused: p = 0
+        marks a sporadic row."""
+        rows = [(r.n, r.sigma_n, -1 if r.q is None else r.q, *_first_witness(r))
+                for r in records]
         return cls(*np.array(rows, dtype=np.int64).reshape(-1, 5).T)
 
     def __len__(self) -> int:
@@ -311,6 +326,14 @@ class SolutionTable(Sequence[SolutionRecord]):
 
     def __iter__(self):
         return (_record(*row) for row in zip(*(c.tolist() for c in self._columns())))
+
+
+def _first_witness(record: SolutionRecord) -> tuple[int, int]:
+    if not record.witnesses:
+        return 0, 0
+    if record.witnesses[0][0] == 0:
+        raise ValueError("a witness (p, m) with p = 0 cannot be told from a sporadic row")
+    return record.witnesses[0]
 
 
 def _record(n: int, sigma_n: int, q: int, p: int, m: int) -> SolutionRecord:

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from withinperfect import cli
 from withinperfect.cache import read_segment
 from withinperfect.cli import CACHE_DIR_ENV, apply_config_file, main, RunConfig
 from withinperfect.emit import records_json, records_ndjson
+from withinperfect.sieve import SigmaSegment
 from withinperfect.types import SolutionRecord, parse_checkpoints
 
 
@@ -155,6 +157,36 @@ def test_series_csv_bytes(capsys, argv, digest):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    # sporadic rows among the regular ones
+    (["census", "--b", "1", "--k", "12", "--limit", "300000", "--format", "json"],
+     "7c7491c461128fa0ed6ceb32cce7d55be4533324601f8d737f42a3e70ef8d455"),
+    # records nested in the payload, and the same records as NDJSON
+    (["dioph", "--a", "3", "--b", "1", "--k", "12", "--limit", "1000000"],
+     "a4f4b06bc4336393ae52dc921c42ed7053902cc673294533f0a8b8d6b26c3a98"),
+    (["dioph", "--a", "3", "--b", "1", "--k", "12", "--limit", "1000000",
+      "--format", "ndjson"],
+     "53fa57c6619fbc47921ee6f8d851a557e714ed89f5be5a3e998ed589c0c705b6"),
+    # NaN ratios at x = 1 and 2
+    (["wirsing", "--ell", "2", "--checkpoints", "1,2,10,100,1e4,1e5"],
+     "be72119f12a730650b650faad4ad6d240aa20e7198bc4438faba29bbb4c7c890"),
+])
+def test_records_and_wirsing_bytes(capsys, argv, digest):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_sieve_total_is_exact_past_u64(capsys, monkeypatch):
+    # 16 values near 2^61: their u64 sum wraps, the printed total must not
+    sigma = np.uint64(2**61) - np.arange(16, dtype=np.uint64) * np.uint64(2**31 + 7)
+    monkeypatch.setattr(cli, "sieve_segment", lambda lo, hi: SigmaSegment(lo, hi, sigma.copy()))
+    assert int(sigma.sum(dtype=np.uint64)) != sum(sigma.tolist())
+    code, out = run_cli(capsys, "sieve", "--lo", "1", "--hi", "16")
+    assert code == 0
+    assert out == f"lo,hi,length,sigma_total\n1,16,16,{sum(sigma.tolist())}\n"
 
 
 #: sha256 of the --at-limit outputs (plain, --non-strict, --from-two) of the
@@ -460,15 +492,18 @@ def test_cli_imports_no_mpmath():
     assert out == "False\n"
 
 
-_WITNESS = st.tuples(st.integers(2, 2**55), st.integers(1, 2**55))
+#: Any int64, mostly near 0; 0 and negative values take the per-record fallback.
+_INT64 = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-2**62, 2**62),
+                   st.sampled_from([-2**63, 2**63 - 1]))
+#: p = 0 marks a sporadic row, so a witness p is never 0 (SolutionTable refuses it).
+_WITNESS = st.tuples(_INT64.filter(bool), _INT64)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.one_of(st.just(1), st.integers(1, 2**55)),
-                          st.integers(1, 2**62),
-                          st.lists(_WITNESS, max_size=3)), max_size=20))
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_INT64, _INT64, st.lists(_WITNESS, max_size=3)), max_size=20))
 def test_records_ndjson_is_the_json_dumps_rendering(rows):
-    # sporadic records, n = 1, one witness and several (only the first is emitted)
+    # sporadic records, one witness and several (only the first is emitted),
+    # and 0 or negative n, sigma_n, p and m
     records = [SolutionRecord(n, s, "regular" if w else "sporadic", tuple(w))
                for n, s, w in rows]
     assert records_ndjson(records) == "".join(

@@ -1,15 +1,19 @@
-"""The columnar CSV renderer against the per-row f-string it replaces, and
-the columns of a CheckpointSeries."""
+"""The columnar renderers against the per-row f-string and json.dumps they
+replace, and the columns of a CheckpointSeries and a SolutionTable."""
 
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from withinperfect.emit import series_csv
-from withinperfect.exact import enumerate_perfect
-from withinperfect.types import CheckpointSeries, normalized_quotient
+from withinperfect import emit
+from withinperfect.emit import dioph_json, records_json, records_ndjson, series_csv
+from withinperfect.exact import DiophantineProblem, DiophantineSolution, enumerate_perfect
+from withinperfect.types import (CheckpointSeries, SolutionRecord, SolutionTable,
+                                 normalized_quotient)
 
 
 def per_row_csv(xs, counts, quotients) -> str:
@@ -83,3 +87,74 @@ def test_series_compare_by_value():
     assert a != CheckpointSeries([1, 2, 3], [0, 1, 2])
     assert enumerate_perfect("2", 10**4) == enumerate_perfect("2", 10**4)
     assert repr(a).startswith("CheckpointSeries(x=array([1, 2, 3]), count=array([0, 1, 2])")
+
+
+def test_series_columns_must_match():
+    # a short count column was accepted, and series_csv repeated its one count
+    for counts, quotients in (([5], None), ([1, 2, 3, 4], None), ([[1, 2, 3]], None),
+                              ([1, 2, 3], [0.5]), ([1, 2, 3], [[0.5, 0.5, 0.5]])):
+        with pytest.raises(ValueError):
+            CheckpointSeries([10, 20, 30], counts, quotients)
+    with pytest.raises(ValueError):
+        CheckpointSeries([[10, 20, 30]], [1, 2, 3])
+    assert len(CheckpointSeries([], [])) == 0
+
+
+def test_solution_table_columns_must_match():
+    n = np.arange(1, 4)
+    for i in range(5):
+        for bad in (np.arange(2), np.arange(4), np.arange(6).reshape(3, 2)):
+            columns = [n, 2 * n, n, n, n]
+            columns[i] = bad
+            with pytest.raises(ValueError):
+                SolutionTable(*columns)
+    assert len(SolutionTable.from_records([])) == 0
+    # p = 0 marks a sporadic row, so a regular record with p = 0 cannot be a row
+    with pytest.raises(ValueError):
+        SolutionTable.from_records([SolutionRecord(1, 1, "regular", ((0, 5),))])
+
+
+_EDGE = (1 << 16) - 1  # rows _EDGE .. _EDGE + 2 straddle a block edge
+_SIZE = _EDGE + 10
+_ROW = st.tuples(st.one_of(st.integers(0, 2**62), st.integers(-2**62, -1)),
+                 st.integers(-2**62, 2**62),
+                 st.one_of(st.just((0, 0)), st.tuples(st.integers(1, 2**62), st.integers(0, 2**62)),
+                           st.tuples(st.integers(-2**62, 2**62).filter(bool),
+                                     st.integers(-2**62, 2**62))))
+
+
+@pytest.fixture(scope="module")
+def edge_table():
+    """Regular and sporadic rows around the block edge at 65,536, and the NDJSON
+    of the rows before and after the three edge rows."""
+    rng = np.random.default_rng(11)
+    n = np.arange(1, _SIZE + 1, dtype=np.int64) * 7919
+    sigma_n = 2 * n + rng.integers(0, 10**3, _SIZE)
+    p = np.where(rng.random(_SIZE) < 0.3, 0, rng.integers(2, 10**5, _SIZE))
+    m = np.where(p == 0, 0, n // np.maximum(p, 1))
+    table = SolutionTable(n, sigma_n, np.full(_SIZE, -1), p, m)
+    lines = [json.dumps(r.to_json_dict(), separators=(",", ":")) + "\n" for r in table]
+    return table, "".join(lines[:_EDGE]), "".join(lines[_EDGE + 3:])
+
+
+@settings(max_examples=4, deadline=None)
+@given(edge_rows=st.lists(_ROW, min_size=3, max_size=3))
+def test_records_across_a_block_edge(edge_table, edge_rows):
+    # the three edge rows are drawn: regular, sporadic, negative (the fallback)
+    assert (_EDGE + 1) % (emit._BLOCK // 4) == 0  # records go _BLOCK // 4 to a block
+    base, before, after = edge_table
+    columns = [c.copy() for c in (base.n, base.sigma_n, base.q, base.p, base.m)]
+    for j, (n, sigma_n, (p, m)) in enumerate(edge_rows):
+        for column, value in zip(columns, (n, sigma_n, -1, p, m)):
+            column[_EDGE + j] = value
+    table = SolutionTable(*columns)
+    middle = "".join(json.dumps(r.to_json_dict(), separators=(",", ":")) + "\n"
+                     for r in table[_EDGE:_EDGE + 3])
+    assert records_ndjson(table) == before + middle + after
+    dicts = [r.to_json_dict() for r in table]
+    assert records_json(table) == json.dumps(dicts, indent=2) + "\n"
+    solution = DiophantineSolution(DiophantineProblem(3, 1, 12, _SIZE), table,
+                                   CheckpointSeries([_SIZE], [_SIZE]), False, None, None)
+    assert dioph_json(solution) == json.dumps({
+        "a": 3, "b": 1, "k": 12, "limit": _SIZE, "regular_family": False,
+        "family_anchor": None, "predicted_density": None, "records": dicts}, indent=2) + "\n"
