@@ -5,7 +5,8 @@ reduced beforehand.  A solution is regular (for b | k) when n = p*m with p
 prime, p not dividing m, m | b*sigma(m), and sigma(m) = k/b; every other
 solution, and every solution when b does not divide k, is sporadic.  n = 1
 divides everything, so it is a solution for every (b, k); it has no p*m
-decomposition and is classified sporadic.
+decomposition and is classified sporadic.  The census streams
+SigmaSource.blocks, so its per-n temporaries are one block long.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def census(problem: CongruenceProblem, source: Optional[SigmaSource] = None) -> 
     """Exhaustively list and classify the solutions n <= limit, ascending.
 
     The anchors are the solutions m with b*sigma(m) = k and m | k.  A regular
-    n = p*m has m <= n/2, so collecting each segment's anchors before
+    n = p*m has m <= n/2, so collecting each block's anchors before
     classifying its solutions has every anchor of n in hand.
     """
     source = source or SigmaSource()
@@ -52,17 +53,11 @@ def census(problem: CongruenceProblem, source: Optional[SigmaSource] = None) -> 
     _guard_linear(1, b, limit, k)
     anchors: list[int] = []
     parts = []
-    for seg in source.segments(limit):
-        sig = seg.sigma.view(np.int64)
-        rem = sig * np.int64(b)
-        rem -= np.int64(k)
-        np.remainder(rem, seg.n_values(), out=rem)
-        idx = np.flatnonzero(rem == 0)
-        del rem
-        ns = idx + seg.lo
-        sigma_n = sig[idx]
-        del seg, sig  # the segment goes before the next one is sieved (peak RSS)
-        value = sigma_n * np.int64(b) - np.int64(k)
+    for blk in source.blocks(limit):
+        sig = blk.sigma.view(np.int64)
+        value = sig * np.int64(b) - np.int64(k)
+        idx = np.flatnonzero(value % blk.n_values() == 0)
+        ns, sigma_n, value = idx + blk.lo, sig[idx], value[idx]
         anchors += [m for m in ns[value == 0].tolist() if k % m == 0]
         q = np.where(value >= 0, value // ns, -1)
         parts.append((ns, sigma_n, q, *_witnesses(ns, anchors)))

@@ -6,13 +6,13 @@ density phase-transition experiments for sublinear/linear/superlinear
 thresholds, and probe how well a target ratio can be approximated by
 abundancy ratios.
 
-Every per-n predicate is decided exactly by the counting engine's decide:
-sigma(n)/n <= u goes through within._banded (a float64 prefilter with a
-relative guard band, then exact cross-multiplication for the candidates), and
-the windows of the phase experiments are within thresholds.  Ratios equal to
-a query point u count as <= u (inclusive convention).  The CDF and the linear
-phase experiment stream SigmaSource.blocks, so one block's sigma/n and masks
-are all that is held per n, and count through exact._CheckpointCounter.
+Every per-n predicate is decided exactly: sigma(n)/n < u and = u go through
+within._banded (a float64 prefilter with a relative guard band, then exact
+cross-multiplication for the candidates).  Ratios equal to a query point u
+count as <= u (inclusive convention).  The linear window |sigma(n)/n - l| < c
+is the open interval (l - c, l + c), a difference of the counts the CDF takes
+at l +- c; the sublinear and superlinear windows are within thresholds.  Every
+statistic here streams SigmaSource.blocks.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from .exact import _CheckpointCounter
 from .sieve import SigmaSource
 from .types import RationalTarget, ThresholdSpec, as_exact_fraction, int64_column
-from .within import _banded, _decide_segment, count_thresholds
+from .within import _banded, count_thresholds
 
 _BAND = 1e-12
 
@@ -38,13 +38,26 @@ def _ratio_compare(s: int, n: int, u: Fraction) -> int:
     return (lhs > rhs) - (lhs < rhs)
 
 
-def _ratio_below(ratio: np.ndarray, sigma: np.ndarray, n: np.ndarray,
-                 u: Fraction) -> tuple[np.ndarray, np.ndarray]:
-    """(below, ties) of sigma(n)/n against u, decided exactly; ratio is the
-    float64 sigma/n of the block, computed once for every query point."""
-    uf = float(u)
-    return _banded(ratio, uf * (1.0 - _BAND), uf * (1.0 + _BAND),
-                   lambda i: _ratio_compare(int(sigma[i]), int(n[i]), u))
+def _abundancy_counts(checkpoints, points,
+                      source: SigmaSource) -> tuple[np.ndarray, np.ndarray]:
+    """(below, ties): the int64 [point, checkpoint] counts of n <= x with
+    sigma(n)/n < u and with sigma(n)/n = u, from one pass over source.blocks.
+    The float64 sigma/n of a block is computed once for every point."""
+    rows = len(points)
+    counter = _CheckpointCounter(int64_column(checkpoints), 2 * rows)
+    for blk in source.blocks(int(counter.checkpoints[-1])):
+        n = blk.n_values()
+        sig = blk.sigma.view(np.int64)
+        ratio = sig / n
+        counter.block(blk)
+        for i, u in enumerate(points):
+            uf = float(u)
+            below, ties = _banded(ratio, uf * (1.0 - _BAND), uf * (1.0 + _BAND),
+                                  lambda j: _ratio_compare(int(sig[j]), int(n[j]), u))
+            counter.add(i, below)
+            counter.add(rows + i, ties)
+    counts = counter.counts()
+    return counts[:rows], counts[rows:]
 
 
 @dataclass
@@ -65,26 +78,13 @@ class EmpiricalCDF:
 def empirical_cdf(limit: int, grid, source: Optional[SigmaSource] = None,
                   inclusive: bool = True) -> EmpiricalCDF:
     """Estimate the abundancy distribution at the given query points (one pass)."""
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
     labels = tuple(str(u) for u in grid)
     fracs = tuple(as_exact_fraction(u, "query point") for u in grid)
     if list(fracs) != sorted(fracs):
         raise ValueError("grid must be ascending")
-    source = source or SigmaSource()
-    counter = _CheckpointCounter(int64_column([limit]), len(fracs))
-    for blk in source.blocks(limit):
-        n = blk.n_values()
-        sig = blk.sigma.view(np.int64)
-        ratio = sig / n
-        counter.block(blk)
-        for i, u in enumerate(fracs):
-            below, ties = _ratio_below(ratio, sig, n, u)
-            counter.add(i, below)
-            if inclusive:
-                counter.add(i, ties)
-    return EmpiricalCDF(limit, fracs, labels, tuple(counter.counts()[:, 0].tolist()),
-                        inclusive)
+    below, ties = _abundancy_counts([limit], fracs, source or SigmaSource())
+    counts = below[:, 0] + ties[:, 0] if inclusive else below[:, 0]
+    return EmpiricalCDF(limit, fracs, labels, tuple(counts.tolist()), inclusive)
 
 
 @dataclass
@@ -134,25 +134,15 @@ def phase_experiment(target, regime: str, checkpoints,
         raise ValueError(f"unknown regime {regime!r}")
     if c is None:
         raise ValueError("linear regime needs the slope c")
-    spec = ThresholdSpec.linear(c)  # |sigma/n - l| < c is D < b*c*n, c > 0
-    cf, ell = spec.param, target.fraction
-
-    # one pass: the open window and the CDF counts at l + c and l - c
-    counter = _CheckpointCounter(int64_column(checkpoints), 3)
-    for blk in source.blocks(checkpoints[-1]):
-        n = blk.n_values()
-        sig = blk.sigma.view(np.int64)
-        counter.block(blk)
-        D = np.abs(np.int64(target.b) * sig - np.int64(target.a) * n)
-        counter.add(0, _decide_segment(spec, target.b, D, n)[0])
-        ratio = sig / n
-        for row, u in ((1, ell + cf), (2, ell - cf)):
-            below, ties = _ratio_below(ratio, sig, n, u)
-            counter.add(row, below)
-            counter.add(row, ties)
-    window, cdf_hi, cdf_lo = counter.counts().tolist()
+    cf = ThresholdSpec.linear(c).param  # validates c > 0
+    # |sigma/n - l| < c is l - c < sigma/n < l + c, so the open window and the
+    # inclusive F_x(l+c) - F_x(l-c) are differences of the counts at l +- c
+    below, ties = _abundancy_counts(checkpoints, (target.fraction + cf,
+                                                  target.fraction - cf), source)
+    window = (below[0] - below[1] - ties[1]).tolist()
+    reference = (below[0] + ties[0] - below[1] - ties[1]).tolist()
     densities = [w / x for w, x in zip(window, checkpoints)]
-    references = [(h - l) / x for h, l, x in zip(cdf_hi, cdf_lo, checkpoints)]
+    references = [r / x for r, x in zip(reference, checkpoints)]
     deviations = [abs(d - r) for d, r in zip(densities, references)]
     return PhaseReport("linear", target, cf, checkpoints, densities,
                        references, deviations, None)
@@ -199,21 +189,20 @@ def sigma_approx_probe(target_value, depth: int, search_limit: int,
 
     records: list[ProbeRecord] = []
     best: Optional[Fraction] = None
-    for seg in source.segments(search_limit):
-        n = seg.n_values()
-        dist_f = np.abs(seg.sigma.astype(np.float64) / n.astype(np.float64) - ellf)
-        if seg.lo == 1:
+    for blk in source.blocks(search_limit):
+        n = blk.n_values()
+        dist_f = np.abs(blk.sigma.astype(np.float64) / n.astype(np.float64) - ellf)
+        if blk.lo == 1:
             dist_f[0] = np.inf
+        floor = np.minimum.accumulate(dist_f)  # an improvement is a running minimum
         if best is not None:
-            candidates = np.flatnonzero(dist_f <= max(float(best), 1e-300) * (1.0 + 1e-9))
-        else:
-            floor = np.minimum.accumulate(dist_f)
-            candidates = np.flatnonzero(dist_f <= floor * (1.0 + 1e-9) + 1e-300)
+            np.minimum(floor, float(best), out=floor)
+        candidates = np.flatnonzero(dist_f <= floor * (1.0 + 1e-9) + 1e-300)
         for i in candidates:
             m = int(n[i])
             if m == 1:
                 continue
-            ratio = Fraction(int(seg.sigma[i]), m)
+            ratio = Fraction(int(blk.sigma[i]), m)
             dist = abs(ell - ratio)
             if best is None or dist < best:
                 best = dist

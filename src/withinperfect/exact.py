@@ -1,5 +1,6 @@
 """Exact sigma-equations: perfect censuses, convergent series, gcd sums,
-and the linear Diophantine equation b*sigma(n) = a*n + k."""
+and the linear Diophantine equation b*sigma(n) = a*n + k.  Each streams
+SigmaSource.blocks, so its per-n temporaries are one block long."""
 
 from __future__ import annotations
 
@@ -39,6 +40,15 @@ def _fraction_sum(terms: list[Fraction]) -> Fraction:
         work = [work[i] + work[i + 1] if i + 1 < len(work) else work[i]
                 for i in range(0, len(work), 2)]
     return work[0]
+
+
+def _checkpoints_upto(checkpoints: Optional[list[int]], limit: int) -> list[int]:
+    """The checkpoints, or [limit]; one past the limit would count only the
+    hits up to the limit, so it is refused."""
+    cks = checkpoints or [limit]
+    if max(cks) > limit:
+        raise ValueError(f"checkpoint {max(cks)} exceeds the limit {limit}")
+    return cks
 
 
 def _counts_upto(hits, checkpoints) -> np.ndarray:
@@ -109,13 +119,12 @@ def enumerate_perfect(target, limit: int, source: Optional[SigmaSource] = None,
     target = RationalTarget.parse(target)
     source = source or SigmaSource()
     _guard_linear(target.a, target.b, limit)
+    cks = _checkpoints_upto(checkpoints, limit)
     a, b = np.int64(target.a), np.int64(target.b)
     members: list[int] = []
-    for seg in source.segments(limit):
-        n = seg.n_values()
-        hits = n[b * seg.sigma.view(np.int64) == a * n]
-        members.extend(int(v) for v in hits)
-    cks = checkpoints or [limit]
+    for blk in source.blocks(limit):
+        n = blk.n_values()
+        members += n[b * blk.sigma.view(np.int64) == a * n].tolist()
     counting = CheckpointSeries(cks, _counts_upto(members, cks),
                                 label=f"perfect l={target}")
     return PerfectCensus(target, limit, members, counting)
@@ -181,14 +190,14 @@ _GCD_SUM_BITS = 128
 
 def _gcd_terms(m_lo: int, m_hi: int,
                source: SigmaSource) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The int64 columns (gcd(m, sigma(m)), m) of each segment's part of
+    """The int64 columns (gcd(m, sigma(m)), m) of each block's part of
     [m_lo, m_hi], streamed from source."""
-    for seg in source.segments(m_hi):
-        if seg.hi < m_lo:
+    for blk in source.blocks(m_hi):
+        if blk.hi < m_lo:
             continue
-        start = max(m_lo, seg.lo)
-        m = np.arange(start, seg.hi + 1, dtype=np.int64)
-        yield np.gcd(m, seg.sigma.view(np.int64)[start - seg.lo:]), m
+        start = max(m_lo, blk.lo)
+        m = np.arange(start, blk.hi + 1, dtype=np.int64)
+        yield np.gcd(m, blk.sigma.view(np.int64)[start - blk.lo:]), m
 
 
 def _exact_gcd_sum(m_lo: int, m_hi: int, source: SigmaSource) -> Fraction:
@@ -246,7 +255,7 @@ def gcd_sum(x: int, source: Optional[SigmaSource] = None) -> GcdSumReport:
         part = 0
         for _ in range(steps):
             # r < m^2 < 2^(64-b), so r << b fits u64; q < 2^b < 2^64 / m_hi^2 and
-            # a segment holds at most m_hi terms, so the u64 sum of q cannot wrap
+            # a block holds at most m_hi terms, so the u64 sum of q cannot wrap
             r <<= shift
             np.divmod(r, m2, out=(q, r))
             part = (part << b) + int(q.sum())
@@ -314,20 +323,20 @@ def solve_diophantine(problem: DiophantineProblem, source: Optional[SigmaSource]
     source = source or SigmaSource()
     a, b, k, limit = problem.a, problem.b, problem.k, problem.limit
     _guard_linear(a, b, limit, k)
+    cks = _checkpoints_upto(checkpoints, limit)
     m0 = regular_family_anchor(a, b, k)
 
     anchors = (m0,) if m0 is not None else ()
     av, bv, kv = np.int64(a), np.int64(b), np.int64(k)
     parts = []
-    for seg in source.segments(limit):
-        n = seg.n_values()
-        sig = seg.sigma.view(np.int64)
+    for blk in source.blocks(limit):
+        n = blk.n_values()
+        sig = blk.sigma.view(np.int64)
         idx = np.flatnonzero(bv * sig - av * n == kv)
         ns = n[idx]
         parts.append((ns, sig[idx], np.full(len(ns), av), *_witnesses(ns, anchors)))
     records = SolutionTable.concat(parts)
 
-    cks = checkpoints or [limit]
     series = CheckpointSeries(cks, _counts_upto(records.n, cks),
                               label=f"dioph {b}*sigma(n)={a}*n+{k}")
     return DiophantineSolution(

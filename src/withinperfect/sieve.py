@@ -1,12 +1,12 @@
 """Sum-of-divisors sieving: segments, the trial-division oracle, factorization,
 and the exact integer arithmetic built beside them (primality, cube roots).
 
-A segment holds sigma(n) over [lo, hi] and nothing else.  SigmaSource is the
-one streaming source every statistic reads: ``segments`` sieves (or loads from
-the cache) segment_length elements at a time, and ``blocks`` cuts each segment
-into read-only views of at most BLOCK_LENGTH elements, so a per-n decide works
-on arrays that stay in L2.  Its ``table`` (one segment from 1) has no caller in
-the package and stays only because the benchmark traces it.
+A segment holds sigma(n) over [lo, hi] and nothing else.  Every statistic
+reads SigmaSource.blocks, read-only views of at most BLOCK_LENGTH elements
+whose per-n work stays in L2; ``segments``, the sieve-and-cache layer under
+it, sieves (or loads from the cache) segment_length elements at a time.  Its
+``table`` (one segment from 1) has no caller in the package and stays only
+because the benchmark traces it.
 
 The kernel enumerates divisor pairs (d, n/d) with d <= sqrt(hi): about
 sqrt(hi) numpy calls and L * log(sqrt(hi)) strided additions for a segment of

@@ -1,15 +1,17 @@
-"""Block edges and the sieve's dtype boundary.
+"""Block edges, the one-stream rule and the sieve's dtype boundary.
 
-count_thresholds, empirical_cdf and the linear phase experiment decide in
-blocks of at most BLOCK_LENGTH elements cut from each segment, and count
-through one checkpoint accumulator.  Their results must not depend on where
-segments and blocks end, so each is run at the default segment length, at
-1024 and at an unaligned 5000, with checkpoints just before, at and after
-multiples of BLOCK_LENGTH.  _sigma_block accumulates in u32 up to
-U32_SIGMA_LIMIT and in u64 above; both sides are checked against the oracle.
+Every statistic reads SigmaSource.blocks, views of at most BLOCK_LENGTH
+elements cut from each segment; none reads ``segments`` itself.  Results must
+not depend on where segments and blocks end, so each statistic is run at the
+default segment length, at 1024 and (for the counting engine) at an unaligned
+5000, with checkpoints and limits just before, at and after multiples of
+BLOCK_LENGTH.  _sigma_block accumulates in u32 up to U32_SIGMA_LIMIT and in
+u64 above; both sides are checked against the oracle.
 """
 
+import math
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -18,12 +20,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from withinperfect.distribution import empirical_cdf, phase_experiment
+from withinperfect.congruence import CongruenceProblem, census, sporadic_growth_report
+from withinperfect.distribution import empirical_cdf, phase_experiment, sigma_approx_probe
+from withinperfect.exact import (DiophantineProblem, enumerate_perfect, gcd_sum,
+                                 series_partial_sums, solve_diophantine,
+                                 wirsing_count_check)
 from withinperfect.sieve import (BLOCK_LENGTH, DEFAULT_SEGMENT_LENGTH, U32_SIGMA_LIMIT,
                                  SigmaSource, _sigma_block, factor, sieve_segment,
                                  sigma_oracle)
 from withinperfect.types import RationalTarget, ThresholdSpec
-from withinperfect.within import count_thresholds
+from withinperfect.within import count_thresholds, theorem_limit_check
+
+from conftest import brute_census, brute_diophantine
 
 LENGTHS = (DEFAULT_SEGMENT_LENGTH, 1024, 5000)
 
@@ -177,3 +185,118 @@ def test_sigma_block_at_the_u32_boundary(hi):
     rng = random.Random(hi)
     for i in rng.sample(range(len(sig)), 30) + [0, len(sig) - 1, int(np.argmax(sig))]:
         assert int(sig[i]) == sigma_oracle(lo + i)
+
+
+class _BlocksOnlySource(SigmaSource):
+    """A source whose segments may be taken only by its own blocks."""
+
+    calls = 0
+
+    def segments(self, limit):
+        caller = sys._getframe(1).f_code
+        assert caller is SigmaSource.blocks.__code__, f"segments read by {caller.co_name}"
+        self.calls += 1
+        return super().segments(limit)
+
+
+#: Every statistic, run on a given source across several 1024-element segments.
+STATISTICS = {
+    "census": lambda s: census(CongruenceProblem(1, 12, 3000), s),
+    "sporadic_growth_report": lambda s: sporadic_growth_report(1, 12, [100, 3000], s),
+    "solve_diophantine": lambda s: solve_diophantine(DiophantineProblem(2, 1, 12, 3000), s),
+    "enumerate_perfect": lambda s: enumerate_perfect("2", 3000, s),
+    "wirsing_count_check": lambda s: wirsing_count_check("2", [10, 3000], s),
+    "series_partial_sums": lambda s: series_partial_sums("2", 3000, s),
+    "theorem_limit_check": lambda s: theorem_limit_check(
+        "2", ThresholdSpec.power("1/2"), [100, 3000], s),
+    "gcd_sum": lambda s: gcd_sum(10**5, s).value,  # the exact sum streams again
+    "sigma_approx_probe": lambda s: sigma_approx_probe("1.7", 3, 3000, s),
+    "empirical_cdf": lambda s: empirical_cdf(3000, ["2"], s),
+    "phase_experiment": lambda s: phase_experiment("2", "linear", [3000], s, c="1/10"),
+    "count_thresholds": lambda s: count_thresholds(
+        "2", [ThresholdSpec.power("1/2")], [3000], s),
+}
+
+
+@pytest.mark.parametrize("statistic", list(STATISTICS))
+def test_every_statistic_reads_blocks(statistic):
+    source = _BlocksOnlySource(segment_length=1024)
+    STATISTICS[statistic](source)
+    assert source.calls >= 1
+
+
+#: Limits one past and one short of three blocks.
+EDGE_LIMITS = (3 * BLOCK_LENGTH - 1, 3 * BLOCK_LENGTH + 1)
+
+_SMALL = SigmaSource(segment_length=1024)
+
+
+def _rows(table, upto=None):
+    return [r for r in table if upto is None or r.n <= upto]
+
+
+@pytest.mark.parametrize("limit", EDGE_LIMITS)
+@pytest.mark.parametrize("k", [1, 12])
+def test_census_across_block_edges(oracle_sigma, limit, k):
+    problem = CongruenceProblem(1, k, limit)
+    got = census(problem)
+    assert _rows(got) == _rows(census(problem, _SMALL))
+    assert ({r.n: (r.classification, r.witnesses) for r in _rows(got, len(oracle_sigma) - 1)}
+            == brute_census(1, k, len(oracle_sigma) - 1, oracle_sigma))
+
+
+@pytest.mark.parametrize("limit", EDGE_LIMITS)
+def test_diophantine_and_perfect_across_block_edges(oracle_sigma, limit):
+    checkpoints = [BLOCK_LENGTH - 1, BLOCK_LENGTH, BLOCK_LENGTH + 1, limit]
+    problem = DiophantineProblem(2, 1, 12, limit)
+    got = solve_diophantine(problem, checkpoints=checkpoints)
+    small = solve_diophantine(problem, _SMALL, checkpoints)
+    assert _rows(got.records) == _rows(small.records)
+    assert got.series == small.series
+    top = len(oracle_sigma) - 1
+    assert ({r.n: r.classification for r in _rows(got.records, top)}
+            == brute_diophantine(2, 1, 12, top, oracle_sigma))
+    for target in ("2", "3", "3/2"):
+        perfect = enumerate_perfect(target, limit, checkpoints=checkpoints)
+        assert perfect.members == enumerate_perfect(target, limit, _SMALL).members
+        assert perfect.counting == enumerate_perfect(target, limit, _SMALL,
+                                                     checkpoints).counting
+
+
+@pytest.mark.parametrize("m_hi", EDGE_LIMITS)
+def test_gcd_sum_window_across_block_edges(m_hi):
+    x = math.isqrt(m_hi**3 - 1) + 1  # the least x with x^2 >= m_hi^3
+    got = gcd_sum(x)  # the window (x^(1/3), x^(2/3)] crosses 2^16 and 2*2^16
+    assert got.m_lo < BLOCK_LENGTH and got.m_hi == m_hi
+    small = gcd_sum(x, _SMALL)
+    assert (got.m_lo, got.m_hi, got.rounded) == (small.m_lo, small.m_hi, small.rounded)
+
+
+@pytest.mark.parametrize("limit", EDGE_LIMITS)
+@pytest.mark.parametrize("target", ["1.7", "2.718281828", "1.00001"])
+def test_probe_across_block_edges(limit, target):
+    got = sigma_approx_probe(target, 8, limit)
+    assert got == sigma_approx_probe(target, 8, limit, _SMALL)
+
+
+@pytest.mark.parametrize("c", ["1/2", "1"])
+def test_linear_phase_window_at_tie_points(oracle_sigma, c):
+    # l - c = 3/2 is sigma(2)/2 and l - c = 1 is sigma(1)/1; l + c = 3 is
+    # sigma(120)/120: ties at both ends, left out of the open window
+    # |sigma(n)/n - 2| < c and counted by the inclusive CDF difference
+    ell, cf = Fraction(2), Fraction(c)
+    checkpoints = [1, 2, 3, BLOCK_LENGTH - 1, BLOCK_LENGTH, BLOCK_LENGTH + 1,
+                   len(oracle_sigma) - 1]
+    window, reference = [], []
+    w = r = 0
+    n = 0
+    for x in checkpoints:
+        while n < x:
+            n += 1
+            ratio = Fraction(oracle_sigma[n], n)
+            w += abs(ratio - ell) < cf
+            r += (ratio <= ell + cf) - (ratio <= ell - cf)
+        window.append(w / x)
+        reference.append(r / x)
+    report = phase_experiment("2", "linear", checkpoints, c=c)
+    assert (report.densities, report.references) == (window, reference)

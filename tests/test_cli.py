@@ -248,6 +248,28 @@ def test_phase_slope_option_not_swallowed_by_abbreviation(capsys):
     assert out.splitlines()[1].startswith("10000,")
 
 
+def test_phase_linear_slope_far_below_an_ulp_is_exact(capsys):
+    # the window 2 - c < sigma(n)/n < 2 + c holds only the perfect numbers
+    code, out = run_cli(capsys, "phase", "--ell", "2", "--regime", "linear",
+                        "--c", "1e-15", "--checkpoints", "1e3,1e5")
+    assert code == 0
+    assert out == ("x,density,reference_value\n1000,0.003000,0.003000\n"
+                   "100000,0.000040,0.000040\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("perfect", "--ell", "2", "--limit", "100", "--checkpoints", "10,10000"),
+    ("dioph", "--a", "3", "--b", "1", "--k", "12", "--limit", "1000",
+     "--checkpoints", "1000,100000"),
+])
+def test_checkpoints_beyond_the_limit_exit_1(capsys, argv):
+    # a census to the limit would count nothing past it at the last checkpoint
+    assert main([*argv, "--format", "csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: checkpoint ") and "exceeds the limit" in captured.err
+
+
 def test_sporadic_csv(capsys):
     code, out = run_cli(capsys, "sporadic", "--b", "1", "--k", "12",
                         "--checkpoints", "100,1000")

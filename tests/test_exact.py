@@ -212,6 +212,15 @@ def test_diophantine_checkpoints():
     assert solution.series.quotients[-1] == pytest.approx(39 / (10**3 / math.log(10**3)))
 
 
+def test_checkpoints_beyond_the_limit_are_refused():
+    # a census to 100 cannot count the 4 perfect numbers <= 10^4
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        enumerate_perfect("2", 100, checkpoints=[10, 10**4])
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        solve_diophantine(DiophantineProblem(3, 1, 12, 10**3), checkpoints=[10**3, 10**5])
+    assert enumerate_perfect("2", 100, checkpoints=[10, 100]).counting.counts == [1, 2]
+
+
 def test_invalid_problems():
     with pytest.raises(InvalidProblemError):
         DiophantineProblem(3, 2, 0, 100)  # k = 0 is the perfect census
