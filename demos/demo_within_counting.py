@@ -3,12 +3,12 @@
 
 from fractions import Fraction
 
-from withinperfect import ThresholdSpec, count_within, series, theorem_limit_check
+from withinperfect import ThresholdSpec, series, theorem_limit_check
 
 # A constant threshold below 1 forces equality, so only perfect numbers pass.
-print("k = 1:   ", count_within("2", ThresholdSpec.constant(1), 10**4).counts)
-print("k = y^.5:", count_within("2", ThresholdSpec.power("0.5"), 10**4).counts)
-print("k = y/log y:", count_within("2", ThresholdSpec.x_over_log(), 10**4).counts)
+print("k = 1:   ", series("2", ThresholdSpec.constant(1), [10**4]).counts)
+print("k = y^.5:", series("2", ThresholdSpec.power("0.5"), [10**4]).counts)
+print("k = y/log y:", series("2", ThresholdSpec.x_over_log(), [10**4]).counts)
 
 # A miniature of the published quotient grid: count/(x/log x) for power
 # thresholds.  (The full 8x3 grid at 2e7 is the table1 subcommand.)

@@ -19,7 +19,6 @@ from .sieve import (DEFAULT_SEGMENT_LENGTH, DOMAIN_CAP, FactorView, SigmaSegment
 from .types import (CheckpointSeries, RationalTarget, SolutionRecord,
                     SolutionTable, ThresholdSpec, normalized_quotient)
 from .within import (LimitCheckReport, REFERENCE_QUOTIENTS, TableOneReport,
-                     count_at_limit, count_thresholds, count_within, series,
-                     table1_reproduce, theorem_limit_check)
+                     count_thresholds, series, table1_reproduce, theorem_limit_check)
 
 __version__ = "0.1.0"

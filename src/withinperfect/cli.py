@@ -256,8 +256,8 @@ def _dispatch(args, config: RunConfig) -> str:
 
     if args.command == "count":
         threshold = _threshold_from_args(args, config)
-        result = within.count_within(RationalTarget.parse(args.ell), threshold,
-                                     args.limit, source, config.include_n_equals_1)
+        result = within.series(RationalTarget.parse(args.ell), threshold,
+                               [args.limit], source, config.include_n_equals_1)
         return emit.series_csv(result)
 
     if args.command == "series":

@@ -18,7 +18,7 @@ import numpy as np
 
 from .exact import _counts_upto, _guard_linear
 from .sieve import SigmaSource, _witnesses
-from .types import CheckpointSeries, SolutionTable
+from .types import CheckpointSeries, SolutionTable, checkpoint_column
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def sporadic_growth_report(b: int, k: int, checkpoints,
     bounded holds when the slack-adjusted ratios are nonincreasing or never
     exceed 10 (the empirical stand-in for the x^(2/3+o(1)) bound).
     """
-    checkpoints = sorted(int(x) for x in checkpoints)
+    checkpoints = checkpoint_column(checkpoints).tolist()
     table = census(CongruenceProblem(b, k, checkpoints[-1]), source)
     counts = _counts_upto(table.n[table.p == 0], checkpoints).tolist()
     ratios, slack, sqrt_shape = [], [], []

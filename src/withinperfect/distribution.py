@@ -11,8 +11,10 @@ within._banded (a float64 prefilter with a relative guard band, then exact
 cross-multiplication for the candidates).  Ratios equal to a query point u
 count as <= u (inclusive convention).  The linear window |sigma(n)/n - l| < c
 is the open interval (l - c, l + c), a difference of the counts the CDF takes
-at l +- c; the sublinear and superlinear windows are within thresholds.  Every
-statistic here streams SigmaSource.blocks.
+at l +- c; the sublinear and superlinear windows are within thresholds.  The
+probe's float64 margin is a proved rounding bound (see sigma_approx_probe).
+Every statistic here streams SigmaSource.blocks, and types.checkpoint_column
+reads its checkpoints (the CDF's limit is one).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .exact import _CheckpointCounter
 from .sieve import SigmaSource
-from .types import RationalTarget, ThresholdSpec, as_exact_fraction, int64_column
+from .types import RationalTarget, ThresholdSpec, as_exact_fraction, checkpoint_column
 from .within import _banded, count_thresholds
 
 _BAND = 1e-12
@@ -44,7 +46,7 @@ def _abundancy_counts(checkpoints, points,
     sigma(n)/n < u and with sigma(n)/n = u, from one pass over source.blocks.
     The float64 sigma/n of a block is computed once for every point."""
     rows = len(points)
-    counter = _CheckpointCounter(int64_column(checkpoints), 2 * rows)
+    counter = _CheckpointCounter(checkpoint_column(checkpoints), 2 * rows)
     for blk in source.blocks(int(counter.checkpoints[-1])):
         n = blk.n_values()
         sig = blk.sigma.view(np.int64)
@@ -78,6 +80,7 @@ class EmpiricalCDF:
 def empirical_cdf(limit: int, grid, source: Optional[SigmaSource] = None,
                   inclusive: bool = True) -> EmpiricalCDF:
     """Estimate the abundancy distribution at the given query points (one pass)."""
+    (limit,) = checkpoint_column([limit]).tolist()
     labels = tuple(str(u) for u in grid)
     fracs = tuple(as_exact_fraction(u, "query point") for u in grid)
     if list(fracs) != sorted(fracs):
@@ -114,7 +117,7 @@ def phase_experiment(target, regime: str, checkpoints,
     "superlinear" (k = y*log y).
     """
     target = RationalTarget.parse(target)
-    checkpoints = sorted(int(x) for x in checkpoints)
+    checkpoints = checkpoint_column(checkpoints).tolist()
     source = source or SigmaSource()
 
     if regime in ("sublinear", "superlinear"):  # the density tends to 0 or to 1
@@ -178,6 +181,15 @@ def sigma_approx_probe(target_value, depth: int, search_limit: int,
     Distances are compared exactly; each record notes whether it beats the
     concrete envelope 1/log(m).  exhausted is set when the scan ran out of
     improvements before reaching the requested depth.
+
+    The exact Fraction pass sees every m whose float64 distance d~ is within
+    tol = 2E of the running minimum, E = 8u*(l + max d~ of the block) with
+    u = 2^-53.  E bounds |d~ - d|, d the exact distance: sigma/m is within
+    4u*r of r = sigma(m)/m (two conversions, exact below 2^53, and a division),
+    l within u*l and the subtraction within 2u*d~; r <= l + d then gives
+    |d~ - d| < 7u*(l + d~) < E.  So an m with d below every earlier d_j has
+    d~ < d~_j + 2E, and d~ < float(best) + 2E, as best (at most m = 2's
+    distance, below l) rounds by at most u*l.
     """
     if depth < 1 or search_limit < 2:
         raise ValueError("depth must be >= 1 and search_limit >= 2")
@@ -192,12 +204,13 @@ def sigma_approx_probe(target_value, depth: int, search_limit: int,
     for blk in source.blocks(search_limit):
         n = blk.n_values()
         dist_f = np.abs(blk.sigma.astype(np.float64) / n.astype(np.float64) - ellf)
+        tol = 2.0**-49 * (float(dist_f.max()) + ellf)  # 2E = 16u*(l + max d~)
         if blk.lo == 1:
             dist_f[0] = np.inf
         floor = np.minimum.accumulate(dist_f)  # an improvement is a running minimum
         if best is not None:
             np.minimum(floor, float(best), out=floor)
-        candidates = np.flatnonzero(dist_f <= floor * (1.0 + 1e-9) + 1e-300)
+        candidates = np.flatnonzero(dist_f <= floor + tol)
         for i in candidates:
             m = int(n[i])
             if m == 1:

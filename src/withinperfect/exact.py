@@ -1,6 +1,7 @@
 """Exact sigma-equations: perfect censuses, convergent series, gcd sums,
 and the linear Diophantine equation b*sigma(n) = a*n + k.  Each streams
-SigmaSource.blocks, so its per-n temporaries are one block long."""
+SigmaSource.blocks, so its per-n temporaries are one block long.  Checkpoints
+are read by types.checkpoint_column, which refuses one past a census's limit."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import CapabilityError, InvalidProblemError
 from .sieve import SigmaSegment, SigmaSource, _icbrt, _witnesses, factor
-from .types import CheckpointSeries, RationalTarget, SolutionTable
+from .types import CheckpointSeries, RationalTarget, SolutionTable, checkpoint_column
 
 if TYPE_CHECKING:
     import mpmath
@@ -40,15 +41,6 @@ def _fraction_sum(terms: list[Fraction]) -> Fraction:
         work = [work[i] + work[i + 1] if i + 1 < len(work) else work[i]
                 for i in range(0, len(work), 2)]
     return work[0]
-
-
-def _checkpoints_upto(checkpoints: Optional[list[int]], limit: int) -> list[int]:
-    """The checkpoints, or [limit]; one past the limit would count only the
-    hits up to the limit, so it is refused."""
-    cks = checkpoints or [limit]
-    if max(cks) > limit:
-        raise ValueError(f"checkpoint {max(cks)} exceeds the limit {limit}")
-    return cks
 
 
 def _counts_upto(hits, checkpoints) -> np.ndarray:
@@ -119,7 +111,7 @@ def enumerate_perfect(target, limit: int, source: Optional[SigmaSource] = None,
     target = RationalTarget.parse(target)
     source = source or SigmaSource()
     _guard_linear(target.a, target.b, limit)
-    cks = _checkpoints_upto(checkpoints, limit)
+    cks = checkpoint_column([limit] if checkpoints is None else checkpoints, limit)
     a, b = np.int64(target.a), np.int64(target.b)
     members: list[int] = []
     for blk in source.blocks(limit):
@@ -148,7 +140,7 @@ def wirsing_count_check(target, checkpoints, source: Optional[SigmaSource] = Non
     (an empirical consistency check, nothing more).
     """
     target = RationalTarget.parse(target)
-    checkpoints = sorted(int(x) for x in checkpoints)
+    checkpoints = checkpoint_column(checkpoints).tolist()
     census = enumerate_perfect(target, checkpoints[-1], source, checkpoints)
     ratios = [math.nan if count < 1 or x < 3 else
               math.log(count) / (math.log(x) / math.log(math.log(x)))
@@ -323,7 +315,7 @@ def solve_diophantine(problem: DiophantineProblem, source: Optional[SigmaSource]
     source = source or SigmaSource()
     a, b, k, limit = problem.a, problem.b, problem.k, problem.limit
     _guard_linear(a, b, limit, k)
-    cks = _checkpoints_upto(checkpoints, limit)
+    cks = checkpoint_column([limit] if checkpoints is None else checkpoints, limit)
     m0 = regular_family_anchor(a, b, k)
 
     anchors = (m0,) if m0 is not None else ()

@@ -1,7 +1,7 @@
 """Common domain types: target ratios and threshold functions, plus the two
 result shapes kept as numpy columns, CheckpointSeries (x, count, quotient)
 and SolutionTable (one row per solution), whose Python lists and records are
-built only when read."""
+built only when read.  checkpoint_column owns the checkpoint rule."""
 
 from __future__ import annotations
 
@@ -167,16 +167,38 @@ class ThresholdSpec:
                 "x_log_x": "y*log y"}[self.kind]
 
 
-def int64_column(values) -> np.ndarray:
-    """values as an int64 array; a range becomes np.arange, so no list of ints
-    is built.  A value beyond int64 is refused as beyond the domain cap."""
+def checkpoint_column(values, limit: Optional[int] = None) -> np.ndarray:
+    """The checkpoint rule of every statistic: values in any order as an
+    ascending int64 column, duplicates kept.  Each must be an integer >= 1 (1e4
+    is; 100.5 raises ValueError, never rounded), and none past limit (ValueError)
+    or int64 (SigmaOverflowError).  A range becomes np.arange with no list built.
+    """
+    if isinstance(values, range):
+        ascending = values if values.step > 0 else values[::-1]
+    else:
+        ascending = sorted(map(_checkpoint, values))
+    if not ascending:
+        raise ValueError("need at least one checkpoint")
+    if ascending[0] < 1:
+        raise ValueError("checkpoints must be >= 1")
+    top = ascending[-1]
+    if limit is not None and top > limit:
+        raise ValueError(f"checkpoint {top} exceeds the limit {limit}")
+    if top > np.iinfo(np.int64).max:
+        raise SigmaOverflowError(f"limit {top} exceeds the domain cap 2^55")
+    if isinstance(ascending, range):
+        return np.arange(ascending.start, ascending.stop, ascending.step, dtype=np.int64)
+    return np.array(ascending, dtype=np.int64)
+
+
+def _checkpoint(value) -> int:
+    """value as an int, refused unless it is that int exactly."""
     try:
-        if isinstance(values, range):
-            return np.arange(values.start, values.stop, values.step, dtype=np.int64)
-        return np.asarray(values, dtype=np.int64)
-    except OverflowError:
-        top = max(values[0], values[-1]) if isinstance(values, range) else max(values)
-        raise SigmaOverflowError(f"limit {top} exceeds the domain cap 2^55") from None
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):  # a str, NaN or infinity
+        pass
+    raise ValueError(f"checkpoint {value!r} is not an integer")
 
 
 class CheckpointSeries:
@@ -194,7 +216,7 @@ class CheckpointSeries:
     """
 
     def __init__(self, checkpoints, counts, quotients=None, label: str = ""):
-        self.x = int64_column(checkpoints)
+        self.x = np.asarray(checkpoints, dtype=np.int64)
         _column(self.x, "checkpoints")
         if np.any(self.x[1:] < self.x[:-1]):
             raise ValueError("checkpoints must be ascending")
@@ -350,27 +372,12 @@ def parse_integer(text: str, what: str = "value") -> int:
     return exact.numerator
 
 
-def parse_checkpoints(text: str | Sequence) -> list[int]:
-    """Parse "1e4,100000,2e7" (or a sequence) into ascending ints.
-
-    Strings are parsed by parse_integer, so "1e30" is 10**30 and a decimal
-    that is not an integer is refused.
-    """
-    if isinstance(text, str):
-        parts = [p for p in text.split(",") if p.strip()]
-    else:
-        parts = list(text)
-    out = []
-    for p in parts:
-        if isinstance(p, str):
-            value = parse_integer(p, "checkpoint")
-        else:
-            value = int(p)
-            if value != p:
-                raise ValueError(f"checkpoint {p!r} is not an integer")
-        if value < 1:
-            raise ValueError("checkpoints must be >= 1")
-        out.append(value)
+def parse_checkpoints(text: str) -> list[int]:
+    """Parse "1e4,100000,2e7" into ascending exact ints by parse_integer, so
+    "1e30" is 10**30 and a decimal that is not an integer is refused."""
+    out = [parse_integer(p, "checkpoint") for p in text.split(",") if p.strip()]
+    if any(value < 1 for value in out):
+        raise ValueError("checkpoints must be >= 1")
     if out != sorted(out):
         raise ValueError("checkpoints must be ascending")
     if not out:

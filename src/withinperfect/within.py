@@ -12,13 +12,14 @@ offsets, so the strict and non-strict conventions share a single pass.
 count_thresholds decides SigmaSource.blocks, views of at most 2^16 n whose
 working arrays stay in L2, and counts hits up to each checkpoint through
 exact._CheckpointCounter, thresholds frozen at the checkpoint (at_limit) too.
+Checkpoints in any order are read by types.checkpoint_column.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -27,7 +28,7 @@ import numpy as np
 from .errors import CapabilityError, InvalidThresholdError
 from .exact import _CheckpointCounter, _fraction_sum, _guard_linear, enumerate_perfect
 from .sieve import SigmaSource
-from .types import (CheckpointSeries, RationalTarget, ThresholdSpec, int64_column,
+from .types import (CheckpointSeries, RationalTarget, ThresholdSpec, checkpoint_column,
                     normalized_quotient)
 
 #: Relative width of the float64 guard band around b*n/log n.
@@ -192,9 +193,6 @@ class ThresholdCounts:
     strict: np.ndarray
     ties: np.ndarray
 
-    def resolved(self, i: int, j: int, strict_mode: bool) -> int:
-        return int(self.strict[i, j]) + (0 if strict_mode else int(self.ties[i, j]))
-
 
 def count_thresholds(target, thresholds: list[ThresholdSpec], checkpoints,
                      source: Optional[SigmaSource] = None,
@@ -206,7 +204,7 @@ def count_thresholds(target, thresholds: list[ThresholdSpec], checkpoints,
     checkpoint on (_bisect) and ties are the <= first indices less the < ones.
     """
     target = RationalTarget.parse(target)
-    cks = np.sort(int64_column(checkpoints))
+    cks = checkpoint_column(checkpoints)
     limit = int(cks[-1])
     source = source or SigmaSource()
     _guard_linear(target.a, target.b, limit)
@@ -251,14 +249,6 @@ def count_thresholds(target, thresholds: list[ThresholdSpec], checkpoints,
     return ThresholdCounts(target, list(thresholds), cks, counts[:rows], counts[rows:])
 
 
-def count_at_limit(target, threshold: ThresholdSpec, checkpoints,
-                   source: Optional[SigmaSource] = None,
-                   include_one: bool = True) -> ThresholdCounts:
-    """count_thresholds with the threshold frozen at each checkpoint: D < b*k(x)."""
-    return count_thresholds(target, [replace(threshold, at_limit=True)], checkpoints,
-                            source, include_one)
-
-
 def series(target, threshold: ThresholdSpec, checkpoints,
            source: Optional[SigmaSource] = None,
            include_one: bool = True) -> CheckpointSeries:
@@ -269,13 +259,6 @@ def series(target, threshold: ThresholdSpec, checkpoints,
     return CheckpointSeries(
         counts.checkpoints, resolved,
         label=f"within l={target} k={threshold.describe()}")
-
-
-def count_within(target, threshold: ThresholdSpec, limit: int,
-                 source: Optional[SigmaSource] = None,
-                 include_one: bool = True) -> CheckpointSeries:
-    """Single-checkpoint within-perfect count (see series)."""
-    return series(target, threshold, [limit], source, include_one)
 
 
 # --- reproduction of the published quotient grid for l = 2 ---
@@ -396,7 +379,7 @@ def theorem_limit_check(target, threshold: ThresholdSpec, checkpoints,
     if threshold.kind != "power":
         raise InvalidThresholdError("the limit check applies to power thresholds")
     target = RationalTarget.parse(target)
-    checkpoints = sorted(int(x) for x in checkpoints)
+    checkpoints = checkpoint_column(checkpoints).tolist()
     source = source or SigmaSource()
     census = enumerate_perfect(target, checkpoints[-1], source, checkpoints)
     within_counts = series(target, threshold, checkpoints, source)

@@ -1,0 +1,118 @@
+import inspect
+import math
+from dataclasses import fields, is_dataclass
+from fractions import Fraction
+from functools import partial
+
+import numpy as np
+import pytest
+
+import withinperfect
+from withinperfect import (CheckpointSeries, DiophantineProblem, SolutionTable,
+                           ThresholdSpec, empirical_cdf)
+from withinperfect.errors import SigmaOverflowError
+from withinperfect.types import checkpoint_column
+
+
+def test_checkpoint_column_sorts_and_keeps_duplicates():
+    got = checkpoint_column([1000, 10, 1e4, np.int64(10), 10**3])
+    assert got.dtype == np.int64 and got.tolist() == [10, 10, 1000, 1000, 10000]
+    assert checkpoint_column(np.array([3.0, 2.0])).tolist() == [2, 3]
+
+
+def test_checkpoint_column_reads_a_range_as_arange():
+    assert checkpoint_column(range(2, 7)).tolist() == [2, 3, 4, 5, 6]
+    assert checkpoint_column(range(1000, 9, -495)).tolist() == [10, 505, 1000]
+    assert checkpoint_column(range(5, 6, 3)).tolist() == [5]
+
+
+@pytest.mark.parametrize("values", [
+    [100.5], [Fraction(201, 2)], np.array([1000.9]), [10, math.nan], [math.inf],
+    ["100"], [0], [-3], [], range(5, 5), range(0, 3)])
+def test_checkpoint_column_refuses_what_it_would_round(values):
+    with pytest.raises(ValueError):
+        checkpoint_column(values)
+
+
+def test_checkpoint_column_bounds():
+    assert checkpoint_column([2**63 - 1]).tolist() == [2**63 - 1]
+    for values in ([2**63], [1e30], range(1, 2**64, 2**62)):
+        with pytest.raises(SigmaOverflowError, match="exceeds the domain cap"):
+            checkpoint_column(values)
+    assert checkpoint_column([10, 100], limit=100).tolist() == [10, 100]
+    with pytest.raises(ValueError, match="checkpoint 101 exceeds the limit 100"):
+        checkpoint_column([101, 10], limit=100)
+
+
+#: A value for each other parameter a statistic that takes checkpoints needs.
+_ARGUMENTS = {
+    "target": "2",
+    "threshold": ThresholdSpec.power("1/2"),
+    "thresholds": [ThresholdSpec.power("1/2"), ThresholdSpec.x_over_log(at_limit=True)],
+    "limit": 10**4,
+    "problem": DiophantineProblem(2, 1, 12, 10**4),
+    "regime": "sublinear",
+    "b": 1,
+    "k": 12,
+}
+
+
+def _statistics():
+    """Every public function of the package with a checkpoints parameter, its
+    other required parameters bound, plus empirical_cdf, whose limit is one."""
+    found = {}
+    for name, fn in sorted(vars(withinperfect).items()):
+        if name.startswith("_") or not inspect.isfunction(fn):
+            continue
+        params = inspect.signature(fn).parameters
+        if "checkpoints" in params:
+            found[name] = partial(fn, **{p: _ARGUMENTS[p] for p, spec in params.items()
+                                         if p != "checkpoints"
+                                         and spec.default is inspect.Parameter.empty})
+    found["empirical_cdf"] = lambda checkpoints: empirical_cdf(*checkpoints, ["3/2", "2"])
+    return found
+
+
+STATISTICS = _statistics()
+
+
+def _plain(value):
+    """value with its columns as lists and NaN as a string, comparable by ==."""
+    if isinstance(value, CheckpointSeries):
+        return [value.label, value.checkpoints, value.counts, _plain(value.quotients)]
+    if isinstance(value, SolutionTable):
+        return list(value)
+    if is_dataclass(value):
+        return [_plain(getattr(value, f.name)) for f in fields(value)]
+    if isinstance(value, np.ndarray):
+        return _plain(value.tolist())
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, float) and math.isnan(value):
+        return "nan"
+    return value
+
+
+def test_every_statistic_with_checkpoints_is_found():
+    assert len(STATISTICS) >= 9
+    assert {"series", "count_thresholds", "enumerate_perfect"} <= set(STATISTICS)
+
+
+@pytest.mark.parametrize("statistic", list(STATISTICS))
+@pytest.mark.parametrize("bad", [[100.5], [Fraction(201, 2)], np.array([1000.9])],
+                         ids=["float", "fraction", "array"])
+def test_a_fractional_checkpoint_is_refused(statistic, bad):
+    with pytest.raises(ValueError, match="is not an integer"):
+        STATISTICS[statistic](checkpoints=bad)
+
+
+@pytest.mark.parametrize("statistic", list(STATISTICS))
+def test_checkpoints_are_read_by_one_rule(statistic):
+    def run(checkpoints):
+        return _plain(STATISTICS[statistic](checkpoints=checkpoints))
+
+    if statistic == "empirical_cdf":  # one limit: 1e4 is the integer 10000
+        assert run([1e4]) == run([10**4])
+        return
+    assert run([1e4, 100]) == run([100, 10**4])
+    assert run(range(1000, 9, -495)) == run([10, 505, 1000])

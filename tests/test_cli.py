@@ -514,6 +514,29 @@ def test_cli_imports_no_mpmath():
     assert out == "False\n"
 
 
+#: The superabundant numbers 2 <= m <= 10^6 (OEIS A004394): each ratio
+#: sigma(m)/m beats every smaller m's.
+SUPERABUNDANT = [2, 4, 6, 12, 24, 36, 48, 60, 120, 180, 240, 360, 720, 840, 1260,
+                 1680, 2520, 5040, 10080, 15120, 25200, 27720, 55440, 110880, 166320,
+                 277200, 332640, 554400, 665280, 720720]
+
+
+def test_probe_of_a_far_target_is_fast():
+    # every ratio is about 10^12 from l, so a margin relative to the distance
+    # (about 10^3) would send every m to the exact pass; the records are the
+    # successive largest ratios, the superabundant numbers
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-m", "withinperfect.cli", "probe", "--ell", "1e12",
+         "--search-limit", "1e6", "--depth", "40"],
+        env=env, capture_output=True, text=True, timeout=10, check=True).stdout
+    rows = out.splitlines()
+    assert rows[-1] == "# exhausted: 30 improvement(s) up to 1000000"
+    assert [int(row.split(",")[0]) for row in rows[1:-1]] == SUPERABUNDANT
+
+
 #: Any int64, mostly near 0; 0 and negative values take the per-record fallback.
 _INT64 = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-2**62, 2**62),
                    st.sampled_from([-2**63, 2**63 - 1]))

@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from withinperfect.distribution import (empirical_cdf, phase_experiment,
                                         sigma_approx_probe)
@@ -105,6 +107,57 @@ def test_probe_matches_exhaustive_argmin():
     assert report.records[-1].distance == best[0]
     dists = [r.distance for r in report.records]
     assert dists == sorted(dists, reverse=True)  # nonincreasing by construction
+
+
+def test_probe_finds_an_improvement_below_float_rounding():
+    # l sits 1e-9 of the half-gap from the midpoint of the ratios of the primes
+    # 19993 and 19997, on the side of 19997: the two float distances differ by
+    # less than their rounding, and the exact argmin over every m is 19997
+    r1, r2 = (Fraction(sigma_oracle(p), p) for p in (19993, 19997))
+    mid = (r1 + r2) / 2
+    report = sigma_approx_probe(mid + (r2 - mid) / 10**9, 2, 20000)
+    assert [r.m for r in report.records] == [19993, 19997]
+
+
+def test_probe_picks_the_nearer_of_two_adjacent_ratios(oracle_sigma):
+    # between two value-adjacent ratios of m <= limit the nearer one is the
+    # exact argmin, reached first at the least m with that ratio
+    limit = 2 * 10**4
+    first = {Fraction(oracle_sigma[m], m): m for m in range(limit, 1, -1)}
+    ratios = sorted(first)
+    rng = random.Random(20000)
+    source = SigmaSource()
+    for i in rng.sample(range(len(ratios) - 1), 100):
+        mid = (ratios[i] + ratios[i + 1]) / 2
+        for scale in (10**6, 10**9, 10**12):
+            near = ratios[i + rng.randrange(2)]
+            report = sigma_approx_probe(mid + (near - mid) / scale, 1, limit, source)
+            assert report.records[-1].m == first[near], (ratios[i], scale)
+
+
+@st.composite
+def _near_ratio_targets(draw):
+    """A target at or within 10^-j of some sigma(m)/m, and a limit."""
+    limit = draw(st.integers(2, 400))
+    m = draw(st.integers(2, limit))
+    offset = Fraction(draw(st.integers(-3, 3)), 10 ** draw(st.integers(0, 30)))
+    return max(Fraction(sigma_oracle(m), m) + offset, Fraction(1001, 1000)), limit
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_near_ratio_targets())
+def test_probe_records_every_exact_improvement(oracle_sigma, case):
+    ell, limit = case
+    improvements, best = [], None
+    for m in range(2, limit + 1):
+        dist = abs(ell - Fraction(oracle_sigma[m], m))
+        if best is None or dist < best:
+            improvements.append((m, dist))
+            best = dist
+            if dist == 0:
+                break
+    report = sigma_approx_probe(ell, limit, limit)
+    assert [(r.m, r.distance) for r in report.records] == improvements
 
 
 def test_probe_near_one_lands_on_large_prime():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -9,34 +10,33 @@ from withinperfect.errors import CapabilityError, InvalidThresholdError
 from withinperfect.exact import enumerate_perfect, solve_diophantine, DiophantineProblem
 from withinperfect.sieve import SigmaSource, sieve_segment
 from withinperfect.types import ThresholdSpec
-from withinperfect.within import (REFERENCE_QUOTIENTS, count_at_limit,
-                                  count_thresholds, count_within, series,
+from withinperfect.within import (REFERENCE_QUOTIENTS, count_thresholds, series,
                                   table1_reproduce, theorem_limit_check,
                                   _decide_segment)
 
 
 def test_constant_threshold_reduces_to_perfect():
-    result = count_within("2", ThresholdSpec.constant(1), 100)
+    result = series("2", ThresholdSpec.constant(1), [100])
     assert result.counts == [2]  # {6, 28}: |sigma - 2n| < 1 forces equality
 
 
 def test_power_half_at_30():
-    result = count_within("2", ThresholdSpec.power("0.5"), 30)
+    result = series("2", ThresholdSpec.power("0.5"), [30])
     assert result.counts == [9]  # {2,4,6,8,10,16,18,20,28}
 
 
 def test_tie_at_one_separates_conventions():
-    strict = count_within("2", ThresholdSpec.power("1/2"), 10)
-    loose = count_within("2", ThresholdSpec.power("1/2", strict=False), 10)
+    strict = series("2", ThresholdSpec.power("1/2"), [10])
+    loose = series("2", ThresholdSpec.power("1/2", strict=False), [10])
     assert strict.counts == [5]  # {2,4,6,8,10}
     assert loose.counts == [6]   # n=1 is the exact tie |sigma(1)-2| = 1 = 1^c
-    dropped = count_within("2", ThresholdSpec.power("1/2", strict=False), 10,
-                           include_one=False)
+    dropped = series("2", ThresholdSpec.power("1/2", strict=False), [10],
+                     include_one=False)
     assert dropped.counts == [5]
 
 
 def test_nesting_in_exponent():
-    counts = [count_within("2", ThresholdSpec.power(Fraction(c, 10)), 10**4).counts[0]
+    counts = [series("2", ThresholdSpec.power(Fraction(c, 10)), [10**4]).counts[0]
               for c in range(2, 10)]
     assert counts == sorted(counts)
 
@@ -73,7 +73,7 @@ def test_series_matches_pointwise_counts():
     checkpoints = [10, 100, 1000, 5000]
     spec = ThresholdSpec.power("0.3")
     multi = series("2", spec, checkpoints)
-    singles = [count_within("2", spec, x).counts[0] for x in checkpoints]
+    singles = [series("2", spec, [x]).counts[0] for x in checkpoints]
     assert multi.counts == singles
     assert multi.quotients[1] == pytest.approx(singles[1] / (100 / math.log(100)))
 
@@ -88,7 +88,7 @@ def test_segmentation_invariance():
 def test_consistency_with_diophantine_union():
     # |sigma(n) - 2n| < 3 is exactly the union of offsets k in {-2,...,2}
     x = 10**4
-    total = count_within("2", ThresholdSpec.constant(3), x).counts[0]
+    total = series("2", ThresholdSpec.constant(3), [x]).counts[0]
     parts = len(enumerate_perfect("2", x).members)
     for k in (-2, -1, 1, 2):
         parts += len(solve_diophantine(DiophantineProblem(2, 1, k, x)).records)
@@ -98,7 +98,7 @@ def test_consistency_with_diophantine_union():
 def test_consistency_with_diophantine_union_fractional():
     # l = 3/2: |2*sigma(n) - 3n| < 2*2 covers k in {-3,...,3}
     x = 5 * 10**3
-    total = count_within("3/2", ThresholdSpec.constant(2), x).counts[0]
+    total = series("3/2", ThresholdSpec.constant(2), [x]).counts[0]
     parts = len(enumerate_perfect("3/2", x).members)
     for k in (-3, -2, -1, 1, 2, 3):
         parts += len(solve_diophantine(DiophantineProblem(3, 2, k, x)).records)
@@ -108,19 +108,20 @@ def test_consistency_with_diophantine_union_fractional():
 def test_threshold_at_limit_variant():
     # |sigma(n) - 2n| < sqrt(100) = 10 over n <= 100 (brute-checked: 26)
     spec = ThresholdSpec.power("0.5", at_limit=True)
-    result = count_within("2", spec, 100)
+    result = series("2", spec, [100])
     assert result.counts == [26]
-    assert count_at_limit("2", ThresholdSpec.power("0.5"), [100]).strict[0].tolist() == [26]
+    frozen = replace(ThresholdSpec.power("0.5"), at_limit=True)
+    assert count_thresholds("2", [frozen], [100]).strict[0].tolist() == [26]
 
 
-@pytest.mark.parametrize("count", [count_thresholds, count_at_limit])
-def test_checkpoints_in_any_order(count):
+@pytest.mark.parametrize("at_limit", [False, True], ids=["at_n", "at_limit"])
+def test_checkpoints_in_any_order(at_limit):
     # a list, a descending range or an array of checkpoints is counted in ascending order
-    spec = ThresholdSpec.power("1/2")
-    specs = [spec] if count is count_thresholds else spec
+    specs = [ThresholdSpec.power("1/2", at_limit=at_limit)]
     for checkpoints in ([1000, 10, 100], range(1000, 9, -495), np.array([100, 1000, 10])):
         ascending = sorted(int(x) for x in checkpoints)
-        got, want = count("2", specs, checkpoints), count("2", specs, ascending)
+        got = count_thresholds("2", specs, checkpoints)
+        want = count_thresholds("2", specs, ascending)
         assert got.checkpoints.tolist() == ascending
         assert (got.strict.tolist(), got.ties.tolist()) == (want.strict.tolist(), want.ties.tolist())
 
@@ -214,4 +215,4 @@ def test_count_thresholds_shares_one_pass():
     bundle = count_thresholds("2", specs, [10**3, 10**4])
     for i, spec in enumerate(specs):
         alone = series("2", spec, [10**3, 10**4])
-        assert [bundle.resolved(i, j, True) for j in range(2)] == alone.counts
+        assert bundle.strict[i].tolist() == alone.counts
