@@ -5,8 +5,9 @@ import time
 
 from withinperfect import SigmaSource, abundancy, factor, sieve_segment, sigma_oracle
 
-# A segment is a contiguous block of exact sigma values (u64).  One call
-# covers [lo, hi] regardless of where it starts.
+# A segment is a contiguous block of exact sigma values, u32 up to
+# hi = 2^27 and u64 above.  One call covers [lo, hi] regardless of where it
+# starts.
 seg = sieve_segment(1, 50)
 print("n, sigma(n) for small n:")
 for n in (1, 2, 6, 12, 24, 28, 49):

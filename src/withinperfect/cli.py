@@ -239,7 +239,9 @@ def _threshold_from_args(args, config: RunConfig) -> ThresholdSpec:
                    at_limit=not config.threshold_at_n)
 
 
-def _dispatch(args, config: RunConfig) -> str:
+def _dispatch(args, config: RunConfig) -> str | list[str]:
+    """The artifact of the subcommand, whole or (for the long series and
+    NDJSON artifacts) as the list of its rendered blocks."""
     fmt = config.output_format
     source = config.source()
 
@@ -248,24 +250,26 @@ def _dispatch(args, config: RunConfig) -> str:
         if args.cache_path:
             cache.write_segment(segment, args.cache_path)
         # A u64 sum of 2^25 values below 2^61 can wrap, so the low and high
-        # 32-bit halves are summed apart (each below 2^57) and joined exactly.
-        halves = segment.sigma.astype("<u8", copy=False).view("<u4").reshape(-1, 2)
-        low, high = (int(halves[:, j].sum(dtype="u8")) for j in (0, 1))
-        total = low + (high << 32)
+        # halves of each value (u32 or u64) are summed apart in u64 (each sum
+        # below 2^57) and joined exactly.
+        width = segment.sigma.itemsize
+        halves = segment.sigma.astype(f"<u{width}", copy=False).view(f"<u{width // 2}")
+        low, high = (int(halves[j::2].sum(dtype="u8")) for j in (0, 1))
+        total = low + (high << 4 * width)
         return f"lo,hi,length,sigma_total\n{segment.lo},{segment.hi},{len(segment)},{total}\n"
 
     if args.command == "count":
         threshold = _threshold_from_args(args, config)
         result = within.series(RationalTarget.parse(args.ell), threshold,
                                [args.limit], source, config.include_n_equals_1)
-        return emit.series_csv(result)
+        return emit.series_csv_blocks(result)
 
     if args.command == "series":
         threshold = _threshold_from_args(args, config)
         result = within.series(RationalTarget.parse(args.ell), threshold,
                                parse_checkpoints(args.checkpoints), source,
                                config.include_n_equals_1)
-        return emit.series_csv(result)
+        return emit.series_csv_blocks(result)
 
     if args.command == "table1":
         report = within.table1_reproduce(source, args.limit)
@@ -284,13 +288,13 @@ def _dispatch(args, config: RunConfig) -> str:
         result = within.series(RationalTarget(2, 1), threshold,
                                range(2, args.limit + 1), source,
                                config.include_n_equals_1)
-        return emit.series_csv(result)
+        return emit.series_csv_blocks(result)
 
     if args.command == "perfect":
         checkpoints = parse_checkpoints(args.checkpoints) if args.checkpoints else None
         census_ = exact.enumerate_perfect(RationalTarget.parse(args.ell),
                                           args.limit, source, checkpoints)
-        return (emit.series_csv(census_.counting) if fmt == "csv"
+        return (emit.series_csv_blocks(census_.counting) if fmt == "csv"
                 else emit.perfect_json(census_))
 
     if args.command == "wirsing":
@@ -303,9 +307,9 @@ def _dispatch(args, config: RunConfig) -> str:
         checkpoints = parse_checkpoints(args.checkpoints) if args.checkpoints else None
         solution = exact.solve_diophantine(problem, source, checkpoints)
         if fmt == "csv":
-            return emit.series_csv(solution.series)
+            return emit.series_csv_blocks(solution.series)
         if fmt == "ndjson":
-            return emit.records_ndjson(solution.records)
+            return emit.records_ndjson_blocks(solution.records)
         return emit.dioph_json(solution)
 
     if args.command == "census":
@@ -315,12 +319,13 @@ def _dispatch(args, config: RunConfig) -> str:
                              f"range b*x^(2/3)\n")
         records = congruence.census(problem, source)
         return (emit.records_json(records) if fmt == "json"
-                else emit.records_ndjson(records))
+                else emit.records_ndjson_blocks(records))
 
     if args.command == "sporadic":
         report = congruence.sporadic_growth_report(
             args.b, args.k, parse_checkpoints(args.checkpoints), source)
-        return emit.sporadic_text(report) if fmt == "table" else emit.series_csv(report.series)
+        return (emit.sporadic_text(report) if fmt == "table"
+                else emit.series_csv_blocks(report.series))
 
     if args.command == "cdf":
         grid = [g.strip() for g in args.grid.split(",") if g.strip()]
@@ -374,7 +379,7 @@ def main(argv=None) -> int:
         if env_cache:
             config = replace(config, cache_dir=env_cache)
 
-        text = _dispatch(args, config)
+        artifact = _dispatch(args, config)  # every block rendered before the first byte
     except (InvalidProblemError, InvalidThresholdError, ValueError, TypeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
@@ -387,11 +392,12 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: out of memory: {exc}\n")
         return 2
 
+    parts = [artifact] if isinstance(artifact, str) else artifact
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     return 0
 
 

@@ -74,10 +74,16 @@ def _digits(v: np.ndarray, pad_to: int = 0) -> np.ndarray:
 
 def series_csv(series: CheckpointSeries, header: str = "x,count,quotient") -> str:
     """The header, then the bytes of f"{x},{c},{q:.6f}" per row."""
-    return header + "\n" + "".join(
+    return "".join(series_csv_blocks(series, header))
+
+
+def series_csv_blocks(series: CheckpointSeries, header: str = "x,count,quotient") -> list[str]:
+    """series_csv as its header line and one str per block of _BLOCK rows, so
+    a writer need not hold the text twice to join it."""
+    return [header + "\n"] + [
         _series_block(series.x[i : i + _BLOCK], series.count[i : i + _BLOCK],
                       series.quotient[i : i + _BLOCK])
-        for i in range(0, len(series), _BLOCK))
+        for i in range(0, len(series), _BLOCK)]
 
 
 def wirsing_csv(report: WirsingReport) -> str:
@@ -112,14 +118,19 @@ def _series_block(x: np.ndarray, c: np.ndarray, q: np.ndarray) -> str:
 
 def records_json(records: Iterable[SolutionRecord]) -> str:
     """The records as the JSON array json.dumps(..., indent=2) gives for
-    their to_json_dict(), rendered from the columns (see _records_text)."""
+    their to_json_dict(), rendered from the columns (see _record_blocks)."""
     return _json_array(_table(records), 0) + "\n"
 
 
 def records_ndjson(records: Iterable[SolutionRecord]) -> str:
     """One compact JSON object per line, the bytes json.dumps would give for
-    to_json_dict(), rendered from the columns (see _records_text)."""
-    return _records_text(_table(records), "\n", None)
+    to_json_dict(), rendered from the columns (see _record_blocks)."""
+    return "".join(records_ndjson_blocks(records))
+
+
+def records_ndjson_blocks(records: Iterable[SolutionRecord]) -> list[str]:
+    """records_ndjson as one str per block of records."""
+    return _record_blocks(_table(records), "\n", None)
 
 
 def _table(records: Iterable[SolutionRecord]) -> SolutionTable:
@@ -132,16 +143,18 @@ def _json_array(t: SolutionTable, depth: int) -> str:
     if not len(t):
         return "[]"
     pad = "  " * depth
-    items = _records_text(t, ",\n", pad + "  ")
-    return f"[\n{items[:-2]}\n{pad}]"  # no comma after the last item
+    blocks = _record_blocks(t, ",\n", pad + "  ")
+    blocks[-1] = blocks[-1][:-2]  # no comma after the last item
+    return "".join(["[\n", *blocks, f"\n{pad}]"])
 
 
-def _records_text(t: SolutionTable, end: str, pad: Optional[str]) -> str:
-    """The records of t, each followed by end, with the bytes of _dumps: the
-    pieces of _record_layout around the digits of n, sigma_n, p and m.  Both
-    kinds of record start with n and sigma_n; the regular fields are blanked
-    on sporadic rows (p = 0), the sporadic tail on regular rows, and a row
-    with a negative column falls back to _dumps of its record."""
+def _record_blocks(t: SolutionTable, end: str, pad: Optional[str]) -> list[str]:
+    """The records of t in blocks of _BLOCK // 4, each record followed by end,
+    with the bytes of _dumps: the pieces of _record_layout around the digits
+    of n, sigma_n, p and m.  Both kinds of record start with n and sigma_n;
+    the regular fields are blanked on sporadic rows (p = 0), the sporadic tail
+    on regular rows, and a row with a negative column falls back to _dumps of
+    its record."""
     (head, mid, regular, inner, regular_end), (_, _, sporadic_end) = _record_layout(pad, end)
 
     def block(b: SolutionTable) -> str:
@@ -151,7 +164,7 @@ def _records_text(t: SolutionTable, end: str, pad: Optional[str]) -> str:
                      (b.n < 0) | (b.sigma_n < 0) | (b.p < 0) | (b.m < 0),
                      lambda i: _dumps(b[i], pad) + end)
 
-    return "".join(block(t[i : i + _BLOCK // 4]) for i in range(0, len(t), _BLOCK // 4))
+    return [block(t[i : i + _BLOCK // 4]) for i in range(0, len(t), _BLOCK // 4)]
 
 
 def _dumps(record: SolutionRecord, pad: Optional[str]) -> str:

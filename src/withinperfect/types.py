@@ -216,8 +216,10 @@ class CheckpointSeries:
     """
 
     def __init__(self, checkpoints, counts, quotients=None, label: str = ""):
-        self.x = np.asarray(checkpoints, dtype=np.int64)
-        _column(self.x, "checkpoints")
+        given = _column(np.asarray(checkpoints), "checkpoints")
+        # any column but int64 goes item by item: 100.5 is refused, never truncated
+        self.x = given if given.dtype == np.int64 else np.array(
+            [_checkpoint(v) for v in given.tolist()], dtype=np.int64)
         if np.any(self.x[1:] < self.x[:-1]):
             raise ValueError("checkpoints must be ascending")
         self.count = _column(np.asarray(counts, dtype=np.int64), "counts", len(self.x))

@@ -5,8 +5,8 @@ elements cut from each segment; none reads ``segments`` itself.  Results must
 not depend on where segments and blocks end, so each statistic is run at the
 default segment length, at 1024 and (for the counting engine) at an unaligned
 5000, with checkpoints and limits just before, at and after multiples of
-BLOCK_LENGTH.  _sigma_block accumulates in u32 up to U32_SIGMA_LIMIT and in
-u64 above; both sides are checked against the oracle.
+BLOCK_LENGTH.  _sigma_block returns u32 up to U32_SIGMA_LIMIT and u64 above,
+and blocks are u64 on both sides; both sides are checked against the oracle.
 """
 
 import math
@@ -175,12 +175,29 @@ def test_blocks_cut_each_segment():
     assert np.array_equal(np.concatenate([b.sigma for b in blocks]), whole)
 
 
+def test_blocks_identical_at_every_segment_length():
+    # the default length sieves its one segment by 2-adic parts, the others
+    # by the step-1 pairs; every block is a read-only u64 view either way
+    limit = 2**19 + 1000
+    streams = {}
+    for length, threads in ((DEFAULT_SEGMENT_LENGTH, 1), (1024, 2),
+                            (3 * BLOCK_LENGTH - 1, 1), (3 * BLOCK_LENGTH + 1, 2)):
+        blocks = list(SigmaSource(segment_length=length, threads=threads).blocks(limit))
+        assert all(b.sigma.dtype == np.uint64 and not b.sigma.flags.writeable
+                   for b in blocks)
+        assert [b.lo for b in blocks] == [1] + [b.hi + 1 for b in blocks[:-1]]
+        streams[length] = np.concatenate([b.sigma for b in blocks])
+    first = streams[DEFAULT_SEGMENT_LENGTH]
+    assert len(first) == limit
+    assert all(np.array_equal(first, other) for other in streams.values())
+
+
 @pytest.mark.parametrize("hi", [U32_SIGMA_LIMIT, U32_SIGMA_LIMIT + 1024])
 def test_sigma_block_at_the_u32_boundary(hi):
-    # u32 sums end at hi = 2^27; one element past it the block sums in u64
+    # u32 sigma ends at hi = 2^27; one element past it the block is u64
     lo = hi - 4095
     sig = _sigma_block(lo, hi)
-    assert sig.dtype == np.uint64
+    assert sig.dtype == (np.uint32 if hi <= U32_SIGMA_LIMIT else np.uint64)
     assert sig.tolist() == [factor(n).sigma for n in range(lo, hi + 1)]
     rng = random.Random(hi)
     for i in rng.sample(range(len(sig)), 30) + [0, len(sig) - 1, int(np.argmax(sig))]:

@@ -6,7 +6,8 @@ import pytest
 
 from withinperfect.cache import read_segment, write_segment
 from withinperfect.errors import CacheChecksumError, CacheFormatError
-from withinperfect.sieve import SigmaSource, sieve_segment
+from withinperfect.sieve import (U32_SIGMA_LIMIT, SigmaSegment, SigmaSource, sieve_segment,
+                                 sigma_oracle)
 
 
 def test_roundtrip_identity(tmp_path):
@@ -96,13 +97,65 @@ def test_source_resieves_corrupt_cache(tmp_path):
     assert segs[0].sigma_of(24) == 60  # repaired transparently
 
 
+def _v2_header(lo, hi, width):
+    """The 32 header bytes of version 2, spelled out field by field."""
+    return (b"SGMA" + (2).to_bytes(4, "little") + lo.to_bytes(8, "little")
+            + hi.to_bytes(8, "little") + width.to_bytes(4, "little") + bytes(4))
+
+
 def test_file_layout_and_read_only_view(tmp_path):
+    # a range up to 2^27 is stored as u32
     seg = sieve_segment(7, 700)
     path = tmp_path / "seg.sgma"
     write_segment(seg, str(path))
-    payload = seg.sigma.astype("<u8").tobytes()
-    assert path.read_bytes() == (struct.pack("<4sIQQ", b"SGMA", 1, 7, 700) + payload
+    payload = np.array([sigma_oracle(n) for n in range(7, 701)], dtype="<u4").tobytes()
+    assert path.read_bytes() == (_v2_header(7, 700, 4) + payload
                                  + struct.pack("<I", zlib.crc32(payload)))
     back = read_segment(str(path))
-    assert back.sigma.dtype == np.uint64 and not back.sigma.flags.writeable
+    assert back.sigma.dtype == np.uint32 and not back.sigma.flags.writeable
     assert np.array_equal(back.sigma, seg.sigma)
+
+
+def test_file_layout_of_a_u64_payload(tmp_path):
+    lo, hi = U32_SIGMA_LIMIT + 1, U32_SIGMA_LIMIT + 300
+    seg = sieve_segment(lo, hi)
+    path = tmp_path / "seg.sgma"
+    write_segment(seg, str(path))
+    payload = np.array([sigma_oracle(n) for n in range(lo, hi + 1)], dtype="<u8").tobytes()
+    blob = path.read_bytes()
+    assert blob == _v2_header(lo, hi, 8) + payload + struct.pack("<I", zlib.crc32(payload))
+    back = read_segment(str(path))
+    assert back.sigma.dtype == np.uint64 and not back.sigma.flags.writeable
+    assert back.sigma.flags.aligned  # the 32-byte header keeps u64 aligned
+    assert np.array_equal(back.sigma, seg.sigma)
+
+
+@pytest.mark.parametrize("lo, hi, width", [(7, 700, 8), (U32_SIGMA_LIMIT + 1,
+                                                          U32_SIGMA_LIMIT + 300, 4)])
+def test_width_not_matching_the_range_is_refused(tmp_path, lo, hi, width):
+    payload = np.array([sigma_oracle(n) for n in range(lo, hi + 1)],
+                       dtype=f"<u{width}").tobytes()
+    path = tmp_path / "seg.sgma"
+    path.write_bytes(_v2_header(lo, hi, width) + payload
+                     + struct.pack("<I", zlib.crc32(payload)))
+    with pytest.raises(CacheFormatError, match="width"):
+        read_segment(str(path))
+    seg = SigmaSegment(lo, hi, np.frombuffer(payload, dtype=f"<u{width}"))
+    with pytest.raises(ValueError, match="bit"):
+        write_segment(seg, str(tmp_path / "out.sgma"))
+
+
+def test_version_1_file_is_resieved_as_version_2(tmp_path):
+    # the version-1 layout: a 24-byte header and a u64 payload
+    payload = np.array([sigma_oracle(n) for n in range(1, 1025)], dtype="<u8").tobytes()
+    v1 = tmp_path / "sigma_1_1024.sgma"
+    v1.write_bytes(struct.pack("<4sIQQ", b"SGMA", 1, 1, 1024) + payload
+                   + struct.pack("<I", zlib.crc32(payload)))
+    with pytest.raises(CacheFormatError, match="version 1"):
+        read_segment(str(v1))
+    (seg,) = SigmaSource(segment_length=1024, cache_dir=str(tmp_path)).segments(1024)
+    assert seg.sigma.tolist() == np.frombuffer(payload, dtype="<u8").tolist()
+    fresh = tmp_path / "fresh.sgma"
+    write_segment(sieve_segment(1, 1024), str(fresh))
+    assert v1.read_bytes() == fresh.read_bytes()
+    assert v1.read_bytes()[:32] == _v2_header(1, 1024, 4)

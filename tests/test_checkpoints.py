@@ -116,3 +116,29 @@ def test_checkpoints_are_read_by_one_rule(statistic):
         return
     assert run([1e4, 100]) == run([100, 10**4])
     assert run(range(1000, 9, -495)) == run([10, 505, 1000])
+
+
+@pytest.mark.parametrize("bad", [[100.5], np.array([1000.9]), [Fraction(201, 2)],
+                                 [10, math.nan]])
+def test_checkpoint_series_refuses_a_fractional_x(bad):
+    with pytest.raises(ValueError, match="not an integer"):
+        CheckpointSeries(bad, [1] * len(bad))
+
+
+def test_checkpoint_series_keeps_an_integral_float_x():
+    series = CheckpointSeries([1e3, 1e4], [3, 7])
+    assert series.x.dtype == np.int64 and series.checkpoints == [1000, 10000]
+    assert series == CheckpointSeries([1000, 10000], [3, 7])
+
+
+def test_checkpoint_series_may_be_empty():
+    series = CheckpointSeries([], [])
+    assert len(series) == 0 and series.x.dtype == np.int64
+
+
+def test_checkpoint_series_stays_ascending_and_paired_by_position():
+    with pytest.raises(ValueError, match="ascending"):
+        CheckpointSeries([1e4, 1e3], [1, 2])
+    series = CheckpointSeries([10.0, 10.0, 20.0], [4, 5, 6])
+    assert series.rows()[:2] == [(10, 4, series.quotients[0]), (10, 5, series.quotients[1])]
+    assert series.counts == [4, 5, 6]

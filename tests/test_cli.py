@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -337,6 +338,16 @@ def test_cache_dir_under_a_regular_file_exits_2(capsys, tmp_path):
                    "--ell", "2", "--threshold", "pow:0.5", "--limit", "30")[0] == 2
 
 
+def test_sieve_total_of_a_u32_segment(capsys):
+    # a u32 segment is summed by its 16-bit halves; sigma(n) >= 2^16 here
+    from withinperfect.sieve import sigma_oracle
+
+    code, out = run_cli(capsys, "sieve", "--lo", "60000", "--hi", "70000")
+    assert code == 0
+    total = sum(sigma_oracle(n) for n in range(60000, 70001))
+    assert out == f"lo,hi,length,sigma_total\n60000,70000,10001,{total}\n"
+
+
 def test_sieve_cache_roundtrip(capsys, tmp_path):
     path = tmp_path / "seg.sgma"
     code, out = run_cli(capsys, "sieve", "--lo", "1", "--hi", "1000",
@@ -656,3 +667,27 @@ def test_fuzzed_argv_exits_0_1_or_2(fuzz_dir, argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2), argv
+
+
+#: The digest-pinned commands of perfbench/run.py, with the arguments it gives
+#: them (it adds only --out).
+BENCHMARK_ARGV = {
+    "table1-2e7": ["table1", "--limit", "20000000"],
+    "figure1-1e6": ["figure1", "--limit", "1000000"],
+    "census-k1-3e6": ["census", "--b", "1", "--k", "1", "--limit", "3000000"],
+    "gcdsum-5e7": ["gcdsum", "--x", "50000000"],
+}
+
+
+def test_benchmark_artifacts_match_their_pins(tmp_path, capsys, monkeypatch):
+    # a change that moves one byte of a benchmark artifact fails here, not
+    # only when the benchmark runs
+    pinned = Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json"
+    digests = json.loads(pinned.read_text(encoding="utf-8"))["digests"]
+    assert set(digests) == set(BENCHMARK_ARGV)
+    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+    out = tmp_path / "artifact.out"
+    for name, argv in BENCHMARK_ARGV.items():
+        assert main([*argv, "--out", str(out)]) == 0, name
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[name], name
+    capsys.readouterr()

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from withinperfect import sieve
 from withinperfect.errors import (BudgetExceededError, CapabilityError,
                                   SigmaOverflowError)
 from withinperfect.sieve import (DOMAIN_CAP, MAX_SEGMENT_LENGTH, MIN_SEGMENT_LENGTH,
-                                 FactorView, SigmaSource, _icbrt, _is_prime,
-                                 _prime_mask, abundancy, factor, sieve_segment,
-                                 sigma_oracle)
+                                 U32_SIGMA_LIMIT, _LONG_MIN, _LONG_PER_ROOT,
+                                 FactorView, SigmaSource, _icbrt, _is_prime, _pair_sums,
+                                 _prime_mask, _sigma_block, abundancy, factor,
+                                 sieve_segment, sigma_dtype, sigma_oracle)
 
 from conftest import trial_factor, trial_is_prime
 
@@ -32,6 +34,98 @@ def test_oracle_equivalence_20k():
     seg = sieve_segment(1, 2 * 10**4)
     for n in range(1, 2 * 10**4 + 1):
         assert seg.sigma_of(n) == sigma_oracle(n)
+
+
+def _is_long(lo, hi):
+    """The rule of _sigma_block: 2-adic parts from this length on."""
+    return hi - lo + 1 >= max(sieve._LONG_MIN, sieve._LONG_PER_ROOT * math.isqrt(hi))
+
+
+def _check_window(lo, hi, samples, seed):
+    """_sigma_block against the step-1 pair loop over the whole window, and
+    against the oracle at the ends and at seeded samples."""
+    sig = _sigma_block(lo, hi)
+    assert sig.dtype == sigma_dtype(hi)
+    assert np.array_equal(sig, _pair_sums(lo, hi, 1))
+    rng = random.Random(seed)
+    for i in rng.sample(range(len(sig)), samples) + [0, len(sig) - 1]:
+        assert int(sig[i]) == sigma_oracle(lo + i), lo + i
+    return sig
+
+
+@st.composite
+def long_windows(draw):
+    """A window the 2-adic path takes (lo = 1, odd or even lo) or one just
+    outside its rule (one element short, or hi one past the root bound)."""
+    length = draw(st.integers(_LONG_MIN, _LONG_MIN + 5000))
+    top = (length // _LONG_PER_ROOT + 1) ** 2 - 1  # the largest hi taken as long
+    side = draw(st.sampled_from(("lo=1", "odd", "even", "too short", "too far")))
+    if side == "lo=1":
+        return 1, length, True
+    if side == "too short":
+        lo = draw(st.integers(1, 10**6))
+        return lo, lo + _LONG_MIN - 2, False
+    if side == "too far":
+        return top + 2 - length, top + 1, False
+    lo = draw(st.integers(1, (top - length) // 2)) * 2 - (side == "odd")
+    return lo, lo + length - 1, True
+
+
+@settings(max_examples=12, deadline=None)
+@given(window=long_windows(), seed=st.integers(0, 2**32))
+def test_sigma_block_on_both_sides_of_the_long_rule(window, seed):
+    # every n in exactly one 2-adic part, parts of 0 or 1 element at the top
+    # levels k (2^k > length), and the short path just outside the rule
+    lo, hi, long = window
+    assert _is_long(lo, hi) == long
+    _check_window(lo, hi, 20, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lo=st.integers(1, 2**40), length=st.integers(1, 3000))
+def test_short_sigma_block_matches_factor(lo, length):
+    hi = lo + length - 1
+    assert not _is_long(lo, hi)
+    sig = _sigma_block(lo, hi)
+    for i in sorted({0, length - 1, length // 2, length // 3}):
+        assert int(sig[i]) == factor(lo + i).sigma
+
+
+def test_long_window_straddling_the_u32_limit():
+    # a u64 segment whose upper 2-adic parts (hi >> k <= 2^27) sieve in u32
+    lo, hi = U32_SIGMA_LIMIT - 2**20 + 1, U32_SIGMA_LIMIT + 2**20
+    assert _is_long(lo, hi)
+    sig = _check_window(lo, hi, 40, hi)
+    assert sig.dtype == np.uint64
+    boundary = U32_SIGMA_LIMIT - lo
+    for i in range(boundary - 8, boundary + 8):
+        assert int(sig[i]) == sigma_oracle(lo + i)
+    assert int(sig.max()) == sigma_oracle(lo + int(np.argmax(sig)))
+
+
+def test_parts_past_2_32_from_u32_parts(monkeypatch):
+    # far past its rule (forced here), a u64 segment near 2^31 takes its parts
+    # with hi >> k <= 2^27 in u32, and their products sigma(n) reach past 2^32
+    monkeypatch.setattr(sieve, "_LONG_PER_ROOT", 1)
+    lo, hi = 2**31 - 2**19 + 1, 2**31
+    assert _is_long(lo, hi)
+    sig = _check_window(lo, hi, 20, hi)
+    assert int(sig.max()) >= 2**32
+    big = np.flatnonzero(sig >= 2**32)
+    assert any((lo + int(i)) % 16 == 0 for i in big)  # k >= 4: a u32 part
+    for i in big[:: max(1, len(big) // 20)].tolist():
+        assert int(sig[i]) == sigma_oracle(lo + i)
+
+
+def test_long_u64_window_at_the_top_of_its_length():
+    # 2^21 elements is 128 * isqrt(hi) up to hi = 2^28 + 2^15: the farthest
+    # window of that length taken by 2-adic parts; one further out is not
+    length = 2**21
+    hi = (length // _LONG_PER_ROOT + 1) ** 2 - 1  # 2^28 + 2^15
+    lo = hi - length + 1
+    assert _is_long(lo, hi) and not _is_long(lo + 1, hi + 1)
+    sig = _check_window(lo, hi, 40, hi)
+    assert sig.dtype == np.uint64
 
 
 def test_prime_rows():
