@@ -239,9 +239,9 @@ def _threshold_from_args(args, config: RunConfig) -> ThresholdSpec:
                    at_limit=not config.threshold_at_n)
 
 
-def _dispatch(args, config: RunConfig) -> str | list[str]:
-    """The artifact of the subcommand, whole or (for the long series and
-    NDJSON artifacts) as the list of its rendered blocks."""
+def _dispatch(args, config: RunConfig) -> list[str]:
+    """The artifact of the subcommand as the list of its rendered text blocks
+    (one block, or for the long series and NDJSON artifacts several)."""
     fmt = config.output_format
     source = config.source()
 
@@ -256,7 +256,7 @@ def _dispatch(args, config: RunConfig) -> str | list[str]:
         halves = segment.sigma.astype(f"<u{width}", copy=False).view(f"<u{width // 2}")
         low, high = (int(halves[j::2].sum(dtype="u8")) for j in (0, 1))
         total = low + (high << 4 * width)
-        return f"lo,hi,length,sigma_total\n{segment.lo},{segment.hi},{len(segment)},{total}\n"
+        return [f"lo,hi,length,sigma_total\n{segment.lo},{segment.hi},{len(segment)},{total}\n"]
 
     if args.command == "count":
         threshold = _threshold_from_args(args, config)
@@ -275,10 +275,10 @@ def _dispatch(args, config: RunConfig) -> str | list[str]:
         report = within.table1_reproduce(source, args.limit)
         sys.stderr.write(f"elapsed: {report.elapsed_seconds:.1f}s\n")
         if fmt == "table":
-            return emit.table1_text(report)
+            return [emit.table1_text(report)]
         if fmt == "csv":
-            return emit.table1_csv(report)
-        return emit.table1_text(report) + "\n" + emit.table1_csv(report)
+            return [emit.table1_csv(report)]
+        return [emit.table1_text(report), "\n", emit.table1_csv(report)]
 
     if args.command == "figure1":
         if args.limit < 2:
@@ -295,12 +295,12 @@ def _dispatch(args, config: RunConfig) -> str | list[str]:
         census_ = exact.enumerate_perfect(RationalTarget.parse(args.ell),
                                           args.limit, source, checkpoints)
         return (emit.series_csv_blocks(census_.counting) if fmt == "csv"
-                else emit.perfect_json(census_))
+                else [emit.perfect_json(census_)])
 
     if args.command == "wirsing":
         report = exact.wirsing_count_check(RationalTarget.parse(args.ell),
                                            parse_checkpoints(args.checkpoints), source)
-        return emit.wirsing_csv(report)
+        return [emit.wirsing_csv(report)]
 
     if args.command == "dioph":
         problem = exact.DiophantineProblem(args.a, args.b, args.k, args.limit)
@@ -310,7 +310,7 @@ def _dispatch(args, config: RunConfig) -> str | list[str]:
             return emit.series_csv_blocks(solution.series)
         if fmt == "ndjson":
             return emit.records_ndjson_blocks(solution.records)
-        return emit.dioph_json(solution)
+        return [emit.dioph_json(solution)]
 
     if args.command == "census":
         problem = congruence.CongruenceProblem(args.b, args.k, args.limit)
@@ -318,33 +318,33 @@ def _dispatch(args, config: RunConfig) -> str | list[str]:
             sys.stderr.write(f"warning: |k|={abs(args.k)} is outside the uniform "
                              f"range b*x^(2/3)\n")
         records = congruence.census(problem, source)
-        return (emit.records_json(records) if fmt == "json"
+        return ([emit.records_json(records)] if fmt == "json"
                 else emit.records_ndjson_blocks(records))
 
     if args.command == "sporadic":
         report = congruence.sporadic_growth_report(
             args.b, args.k, parse_checkpoints(args.checkpoints), source)
-        return (emit.sporadic_text(report) if fmt == "table"
+        return ([emit.sporadic_text(report)] if fmt == "table"
                 else emit.series_csv_blocks(report.series))
 
     if args.command == "cdf":
         grid = [g.strip() for g in args.grid.split(",") if g.strip()]
         result = distribution.empirical_cdf(args.limit, grid, source)
-        return emit.cdf_csv(result)
+        return [emit.cdf_csv(result)]
 
     if args.command == "phase":
         report = distribution.phase_experiment(
             RationalTarget.parse(args.ell), args.regime,
             parse_checkpoints(args.checkpoints), source, c=args.c)
-        return emit.phase_csv(report)
+        return [emit.phase_csv(report)]
 
     if args.command == "probe":
         report = distribution.sigma_approx_probe(args.ell, args.depth,
                                                  args.search_limit, source)
-        return emit.probe_csv(report)
+        return [emit.probe_csv(report)]
 
     if args.command == "gcdsum":
-        return emit.gcdsum_csv(exact.gcd_sum(args.x, source))
+        return [emit.gcdsum_csv(exact.gcd_sum(args.x, source))]
 
     raise ValueError(f"unknown subcommand {args.command!r}")
 
@@ -379,25 +379,26 @@ def main(argv=None) -> int:
         if env_cache:
             config = replace(config, cache_dir=env_cache)
 
-        artifact = _dispatch(args, config)  # every block rendered before the first byte
+        blocks = _dispatch(args, config)  # every block rendered before the first byte
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(blocks)
+        else:
+            sys.stdout.writelines(blocks)
+            sys.stdout.flush()  # so a closed pipe fails here, not at interpreter exit
     except (InvalidProblemError, InvalidThresholdError, ValueError, TypeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except (CapabilityError, BudgetExceededError, SigmaOverflowError,
             CacheFormatError, OSError, OverflowError) as exc:
         # OverflowError: an exact input (such as --ell 1e400) beyond float64 or int64
+        if isinstance(exc, BrokenPipeError):  # the reader left: the exit flush goes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except MemoryError as exc:  # such as figure1's checkpoint column at --limit 1e15
         sys.stderr.write(f"error: out of memory: {exc}\n")
         return 2
-
-    parts = [artifact] if isinstance(artifact, str) else artifact
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(parts)
-    else:
-        sys.stdout.writelines(parts)
     return 0
 
 

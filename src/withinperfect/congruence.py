@@ -44,23 +44,26 @@ class CongruenceProblem:
 def census(problem: CongruenceProblem, source: Optional[SigmaSource] = None) -> SolutionTable:
     """Exhaustively list and classify the solutions n <= limit, ascending.
 
-    The anchors are the solutions m with b*sigma(m) = k and m | k.  A regular
-    n = p*m has m <= n/2, so collecting each block's anchors before
-    classifying its solutions has every anchor of n in hand.
+    The anchors are the solutions m with b*sigma(m) = k and m | k, so each has
+    sigma(m) = k/b, and the witness of a regular n is read off sigma(n)
+    (sieve._witnesses).  A regular n = p*m has m <= n/2, so adding each
+    block's anchors before classifying its solutions has every anchor of n in
+    hand.
     """
     source = source or SigmaSource()
     b, k, limit = problem.b, problem.k, problem.limit
     _guard_linear(1, b, limit, k)
-    anchors: list[int] = []
+    anchors = np.empty(0, dtype=np.int64)
     parts = []
     for blk in source.blocks(limit):
         sig = blk.sigma.view(np.int64)
         value = sig * np.int64(b) - np.int64(k)
         idx = np.flatnonzero(value % blk.n_values() == 0)
         ns, sigma_n, value = idx + blk.lo, sig[idx], value[idx]
-        anchors += [m for m in ns[value == 0].tolist() if k % m == 0]
+        new = ns[value == 0]
+        anchors = np.concatenate([anchors, new[k % new == 0]])
         q = np.where(value >= 0, value // ns, -1)
-        parts.append((ns, sigma_n, q, *_witnesses(ns, anchors)))
+        parts.append((ns, sigma_n, q, *_witnesses(ns, sigma_n, anchors, k // b)))
     return SolutionTable.concat(parts)
 
 

@@ -83,6 +83,8 @@ def empirical_cdf(limit: int, grid, source: Optional[SigmaSource] = None,
     (limit,) = checkpoint_column([limit]).tolist()
     labels = tuple(str(u) for u in grid)
     fracs = tuple(as_exact_fraction(u, "query point") for u in grid)
+    if not fracs:
+        raise ValueError("need at least one query point")
     if list(fracs) != sorted(fracs):
         raise ValueError("grid must be ascending")
     below, ties = _abundancy_counts([limit], fracs, source or SigmaSource())

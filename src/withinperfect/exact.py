@@ -318,15 +318,16 @@ def solve_diophantine(problem: DiophantineProblem, source: Optional[SigmaSource]
     cks = checkpoint_column([limit] if checkpoints is None else checkpoints, limit)
     m0 = regular_family_anchor(a, b, k)
 
-    anchors = (m0,) if m0 is not None else ()
+    anchors = np.array([] if m0 is None else [m0], dtype=np.int64)
     av, bv, kv = np.int64(a), np.int64(b), np.int64(k)
     parts = []
     for blk in source.blocks(limit):
         n = blk.n_values()
         sig = blk.sigma.view(np.int64)
         idx = np.flatnonzero(bv * sig - av * n == kv)
-        ns = n[idx]
-        parts.append((ns, sig[idx], np.full(len(ns), av), *_witnesses(ns, anchors)))
+        ns, sigma_n = n[idx], sig[idx]
+        parts.append((ns, sigma_n, np.full(len(ns), av),
+                      *_witnesses(ns, sigma_n, anchors, k // b)))
     records = SolutionTable.concat(parts)
 
     series = CheckpointSeries(cks, _counts_upto(records.n, cks),

@@ -1,5 +1,7 @@
 """Sum-of-divisors sieving: segments, the trial-division oracle, factorization,
 and the exact integer arithmetic built beside them (primality, cube roots).
+The sigma sieve is the package's only sieve: the regular-family witness of a
+census or Diophantine solution is read off sigma(n) itself (_witnesses).
 
 A segment holds sigma(n) over [lo, hi] and nothing else, in the narrowest
 width that holds it: u32 up to hi = U32_SIGMA_LIMIT = 2^27, u64 above
@@ -169,18 +171,6 @@ def _check_range(lo: int, hi: int) -> None:
         )
 
 
-def base_primes(limit: int) -> np.ndarray:
-    """All primes <= limit via a plain boolean sieve (int64 array)."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    is_prime = np.ones(limit + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if is_prime[p]:
-            is_prime[p * p :: p] = False
-    return np.flatnonzero(is_prime).astype(np.int64)
-
-
 def sigma_dtype(hi: int) -> np.dtype:
     """The dtype of sigma over a range ending at hi: u32 up to U32_SIGMA_LIMIT,
     where sigma(n)/n <= H_n <= 1 + ln n gives sigma(n) <= 2^27 * (1 + ln 2^27)
@@ -303,44 +293,41 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _prime_mask(lo: int, hi: int) -> np.ndarray:
-    """mask[i] is True exactly when lo + i is prime, for 1 <= lo <= hi: a
-    segmented sieve of Eratosthenes by the base primes <= sqrt(hi)."""
-    mask = np.ones(hi - lo + 1, dtype=bool)
-    if lo == 1:
-        mask[0] = False
-    for p in base_primes(math.isqrt(hi)).tolist():
-        start = max(p * p, -(-lo // p) * p) - lo
-        mask[start::p] = False
-    return mask
+def _witnesses(n: np.ndarray, sigma: np.ndarray, anchors: np.ndarray,
+               s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The witness (p, m) of each solution in the int64 column n, whose sigma
+    is the int64 column sigma, as two int64 columns: n = p*m with m one of the
+    anchors (an int64 column) and p a prime not dividing m, and
+    p = m = 0 where n has none (a sporadic solution).
 
+    Every anchor m has the same sigma(m) = s = k/b (census anchors solve
+    b*sigma(m) = k; the one Diophantine anchor k/a has sigma(k/a) = k/b).  With
+    p = floor(sigma(n)/s) - 1, n has the witness (p, n/p) exactly when p >= 1,
+    p divides n, m = n/p is an anchor and gcd(p, m) = 1:
 
-def _witnesses(n: np.ndarray, anchors) -> tuple[np.ndarray, np.ndarray]:
-    """The witness (p, m) of each solution in the int64 array n, as two int64
-    columns: n = p*m with m one of the anchors and p a prime not dividing m,
-    and p = m = 0 where n has none (a sporadic solution).
+    (=>) p is prime and does not divide m, so gcd(p, m) = 1 and sigma(n) =
+    (p + 1)*s, whence floor(sigma(n)/s) - 1 is that p.
+    (<=) gcd(p, m) = 1 gives sigma(n) = sigma(p)*sigma(m) = sigma(p)*s, so s
+    divides sigma(n), the floor is exact and sigma(p) = p + 1, which holds
+    only for a prime p (sigma(1) = 1).  p does not divide m, by the gcd.
 
-    Every anchor m has the same sigma(m) = k/b (census anchors solve
-    b*sigma(m) = k; the one Diophantine anchor k/a has sigma(k/a) = k/b), so
-    n has at most one witness and assigning by mask loses nothing.  Suppose
-    n = p1*m1 = p2*m2 with primes p1 != p2.  Then p2 | m1, so m1 = p2*r and
-    m2 = p1*r, where p1 does not divide r (it does not divide m1) and p2 does
-    not divide r (it does not divide m2).  So sigma(m1) = (p2 + 1)*sigma(r)
-    != (p1 + 1)*sigma(r) = sigma(m2), a contradiction; and p1 = p2 forces
-    m1 = m2.
+    So p, and with it m, is fixed by sigma(n): a solution has at most one
+    witness, and primality needs no sieve of its own.  (p + 1)*s is never
+    formed, since s may come near 2^62; the gcd is taken only on the rows that
+    pass the other checks.
     """
     wp = np.zeros(len(n), dtype=np.int64)
     wm = np.zeros(len(n), dtype=np.int64)
-    for m in anchors:
-        p, rem = np.divmod(n, m)
-        idx = np.flatnonzero(rem == 0)
-        p = p[idx]
-        keep = (p > 1) & (m % p != 0)
-        idx, p = idx[keep], p[keep]
-        if len(p):
-            lo = int(p.min())
-            prime = _prime_mask(lo, int(p.max()))[p - lo]
-            wp[idx[prime]], wm[idx[prime]] = p[prime], m
+    if len(anchors) == 0:  # then s may be anything, zero included
+        return wp, wm
+    p = sigma // s - 1
+    idx = np.flatnonzero(p >= 1)
+    p = p[idx]
+    m, rem = np.divmod(n[idx], p)
+    keep = (rem == 0) & np.isin(m, anchors)
+    idx, p, m = idx[keep], p[keep], m[keep]
+    keep = np.gcd(p, m) == 1
+    wp[idx[keep]], wm[idx[keep]] = p[keep], m[keep]
     return wp, wm
 
 

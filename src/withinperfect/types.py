@@ -308,10 +308,10 @@ class SolutionTable(Sequence[SolutionRecord]):
     """Solutions as int64 columns, ascending in n: n, sigma_n, q (-1 where q
     is None) and the witness p, m (p = 0 where the solution is sporadic).
 
-    A solution of census or solve_diophantine has at most one witness (see
-    sieve._witnesses), so the columns lose nothing.  A SolutionRecord is
-    built only when one is indexed or iterated over.  The columns must be
-    1-D and as long as n.
+    A solution of census or solve_diophantine has at most one witness, since
+    sigma(n) fixes its p (see sieve._witnesses), so the columns lose nothing.
+    A SolutionRecord is built only when one is indexed or iterated over.  The
+    columns must be 1-D and as long as n.
     """
 
     __slots__ = ("n", "sigma_n", "q", "p", "m")

@@ -173,6 +173,9 @@ def test_series_csv_bytes(capsys, argv, digest):
     # NaN ratios at x = 1 and 2
     (["wirsing", "--ell", "2", "--checkpoints", "1,2,10,100,1e4,1e5"],
      "be72119f12a730650b650faad4ad6d240aa20e7198bc4438faba29bbb4c7c890"),
+    # anchor m = 2, and candidates such as 8 = 4*2 whose p is composite
+    (["census", "--b", "2", "--k", "6", "--limit", "100000", "--format", "json"],
+     "aa527350643e978b24142ff702c3985c2ce5dace91e4dbd23f20d0253571473e"),
 ])
 def test_records_and_wirsing_bytes(capsys, argv, digest):
     code, out = run_cli(capsys, *argv)
@@ -499,6 +502,40 @@ def test_huge_decimal_exponents_are_refused(capsys):
     assert run_cli(capsys, "count", "--ell", "2e-100000000", "--threshold", "xlog",
                    "--limit", "10")[0] == 1
     assert parse_checkpoints("1e9999") == [10**9999]
+
+
+def _cli_process(*argv):
+    """The CLI as a child process, reading the package from this checkout."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.Popen([sys.executable, "-m", "withinperfect.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def _assert_one_error_line(err: bytes):
+    lines = err.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert "Traceback" not in err.decode()
+
+
+def test_unwritable_out_exits_2_with_one_error_line(tmp_path):
+    proc = _cli_process("count", "--ell", "2", "--threshold", "pow:0.5", "--limit", "30",
+                        "--out", str(tmp_path / "missing" / "x.csv"))
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    _assert_one_error_line(err)
+
+
+def test_closed_stdout_exits_2_with_one_error_line():
+    # about 2 MB of rows, far more than a pipe buffers, so the reader leaves first
+    proc = _cli_process("figure1", "--limit", "100000")
+    assert proc.stdout.readline() == b"x,count,quotient\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    _assert_one_error_line(err)
 
 
 def test_cli_imports_no_sympy():

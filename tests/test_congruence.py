@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,7 @@ from withinperfect.congruence import (CongruenceProblem, census,
 from withinperfect.emit import records_json, records_ndjson
 from withinperfect.errors import CapabilityError
 from withinperfect.exact import enumerate_perfect
-from withinperfect.sieve import SigmaSource, sigma_oracle
+from withinperfect.sieve import SigmaSource, _witnesses, sigma_oracle
 from withinperfect.types import SolutionRecord, SolutionTable
 
 from conftest import brute_census, trial_is_prime
@@ -181,6 +182,41 @@ def test_census_property_against_brute_force(oracle_sigma, b, k, limit):
     assert all(len(witnesses) <= 1 for _, witnesses in brute.values())
     got = census(CongruenceProblem(b, k, limit), SigmaSource(segment_length=1024))
     assert {r.n: (r.classification, r.witnesses) for r in got} == brute
+
+
+#: (b, k) with an anchor m <= 1000: b*sigma(m) = k and m | k.
+ANCHORED = sorted({(b, b * sigma_oracle(m)) for b in range(1, 5) for m in range(1, 1001)
+                   if b * sigma_oracle(m) % m == 0})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.sampled_from(ANCHORED),
+                 st.tuples(st.integers(1, 4), st.integers(-30, 120)).map(
+                     lambda bj: (bj[0], bj[0] * bj[1]))),
+       st.integers(1, 3000), st.sampled_from((1024, 3 * 2**16 - 1, 3 * 2**16 + 1)))
+def test_census_witnesses_from_sigma_against_brute_force(oracle_sigma, bk, limit,
+                                                         segment_length):
+    # k is b*sigma(m) for an anchor m, or a multiple of b that mostly has none
+    b, k = bk
+    got = census(CongruenceProblem(b, k, limit), SigmaSource(segment_length=segment_length))
+    assert {r.n: (r.classification, r.witnesses) for r in got} \
+        == brute_census(b, k, limit, oracle_sigma)
+
+
+def test_witnesses_rule_on_hand_built_rows():
+    # b = 2, k = 6: the anchor m = 2 has sigma(2) = 3 = s
+    n = np.array([1, 2, 3, 4, 6, 8, 9, 10, 12], dtype=np.int64)
+    sigma = np.array([sigma_oracle(v) for v in n.tolist()], dtype=np.int64)
+    p, m = _witnesses(n, sigma, np.array([2], dtype=np.int64), 3)
+    # 1, 2, 3: floor(sigma/3) - 1 <= 0; 4: p = 1, but m = 4 is no anchor;
+    # 8: sigma(8) = 15 = (4 + 1)*3, but gcd(4, 2) = 2; 9: p = 3 divides 9,
+    # but m = 3 is no anchor; 12: p = 8 does not divide 12
+    assert p.tolist() == [0, 0, 0, 0, 3, 0, 0, 5, 0]
+    assert m.tolist() == [0, 0, 0, 0, 2, 0, 0, 2, 0]
+    # no anchor: every solution sporadic, whatever s is
+    for s in (0, -4, 3):
+        p, m = _witnesses(n, sigma, np.empty(0, dtype=np.int64), s)
+        assert not p.any() and not m.any()
 
 
 def _brute_records(b, k, limit, sigma):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from withinperfect.cli import main
 from withinperfect.distribution import (empirical_cdf, phase_experiment,
                                         sigma_approx_probe)
 from withinperfect.sieve import SigmaSource, sigma_oracle
@@ -51,6 +52,19 @@ def test_cdf_validation():
         empirical_cdf(100, ["2", "1.5"])  # grid must ascend
     with pytest.raises(ValueError):
         empirical_cdf(0, ["2"])
+
+
+def test_cdf_refuses_an_empty_grid_before_sieving(monkeypatch, capsys):
+    def segments(self, limit):
+        raise AssertionError("sieved for an empty grid")
+
+    monkeypatch.setattr(SigmaSource, "segments", segments)
+    with pytest.raises(ValueError, match="need at least one query point"):
+        empirical_cdf(100, [])
+    assert main(["cdf", "--limit", "100", "--grid", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need at least one query point\n"
 
 
 def test_phase_sublinear_decreasing():

@@ -12,8 +12,8 @@ from withinperfect.errors import (BudgetExceededError, CapabilityError,
 from withinperfect.sieve import (DOMAIN_CAP, MAX_SEGMENT_LENGTH, MIN_SEGMENT_LENGTH,
                                  U32_SIGMA_LIMIT, _LONG_MIN, _LONG_PER_ROOT,
                                  FactorView, SigmaSource, _icbrt, _is_prime, _pair_sums,
-                                 _prime_mask, _sigma_block, abundancy, factor,
-                                 sieve_segment, sigma_dtype, sigma_oracle)
+                                 _sigma_block, abundancy, factor, sieve_segment,
+                                 sigma_dtype, sigma_oracle)
 
 from conftest import trial_factor, trial_is_prime
 
@@ -321,21 +321,22 @@ def test_is_prime_matches_the_spf_sieve(lo, width):
     ns = range(lo, lo + width)
     trial = [trial_is_prime(n) for n in ns]
     assert [_is_prime(n) for n in ns] == trial
-    assert _prime_mask(lo, lo + width - 1).tolist() == trial
 
 
 def test_is_prime_and_prime_mask_match_trial_division_to_1e8():
     rng = random.Random(8)
     for n in [rng.randrange(1, 10**8) for _ in range(1000)] + [99999989, 10**8]:
         assert _is_prime(n) == trial_is_prime(n)
-        assert _prime_mask(n, n)[0] == trial_is_prime(n)
 
 
 @settings(max_examples=40, deadline=None)
 @given(lo=st.one_of(st.just(1), st.integers(1, 10**8)), width=st.integers(1, 2**12))
 def test_prime_mask_matches_the_spf_sieve_and_is_prime(lo, width):
+    # n is prime exactly when sigma(n) = n + 1 (sigma(1) = 1 < 2)
     hi = lo + width - 1
-    assert _prime_mask(lo, hi).tolist() == [_is_prime(n) for n in range(lo, hi + 1)]
+    sigma = sieve_segment(lo, hi).sigma.tolist()
+    assert [_is_prime(n) for n in range(lo, hi + 1)] \
+        == [s == n + 1 for n, s in zip(range(lo, hi + 1), sigma)]
 
 
 def test_is_prime_fixed_cases():
