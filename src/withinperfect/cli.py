@@ -25,6 +25,18 @@ CACHE_DIR_ENV = "WITHINPERFECT_CACHE_DIR"
 
 _FORMATS = ("csv", "json", "ndjson", "table")
 
+#: The formats each subcommand renders, its default first; any other is
+#: refused before the run.  table1's default, "both", is its text table, a
+#: blank line, then its CSV.
+_RENDERS = {
+    "sieve": ("csv",), "count": ("csv",), "series": ("csv",),
+    "table1": ("both", "table", "csv"), "figure1": ("csv",),
+    "perfect": ("json", "csv"), "wirsing": ("csv",),
+    "dioph": ("json", "csv", "ndjson"), "census": ("ndjson", "json"),
+    "sporadic": ("csv", "table"), "cdf": ("csv",), "phase": ("csv",),
+    "probe": ("csv",), "gcdsum": ("csv",),
+}
+
 
 @dataclass
 class RunConfig:
@@ -278,7 +290,8 @@ def _dispatch(args, config: RunConfig) -> list[str]:
             return [emit.table1_text(report)]
         if fmt == "csv":
             return [emit.table1_csv(report)]
-        return [emit.table1_text(report), "\n", emit.table1_csv(report)]
+        if fmt == "both":
+            return [emit.table1_text(report), "\n", emit.table1_csv(report)]
 
     if args.command == "figure1":
         if args.limit < 2:
@@ -294,8 +307,10 @@ def _dispatch(args, config: RunConfig) -> list[str]:
         checkpoints = parse_checkpoints(args.checkpoints) if args.checkpoints else None
         census_ = exact.enumerate_perfect(RationalTarget.parse(args.ell),
                                           args.limit, source, checkpoints)
-        return (emit.series_csv_blocks(census_.counting) if fmt == "csv"
-                else [emit.perfect_json(census_)])
+        if fmt == "csv":
+            return emit.series_csv_blocks(census_.counting)
+        if fmt == "json":
+            return [emit.perfect_json(census_)]
 
     if args.command == "wirsing":
         report = exact.wirsing_count_check(RationalTarget.parse(args.ell),
@@ -310,7 +325,8 @@ def _dispatch(args, config: RunConfig) -> list[str]:
             return emit.series_csv_blocks(solution.series)
         if fmt == "ndjson":
             return emit.records_ndjson_blocks(solution.records)
-        return [emit.dioph_json(solution)]
+        if fmt == "json":
+            return [emit.dioph_json(solution)]
 
     if args.command == "census":
         problem = congruence.CongruenceProblem(args.b, args.k, args.limit)
@@ -318,14 +334,18 @@ def _dispatch(args, config: RunConfig) -> list[str]:
             sys.stderr.write(f"warning: |k|={abs(args.k)} is outside the uniform "
                              f"range b*x^(2/3)\n")
         records = congruence.census(problem, source)
-        return ([emit.records_json(records)] if fmt == "json"
-                else emit.records_ndjson_blocks(records))
+        if fmt == "ndjson":
+            return emit.records_ndjson_blocks(records)
+        if fmt == "json":
+            return [emit.records_json(records)]
 
     if args.command == "sporadic":
         report = congruence.sporadic_growth_report(
             args.b, args.k, parse_checkpoints(args.checkpoints), source)
-        return ([emit.sporadic_text(report)] if fmt == "table"
-                else emit.series_csv_blocks(report.series))
+        if fmt == "csv":
+            return emit.series_csv_blocks(report.series)
+        if fmt == "table":
+            return [emit.sporadic_text(report)]
 
     if args.command == "cdf":
         grid = [g.strip() for g in args.grid.split(",") if g.strip()]
@@ -346,11 +366,7 @@ def _dispatch(args, config: RunConfig) -> list[str]:
     if args.command == "gcdsum":
         return [emit.gcdsum_csv(exact.gcd_sum(args.x, source))]
 
-    raise ValueError(f"unknown subcommand {args.command!r}")
-
-
-_DEFAULT_FORMATS = {"census": "ndjson", "dioph": "json", "perfect": "json",
-                    "table1": "both", "sporadic": "csv"}
+    raise ValueError(f"no {fmt} rendering of {args.command!r}")
 
 
 def main(argv=None) -> int:
@@ -367,7 +383,7 @@ def main(argv=None) -> int:
         config = RunConfig(
             segment_length=args.segment_length,
             cache_dir=args.cache_dir,
-            output_format=args.format or _DEFAULT_FORMATS.get(args.command, "csv"),
+            output_format=args.format or _RENDERS[args.command][0],
             threads=args.threads,
             strict_inequality=not args.non_strict,
             threshold_at_n=not args.at_limit,
@@ -375,6 +391,10 @@ def main(argv=None) -> int:
         )
         if args.config:
             config = apply_config_file(config, args.config)
+        if config.output_format not in _RENDERS[args.command]:
+            formats = [f for f in _RENDERS[args.command] if f in _FORMATS]
+            raise ValueError(f"{args.command} renders {' or '.join(formats)}, "
+                             f"not {config.output_format}")
         env_cache = os.environ.get(CACHE_DIR_ENV)
         if env_cache:
             config = replace(config, cache_dir=env_cache)

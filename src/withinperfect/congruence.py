@@ -55,11 +55,10 @@ def census(problem: CongruenceProblem, source: Optional[SigmaSource] = None) -> 
     _guard_linear(1, b, limit, k)
     anchors = np.empty(0, dtype=np.int64)
     parts = []
-    for blk in source.blocks(limit):
-        sig = blk.sigma.view(np.int64)
-        value = sig * np.int64(b) - np.int64(k)
-        idx = np.flatnonzero(value % blk.n_values() == 0)
-        ns, sigma_n, value = idx + blk.lo, sig[idx], value[idx]
+    for n, sigma in source.blocks(limit):
+        value = sigma * np.int64(b) - np.int64(k)
+        idx = np.flatnonzero(value % n == 0)
+        ns, sigma_n, value = n[idx], sigma[idx], value[idx]
         new = ns[value == 0]
         anchors = np.concatenate([anchors, new[k % new == 0]])
         q = np.where(value >= 0, value // ns, -1)

@@ -47,15 +47,13 @@ def _abundancy_counts(checkpoints, points,
     The float64 sigma/n of a block is computed once for every point."""
     rows = len(points)
     counter = _CheckpointCounter(checkpoint_column(checkpoints), 2 * rows)
-    for blk in source.blocks(int(counter.checkpoints[-1])):
-        n = blk.n_values()
-        sig = blk.sigma.view(np.int64)
-        ratio = sig / n
-        counter.block(blk)
+    for n, sigma in source.blocks(int(counter.checkpoints[-1])):
+        ratio = sigma / n
+        counter.block(n)
         for i, u in enumerate(points):
             uf = float(u)
             below, ties = _banded(ratio, uf * (1.0 - _BAND), uf * (1.0 + _BAND),
-                                  lambda j: _ratio_compare(int(sig[j]), int(n[j]), u))
+                                  lambda j: _ratio_compare(int(sigma[j]), int(n[j]), u))
             counter.add(i, below)
             counter.add(rows + i, ties)
     counts = counter.counts()
@@ -203,11 +201,10 @@ def sigma_approx_probe(target_value, depth: int, search_limit: int,
 
     records: list[ProbeRecord] = []
     best: Optional[Fraction] = None
-    for blk in source.blocks(search_limit):
-        n = blk.n_values()
-        dist_f = np.abs(blk.sigma.astype(np.float64) / n.astype(np.float64) - ellf)
+    for n, sigma in source.blocks(search_limit):
+        dist_f = np.abs(sigma / n - ellf)
         tol = 2.0**-49 * (float(dist_f.max()) + ellf)  # 2E = 16u*(l + max d~)
-        if blk.lo == 1:
+        if n[0] == 1:
             dist_f[0] = np.inf
         floor = np.minimum.accumulate(dist_f)  # an improvement is a running minimum
         if best is not None:
@@ -217,7 +214,7 @@ def sigma_approx_probe(target_value, depth: int, search_limit: int,
             m = int(n[i])
             if m == 1:
                 continue
-            ratio = Fraction(int(blk.sigma[i]), m)
+            ratio = Fraction(int(sigma[i]), m)
             dist = abs(ell - ratio)
             if best is None or dist < best:
                 best = dist

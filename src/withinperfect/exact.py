@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Iterator, Optional
 import numpy as np
 
 from .errors import CapabilityError, InvalidProblemError
-from .sieve import SigmaSegment, SigmaSource, _icbrt, _witnesses, factor
+from .sieve import SigmaSource, _icbrt, _witnesses, factor
 from .types import CheckpointSeries, RationalTarget, SolutionTable, checkpoint_column
 
 if TYPE_CHECKING:
@@ -67,11 +67,11 @@ class _CheckpointCounter:
         self.partial = np.zeros((rows, len(checkpoints)), dtype=np.int64)
         self.carry = np.zeros_like(self.partial)
 
-    def block(self, blk: SigmaSegment) -> None:
-        """Start counting the hits of blk."""
-        j0, self._j1 = np.searchsorted(self.checkpoints, (blk.lo, blk.hi)).tolist()
+    def block(self, n: np.ndarray) -> None:
+        """Start counting the hits of the block of consecutive n."""
+        j0, self._j1 = np.searchsorted(self.checkpoints, (n[0], n[-1])).tolist()
         self._inner = slice(j0, self._j1)
-        self._upto = self.checkpoints[self._inner] - blk.lo  # as offsets into blk
+        self._upto = self.checkpoints[self._inner] - n[0]  # as offsets into n
 
     def add(self, row: int, hits: np.ndarray) -> None:
         """Count hits of the current block: a bool mask or ascending int64 offsets."""
@@ -114,9 +114,8 @@ def enumerate_perfect(target, limit: int, source: Optional[SigmaSource] = None,
     cks = checkpoint_column([limit] if checkpoints is None else checkpoints, limit)
     a, b = np.int64(target.a), np.int64(target.b)
     members: list[int] = []
-    for blk in source.blocks(limit):
-        n = blk.n_values()
-        members += n[b * blk.sigma.view(np.int64) == a * n].tolist()
+    for n, sigma in source.blocks(limit):
+        members += n[b * sigma == a * n].tolist()
     counting = CheckpointSeries(cks, _counts_upto(members, cks),
                                 label=f"perfect l={target}")
     return PerfectCensus(target, limit, members, counting)
@@ -184,12 +183,10 @@ def _gcd_terms(m_lo: int, m_hi: int,
                source: SigmaSource) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The int64 columns (gcd(m, sigma(m)), m) of each block's part of
     [m_lo, m_hi], streamed from source."""
-    for blk in source.blocks(m_hi):
-        if blk.hi < m_lo:
-            continue
-        start = max(m_lo, blk.lo)
-        m = np.arange(start, blk.hi + 1, dtype=np.int64)
-        yield np.gcd(m, blk.sigma.view(np.int64)[start - blk.lo:]), m
+    for n, sigma in source.blocks(m_hi):
+        i = np.searchsorted(n, m_lo)
+        if i < len(n):
+            yield np.gcd(n[i:], sigma[i:]), n[i:]
 
 
 def _exact_gcd_sum(m_lo: int, m_hi: int, source: SigmaSource) -> Fraction:
@@ -321,11 +318,9 @@ def solve_diophantine(problem: DiophantineProblem, source: Optional[SigmaSource]
     anchors = np.array([] if m0 is None else [m0], dtype=np.int64)
     av, bv, kv = np.int64(a), np.int64(b), np.int64(k)
     parts = []
-    for blk in source.blocks(limit):
-        n = blk.n_values()
-        sig = blk.sigma.view(np.int64)
-        idx = np.flatnonzero(bv * sig - av * n == kv)
-        ns, sigma_n = n[idx], sig[idx]
+    for n, sigma in source.blocks(limit):
+        idx = np.flatnonzero(bv * sigma - av * n == kv)
+        ns, sigma_n = n[idx], sigma[idx]
         parts.append((ns, sigma_n, np.full(len(ns), av),
                       *_witnesses(ns, sigma_n, anchors, k // b)))
     records = SolutionTable.concat(parts)

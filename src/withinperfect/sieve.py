@@ -5,9 +5,9 @@ census or Diophantine solution is read off sigma(n) itself (_witnesses).
 
 A segment holds sigma(n) over [lo, hi] and nothing else, in the narrowest
 width that holds it: u32 up to hi = U32_SIGMA_LIMIT = 2^27, u64 above
-(sigma_dtype).  Every statistic reads SigmaSource.blocks, read-only u64 views
-of at most BLOCK_LENGTH elements whose per-n work stays in L2 (a u32 segment is
-widened block by block as it is cut); ``segments``, the sieve-and-cache layer
+(sigma_dtype).  Every statistic reads SigmaSource.blocks, the int64 columns
+(n, sigma(n)) of at most BLOCK_LENGTH elements, whose per-n work stays in L2,
+cut from the segments as they come; ``segments``, the sieve-and-cache layer
 under it, sieves (or loads from the cache) segment_length elements at a time.
 Its ``table`` (one segment from 1) has no caller in the package and stays only
 because the benchmark traces it.
@@ -73,7 +73,11 @@ MIN_SEGMENT_LENGTH = 1 << 10
 #: Longest segment that is sieved; anything longer is refused before allocating.
 MAX_SEGMENT_LENGTH = 1 << 25
 
-#: Longest view SigmaSource.blocks yields: the per-n working arrays of one
+#: Most threads a SigmaSource sieves with; it holds at most threads + 1
+#: segments, so more are refused before any pool exists.
+MAX_THREADS = 64
+
+#: Longest block SigmaSource.blocks yields: the per-n working arrays of one
 #: block (int64 n and D, float64 exponents, bool masks) stay in L2.
 BLOCK_LENGTH = 1 << 16
 
@@ -105,8 +109,7 @@ class SigmaSegment:
     """sigma(n) over [lo, hi] inclusive: sigma[i] = sigma(lo + i).
 
     sieve_segment and the cache give sigma in the width of the range, u32 up to
-    hi = U32_SIGMA_LIMIT and u64 above; the views of SigmaSource.blocks are
-    always u64.
+    hi = U32_SIGMA_LIMIT and u64 above.
 
     Immutable after construction; disjoint segments may be sieved concurrently.
     """
@@ -127,9 +130,6 @@ class SigmaSegment:
 
     def __contains__(self, n: int) -> bool:
         return self.lo <= n <= self.hi
-
-    def n_values(self) -> np.ndarray:
-        return np.arange(self.lo, self.hi + 1, dtype=np.int64)
 
     def sigma_of(self, n: int) -> int:
         if n not in self:
@@ -423,6 +423,8 @@ class SigmaSource:
             raise BudgetExceededError("segment_length exceeds the memory budget")
         if threads < 1:
             raise ValueError("threads must be >= 1")
+        if threads > MAX_THREADS:
+            raise BudgetExceededError(f"threads {threads} exceeds the cap {MAX_THREADS}")
         self.segment_length = segment_length
         self.threads = threads
         self.cache_dir = cache_dir
@@ -475,24 +477,21 @@ class SigmaSource:
         finally:
             pool.shutdown(cancel_futures=True)
 
-    def blocks(self, limit: int) -> Iterator[SigmaSegment]:
-        """Yield read-only u64 views of at most BLOCK_LENGTH elements covering
-        [1, limit] in order, cut from the segments of ``segments``.
+    def blocks(self, limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield the int64 columns (n, sigma) of at most BLOCK_LENGTH elements,
+        n consecutive and sigma[i] = sigma(n[i]), covering [1, limit] in order,
+        cut from the segments of ``segments``.
 
-        A u32 segment is widened block by block as it is cut, so every block
-        is a copy; a u64 segment is viewed.  Either way a segment's last block
-        is a copy, so the consumer holding it does not keep the whole spent
-        segment alive while the next one is sieved.
+        sigma is exact in int64, since sigma(n) <= n(1 + ln n) < 2^61 for
+        n <= 2^55 (the bound of sigma_dtype).  Each block is the consumer's own
+        copy, and the spent segment is let go before the next one is taken.
         """
         for seg in self.segments(limit):
-            lo, sigma = seg.lo, seg.sigma
+            for start in range(0, len(seg), BLOCK_LENGTH):
+                sigma = seg.sigma[start:start + BLOCK_LENGTH].astype(np.int64)
+                lo = seg.lo + start
+                yield np.arange(lo, lo + len(sigma), dtype=np.int64), sigma
             del seg
-            for start in range(0, len(sigma), BLOCK_LENGTH):
-                last = start + BLOCK_LENGTH >= len(sigma)
-                part = sigma[start:start + BLOCK_LENGTH].astype(np.uint64, copy=last)
-                if last:
-                    sigma = None
-                yield SigmaSegment(lo + start, lo + start + len(part) - 1, part)
 
     def table(self, limit: int) -> SigmaSegment:
         """One in-memory segment [1, limit], at most MAX_SEGMENT_LENGTH long."""

@@ -228,7 +228,8 @@ class CheckpointSeries:
             start = int(np.searchsorted(self.x, 2))  # x < 2 is an ascending prefix
             x = self.x[start:].astype(np.float64)
             logs = np.fromiter(map(math.log, memoryview(x)), dtype=np.float64, count=len(x))
-            quotients[start:] = self.count[start:] / (x / logs)
+            np.divide(x, logs, out=x)  # in place: three columns, not five, at once
+            np.divide(self.count[start:], x, out=quotients[start:])
         self.quotient = _column(np.asarray(quotients, dtype=np.float64), "quotients", len(self.x))
         self.label = label
 

@@ -9,9 +9,10 @@ prefiltered on one effective exponent e(n) = log(D/b)/log(n) per n for every
 exponent, and its sign compares D^q with b^q * n^p.  Ties come back as
 offsets, so the strict and non-strict conventions share a single pass.
 
-count_thresholds decides SigmaSource.blocks, views of at most 2^16 n whose
-working arrays stay in L2, and counts hits up to each checkpoint through
-exact._CheckpointCounter, thresholds frozen at the checkpoint (at_limit) too.
+count_thresholds decides SigmaSource.blocks, the int64 columns (n, sigma(n))
+of at most 2^16 n, whose working arrays stay in L2, and counts hits up to each
+checkpoint through exact._CheckpointCounter, thresholds frozen at the
+checkpoint (at_limit) too.
 Checkpoints in any order are read by types.checkpoint_column.
 """
 
@@ -213,13 +214,12 @@ def count_thresholds(target, thresholds: list[ThresholdSpec], checkpoints,
     rows = len(thresholds)  # strict counts in rows [0, rows), ties in [rows, 2*rows)
     counter = _CheckpointCounter(cks, 2 * rows)
     at_limit = any(t.at_limit for t in thresholds)
-    for blk in source.blocks(limit):
-        n = blk.n_values()
-        D = np.abs(np.int64(b) * blk.sigma.view(np.int64) - np.int64(a) * n)
-        skip = int(not include_one and blk.lo == 1)  # leaves out n = 1
+    for n, sigma in source.blocks(limit):
+        D = np.abs(np.int64(b) * sigma - np.int64(a) * n)
+        skip = int(not include_one and n[0] == 1)  # leaves out n = 1
         e = None  # effective exponents, shared by every power threshold
         start = np.searchsorted(cks, np.maximum(n[skip:], 3)) if at_limit else None
-        counter.block(blk)
+        counter.block(n)
         for i, threshold in enumerate(thresholds):
             if threshold.at_limit:  # from the first checkpoint >= max(n, 3)
                 loose, tie = _bisect(threshold, b, D[skip:], start, cks, strict=False)
@@ -228,7 +228,7 @@ def count_thresholds(target, thresholds: list[ThresholdSpec], checkpoints,
                 counter.add_from(i, strict)
                 counter.add_from(rows + i, loose)
                 counter.add_from(rows + i, strict, -1)
-                if blk.lo == 1:  # y/log y falls up to e: x = 1, 2 (x > skip) directly
+                if n[0] == 1:  # y/log y falls up to e: x = 1, 2 (x > skip) directly
                     for j in range(*np.searchsorted(cks, (1 + skip, 3))):
                         x = int(cks[j])
                         inside, ties = _decide_segment(threshold, b, D[skip:x],

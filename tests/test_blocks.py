@@ -1,12 +1,13 @@
 """Block edges, the one-stream rule and the sieve's dtype boundary.
 
-Every statistic reads SigmaSource.blocks, views of at most BLOCK_LENGTH
-elements cut from each segment; none reads ``segments`` itself.  Results must
+Every statistic reads SigmaSource.blocks, the int64 columns (n, sigma(n)) of
+at most BLOCK_LENGTH elements cut from each segment; none reads ``segments``
+itself.  Results must
 not depend on where segments and blocks end, so each statistic is run at the
 default segment length, at 1024 and (for the counting engine) at an unaligned
 5000, with checkpoints and limits just before, at and after multiples of
 BLOCK_LENGTH.  _sigma_block returns u32 up to U32_SIGMA_LIMIT and u64 above,
-and blocks are u64 on both sides; both sides are checked against the oracle.
+and blocks are int64 on both sides; both sides are checked against the oracle.
 """
 
 import math
@@ -165,31 +166,31 @@ def test_blocks_cut_each_segment():
     source = SigmaSource(segment_length=BLOCK_LENGTH + 1000)
     limit = 3 * BLOCK_LENGTH
     blocks = list(source.blocks(limit))
-    assert [(b.lo, b.hi) for b in blocks] == [
+    assert [(n[0], n[-1]) for n, _ in blocks] == [
         (1, BLOCK_LENGTH), (BLOCK_LENGTH + 1, BLOCK_LENGTH + 1000),
         (BLOCK_LENGTH + 1001, 2 * BLOCK_LENGTH + 1000),
         (2 * BLOCK_LENGTH + 1001, 2 * BLOCK_LENGTH + 2000),
         (2 * BLOCK_LENGTH + 2001, limit)]
-    assert all(not b.sigma.flags.writeable for b in blocks)
+    assert all(n.dtype == sigma.dtype == np.int64 and len(n) == len(sigma)
+               for n, sigma in blocks)
+    assert np.array_equal(np.concatenate([n for n, _ in blocks]), np.arange(1, limit + 1))
     whole = sieve_segment(1, limit).sigma
-    assert np.array_equal(np.concatenate([b.sigma for b in blocks]), whole)
+    assert np.array_equal(np.concatenate([sigma for _, sigma in blocks]), whole)
 
 
 def test_blocks_identical_at_every_segment_length():
     # the default length sieves its one segment by 2-adic parts, the others
-    # by the step-1 pairs; every block is a read-only u64 view either way
+    # by the step-1 pairs; every block is the int64 columns (n, sigma) either way
     limit = 2**19 + 1000
-    streams = {}
+    whole = sieve_segment(1, limit).sigma
     for length, threads in ((DEFAULT_SEGMENT_LENGTH, 1), (1024, 2),
                             (3 * BLOCK_LENGTH - 1, 1), (3 * BLOCK_LENGTH + 1, 2)):
         blocks = list(SigmaSource(segment_length=length, threads=threads).blocks(limit))
-        assert all(b.sigma.dtype == np.uint64 and not b.sigma.flags.writeable
-                   for b in blocks)
-        assert [b.lo for b in blocks] == [1] + [b.hi + 1 for b in blocks[:-1]]
-        streams[length] = np.concatenate([b.sigma for b in blocks])
-    first = streams[DEFAULT_SEGMENT_LENGTH]
-    assert len(first) == limit
-    assert all(np.array_equal(first, other) for other in streams.values())
+        assert all(n.dtype == sigma.dtype == np.int64 and len(n) == len(sigma)
+                   for n, sigma in blocks)
+        n = np.concatenate([n for n, _ in blocks])
+        assert np.array_equal(n, np.arange(1, limit + 1))
+        assert np.array_equal(np.concatenate([sigma for _, sigma in blocks]), whole)
 
 
 @pytest.mark.parametrize("hi", [U32_SIGMA_LIMIT, U32_SIGMA_LIMIT + 1024])

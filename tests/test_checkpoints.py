@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from functools import partial
@@ -142,3 +143,18 @@ def test_checkpoint_series_stays_ascending_and_paired_by_position():
     series = CheckpointSeries([10.0, 10.0, 20.0], [4, 5, 6])
     assert series.rows()[:2] == [(10, 4, series.quotients[0]), (10, 5, series.quotients[1])]
     assert series.counts == [4, 5, 6]
+
+
+def test_checkpoint_series_quotients_take_three_columns_above_the_inputs():
+    # count / (x / log x) in place: the NaN-filled quotients, x and log x
+    x = np.arange(1, 10**6 + 1, dtype=np.int64)
+    count = np.arange(10**6, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        series = CheckpointSeries(x, count)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * 10**6
+    assert series.quotient[1] == 1 / (2 / math.log(2))

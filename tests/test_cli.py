@@ -418,6 +418,67 @@ def test_config_file_validation(tmp_path):
         apply_config_file(RunConfig(), str(weird))
 
 
+#: The formats each subcommand renders, its default first, with small arguments.
+RENDERED = {
+    "sieve": (("csv",), ["--lo", "1", "--hi", "100"]),
+    "count": (("csv",), ["--ell", "2", "--threshold", "pow:1/2", "--limit", "100"]),
+    "series": (("csv",), ["--ell", "2", "--threshold", "xlog", "--checkpoints", "10,100"]),
+    "table1": (("both", "table", "csv"), []),
+    "figure1": (("csv",), ["--limit", "100"]),
+    "perfect": (("json", "csv"), ["--ell", "2", "--limit", "100"]),
+    "wirsing": (("csv",), ["--ell", "2", "--checkpoints", "10,100"]),
+    "dioph": (("json", "csv", "ndjson"), ["--a", "2", "--b", "1", "--k", "12",
+                                          "--limit", "100"]),
+    "census": (("ndjson", "json"), ["--b", "1", "--k", "12", "--limit", "50"]),
+    "sporadic": (("csv", "table"), ["--b", "1", "--k", "12", "--checkpoints", "100"]),
+    "cdf": (("csv",), ["--limit", "100", "--grid", "2"]),
+    "phase": (("csv",), ["--ell", "2", "--regime", "sublinear", "--checkpoints", "100"]),
+    "probe": (("csv",), ["--ell", "1.7", "--search-limit", "100"]),
+    "gcdsum": (("csv",), ["--x", "100"]),
+}
+
+
+def test_every_subcommand_has_its_formats():
+    assert sorted(RENDERED) == sorted(cli.build_parser()._subparsers._group_actions[0].choices)
+
+
+@pytest.mark.parametrize("command", sorted(RENDERED))
+@pytest.mark.parametrize("fmt", [None, "csv", "json", "ndjson", "table"])
+def test_a_format_is_rendered_or_refused_before_the_run(capsys, monkeypatch, command, fmt):
+    # the run itself is stubbed: a refusal must come before any sieving
+    formats, args = RENDERED[command]
+    seen = []
+    monkeypatch.setattr(cli, "_dispatch",
+                        lambda args, config: seen.append(config.output_format) or ["ok\n"])
+    code = main([command, *args] + ([] if fmt is None else ["--format", fmt]))
+    captured = capsys.readouterr()
+    if fmt is None or fmt in formats:
+        assert (code, captured.out, seen) == (0, "ok\n", [fmt or formats[0]])
+    else:
+        assert (code, captured.out, seen) == (1, "", [])
+        assert captured.err.startswith(f"error: {command} renders ")
+        assert captured.err.count("\n") == 1
+
+
+def test_a_format_from_the_config_file_is_refused_too(capsys, tmp_path):
+    # figure1 renders only CSV; it printed CSV under format=json
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format=json\n")
+    code = main(["--config", str(cfg), "figure1", "--limit", "100"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: figure1 renders csv, not json\n"
+
+
+def test_threads_beyond_the_cap_exit_2(capsys):
+    # 1e3 threads would start 1000 OS threads holding 1001 segments
+    code = main(["--threads", "1e3", "count", "--ell", "2", "--threshold", "pow:1/2",
+                 "--limit", "100"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: threads 1000 exceeds the cap 64\n"
+
+
 def test_cache_dir_env_override(capsys, tmp_path, monkeypatch):
     cache_dir = tmp_path / "cache"
     monkeypatch.setenv(CACHE_DIR_ENV, str(cache_dir))
@@ -651,8 +712,7 @@ _SUBCOMMAND_FLAGS = {
 _COMMON_FLAGS = {
     "--segment-length": _mostly(st.sampled_from(("1024", "4096", str(1 << 22))),
                                 "1023", str(1 << 26)),
-    # "1e3" would now ask for 1000 threads
-    "--threads": _mostly(st.sampled_from(("1", "2"))).filter(lambda v: v != "1e3"),
+    "--threads": _mostly(st.sampled_from(("1", "2"))),
     "--format": _mostly(st.sampled_from(("csv", "json", "ndjson", "table")), "xml"),
     "--cache-dir": st.just("CACHE_DIR"),
     "--out": st.just("OUT"),

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from withinperfect import sieve
 from withinperfect.errors import (BudgetExceededError, CapabilityError,
                                   SigmaOverflowError)
-from withinperfect.sieve import (DOMAIN_CAP, MAX_SEGMENT_LENGTH, MIN_SEGMENT_LENGTH,
-                                 U32_SIGMA_LIMIT, _LONG_MIN, _LONG_PER_ROOT,
+from withinperfect.sieve import (DOMAIN_CAP, MAX_SEGMENT_LENGTH, MAX_THREADS,
+                                 MIN_SEGMENT_LENGTH, U32_SIGMA_LIMIT, _LONG_MIN, _LONG_PER_ROOT,
                                  FactorView, SigmaSource, _icbrt, _is_prime, _pair_sums,
                                  _sigma_block, abundancy, factor, sieve_segment,
                                  sigma_dtype, sigma_oracle)
@@ -160,7 +160,7 @@ def test_multiplicativity_random_pairs():
 
 def test_hardy_style_bound():
     seg = sieve_segment(1, 10**5)
-    n = seg.n_values().astype(np.float64)
+    n = np.arange(seg.lo, seg.hi + 1).astype(np.float64)
     assert np.all(seg.sigma.astype(np.float64) <= n * (1.0 + np.log(n)) + 1e-9)
 
 
@@ -169,6 +169,13 @@ def test_budget_error():
         sieve_segment(1, MAX_SEGMENT_LENGTH + 1)
     with pytest.raises(BudgetExceededError):
         SigmaSource(segment_length=MAX_SEGMENT_LENGTH + 1)
+
+
+@pytest.mark.parametrize("threads", [MAX_THREADS + 1, 10**3])
+def test_threads_beyond_the_cap_are_refused(threads):
+    # a pool of n threads holds up to n + 1 segments, so the cap bounds memory
+    with pytest.raises(BudgetExceededError, match="exceeds the cap 64"):
+        SigmaSource(threads=threads)
 
 
 def test_overflow_guard():

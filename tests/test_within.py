@@ -51,7 +51,7 @@ def test_perfect_members_always_inside():
 
 def test_exact_comparison_against_high_precision():
     seg = sieve_segment(1, 10**4)
-    n = seg.n_values()
+    n = np.arange(seg.lo, seg.hi + 1)
     D = np.abs(seg.sigma.astype(np.int64) - 2 * n)
     with mpmath.workdps(50):
         for c in (Fraction(c10, 10) for c10 in range(2, 10)):
