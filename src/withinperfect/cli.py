@@ -37,6 +37,10 @@ _RENDERS = {
     "probe": ("csv",), "gcdsum": ("csv",),
 }
 
+#: The subcommands that read the counting conventions (--non-strict,
+#: --at-limit, --from-two and their config keys); any other refuses them.
+_CONVENTION_COMMANDS = ("count", "series", "figure1")
+
 
 @dataclass
 class RunConfig:
@@ -395,6 +399,10 @@ def main(argv=None) -> int:
             formats = [f for f in _RENDERS[args.command] if f in _FORMATS]
             raise ValueError(f"{args.command} renders {' or '.join(formats)}, "
                              f"not {config.output_format}")
+        if args.command not in _CONVENTION_COMMANDS and not (
+                config.strict_inequality and config.threshold_at_n
+                and config.include_n_equals_1):
+            raise ValueError(f"{args.command} takes no --non-strict, --at-limit or --from-two")
         env_cache = os.environ.get(CACHE_DIR_ENV)
         if env_cache:
             config = replace(config, cache_dir=env_cache)

@@ -7,12 +7,12 @@ thresholds, and probe how well a target ratio can be approximated by
 abundancy ratios.
 
 Every per-n predicate is decided exactly: sigma(n)/n < u and = u go through
-within._banded (a float64 prefilter with a relative guard band, then exact
-cross-multiplication for the candidates).  Ratios equal to a query point u
-count as <= u (inclusive convention).  The linear window |sigma(n)/n - l| < c
-is the open interval (l - c, l + c), a difference of the counts the CDF takes
-at l +- c; the sublinear and superlinear windows are within thresholds.  The
-probe's float64 margin is a proved rounding bound (see sigma_approx_probe).
+within._ratio_below, as constant and linear thresholds do (a float64 prefilter
+with a guard band, then exact cross-multiplication).  Ratios equal to a query
+point u count as <= u (inclusive convention).  The linear window
+|sigma(n)/n - l| < c is the open interval (l - c, l + c), a difference of the
+counts the CDF takes at l +- c; the sublinear and superlinear windows are
+within thresholds.  The probe's float64 margin is a proved rounding bound.
 Every statistic here streams SigmaSource.blocks, and types.checkpoint_column
 reads its checkpoints (the CDF's limit is one).
 """
@@ -29,15 +29,7 @@ import numpy as np
 from .exact import _CheckpointCounter
 from .sieve import SigmaSource
 from .types import RationalTarget, ThresholdSpec, as_exact_fraction, checkpoint_column
-from .within import _banded, count_thresholds
-
-_BAND = 1e-12
-
-
-def _ratio_compare(s: int, n: int, u: Fraction) -> int:
-    """Exact sign of s/n - u: -1 below, 0 tie, +1 above."""
-    lhs, rhs = s * u.denominator, u.numerator * n
-    return (lhs > rhs) - (lhs < rhs)
+from .within import _ratio_below, count_thresholds
 
 
 def _abundancy_counts(checkpoints, points,
@@ -51,9 +43,7 @@ def _abundancy_counts(checkpoints, points,
         ratio = sigma / n
         counter.block(n)
         for i, u in enumerate(points):
-            uf = float(u)
-            below, ties = _banded(ratio, uf * (1.0 - _BAND), uf * (1.0 + _BAND),
-                                  lambda j: _ratio_compare(int(sigma[j]), int(n[j]), u))
+            below, ties = _ratio_below(ratio, sigma, n, u)
             counter.add(i, below)
             counter.add(rows + i, ties)
     counts = counter.counts()

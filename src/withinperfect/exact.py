@@ -56,39 +56,45 @@ class _CheckpointCounter:
     """Rows of hit counts up to each ascending checkpoint, accumulated over
     ascending blocks that end at or before the last checkpoint.
 
-    A block [lo, hi] searches only the checkpoints in [lo, hi) and adds its
-    total to a carry at the first checkpoint >= hi; counts() adds one cumsum
-    of the carries, so no checkpoint is touched by a block that does not hold
-    it (figure1 has 10^6 of them).
+    One grid, first[row, j], holds the hits first counted at checkpoint j
+    (column len(checkpoints) is never), and counts() is its one cumsum.  A
+    block [lo, hi] places each hit among the checkpoints in [lo, hi) and adds
+    the rest at the first checkpoint >= hi, so no checkpoint is touched by a
+    block that does not hold it (figure1 has 10^6 of them).
     """
 
     def __init__(self, checkpoints: np.ndarray, rows: int):
         self.checkpoints = checkpoints
-        self.partial = np.zeros((rows, len(checkpoints)), dtype=np.int64)
-        self.carry = np.zeros_like(self.partial)
+        self.first = np.zeros((rows, len(checkpoints) + 1), dtype=np.int64)
 
     def block(self, n: np.ndarray) -> None:
         """Start counting the hits of the block of consecutive n."""
-        j0, self._j1 = np.searchsorted(self.checkpoints, (n[0], n[-1])).tolist()
-        self._inner = slice(j0, self._j1)
-        self._upto = self.checkpoints[self._inner] - n[0]  # as offsets into n
+        self._j0, self._j1 = np.searchsorted(self.checkpoints, (n[0], n[-1])).tolist()
+        self._upto = self.checkpoints[self._j0:self._j1] - n[0]  # as offsets into n
 
     def add(self, row: int, hits: np.ndarray) -> None:
         """Count hits of the current block: a bool mask or ascending int64 offsets."""
         mask = hits.dtype == bool
-        if len(self._upto):
-            offsets = np.flatnonzero(hits) if mask else hits
-            self.partial[row, self._inner] += _counts_upto(offsets, self._upto)
-        self.carry[row, self._j1] += np.count_nonzero(hits) if mask else len(hits)
+        if len(self._upto):  # the index of each hit among the block's checkpoints
+            local = np.searchsorted(self._upto, np.flatnonzero(hits) if mask else hits)
+            self.first[row, self._j0:self._j1 + 1] += np.bincount(
+                local, minlength=len(self._upto) + 1)
+        else:
+            self.first[row, self._j1] += np.count_nonzero(hits) if mask else len(hits)
+
+    def add_at(self, rows, j: int, hits) -> None:
+        """Count hits at checkpoint index j alone, not at the later ones."""
+        self.first[rows, j] += hits
+        self.first[rows, j + 1] -= hits
 
     def add_from(self, row: int, first: np.ndarray, sign: int = 1) -> None:
         """Count sign hits at each checkpoint index of first and at every later
         one (an index of len(checkpoints) is none of them)."""
-        self.carry[row] += sign * np.bincount(first, minlength=len(self.checkpoints) + 1)[:-1]
+        self.first[row] += sign * np.bincount(first, minlength=len(self.checkpoints) + 1)
 
     def counts(self) -> np.ndarray:
         """The int64 [row, checkpoint] grid of hits <= each checkpoint."""
-        return np.cumsum(self.carry, axis=1) + self.partial
+        return np.cumsum(self.first[:, :-1], axis=1)
 
 
 @dataclass

@@ -1,13 +1,13 @@
 """Counting within-perfect numbers: n <= x with |b*sigma(n) - a*n| < b*k(n).
 
 The comparison clears the denominator b first, so everything is decided on
-integers D = |b*sigma(n) - a*n|.  Constant and linear thresholds are int64
-compares.  Power, y/log y and y*log y thresholds (and distribution's
-sigma(n)/n <= u) share one exact decide, _banded: a float64 prefilter with a
-guard band, then an exact sign for the values inside it.  A power n^(p/q) is
-prefiltered on one effective exponent e(n) = log(D/b)/log(n) per n for every
-exponent, and its sign compares D^q with b^q * n^p.  Ties come back as
-offsets, so the strict and non-strict conventions share a single pass.
+integers D = |b*sigma(n) - a*n|.  Every kind shares one exact decide, _banded:
+a float64 prefilter with a guard band, then an exact sign for the values
+inside it.  Constant and linear thresholds, D < b*k0 and D/n < b*c, are the
+ratio test s/n < u of _ratio_below, as is distribution's sigma(n)/n < u.  A
+power n^(p/q) is prefiltered on one effective exponent e(n) = log(D/b)/log(n)
+per n for every exponent, and its sign compares D^q with b^q * n^p.  Ties come
+back as offsets, so the strict and non-strict conventions share a single pass.
 
 count_thresholds decides SigmaSource.blocks, the int64 columns (n, sigma(n))
 of at most 2^16 n, whose working arrays stay in L2, and counts hits up to each
@@ -32,7 +32,7 @@ from .sieve import SigmaSource
 from .types import (CheckpointSeries, RationalTarget, ThresholdSpec, checkpoint_column,
                     normalized_quotient)
 
-#: Relative width of the float64 guard band around b*n/log n.
+#: Relative width of the float64 guard band around b*n*log(n)^(+-1) and u.
 _BAND = 1e-9
 
 #: Absolute width of the guard band around a power exponent c.  The error of a
@@ -40,11 +40,14 @@ _BAND = 1e-9
 _EXPONENT_BAND = 1e-9
 
 
+def _compare(lhs: int, rhs: int) -> int:
+    """-1, 0 or +1 as lhs is below, equal to or above rhs."""
+    return (lhs > rhs) - (lhs < rhs)
+
+
 def _power_compare(D: int, b: int, n: int, c: Fraction) -> int:
     """Exact sign of D - b*n^c for rational c = p/q: -1 below, 0 tie, +1 above."""
-    lhs = D ** c.denominator
-    rhs = (b ** c.denominator) * (n ** c.numerator)
-    return (lhs > rhs) - (lhs < rhs)
+    return _compare(D ** c.denominator, b ** c.denominator * n ** c.numerator)
 
 
 def _xlog_compare(D: int, b: int, n: int, power: int = -1) -> int:
@@ -61,7 +64,7 @@ def _xlog_compare(D: int, b: int, n: int, power: int = -1) -> int:
                               round_ceiling, round_floor)
 
     if n == 1 and power > 0:
-        return (D > 0) - (D < 0)
+        return _compare(D, 0)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     d, bn, m = from_int(D), from_int(b * n), from_int(n)
@@ -80,7 +83,7 @@ def _xlog_compare(D: int, b: int, n: int, power: int = -1) -> int:
 
 def _exponents(D: np.ndarray, b: int, n: np.ndarray) -> np.ndarray:
     """Effective exponents e(n) = (log D - log b)/log n, so D < b*n^c exactly
-    when e < c, up to float rounding (see _decide_power).
+    when e < c, up to float rounding (see _decide_segment).
 
     D = 0 gives e = -inf (inside every power threshold).  n = 1, which can
     only be n[0] of the ascending n, gives NaN: there n^c = 1 for every c, so
@@ -120,36 +123,37 @@ def _banded(x: np.ndarray, lo, hi, sign) -> tuple[np.ndarray, np.ndarray]:
     return inside, np.array(ties, dtype=np.int64)
 
 
-def _decide_power(c: Fraction, b: int, D: np.ndarray, n: np.ndarray,
-                  e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(inside, ties) for k(y) = y^c from the effective exponents.
+def _ratio_below(x, s, n, u: Fraction) -> tuple[np.ndarray, np.ndarray]:
+    """(inside, ties) for s/n < u exactly, from x, the float64 s/n of int64 s, n.
 
-    Rounding moves e by far less than _EXPONENT_BAND for every n <= 2^55, so
-    only e within the band of c (and the NaN at n = 1) is decided exactly.
+    Every s is below 2^62 (D by _guard_linear, sigma(n) < 2^61 for n <= 2^55)
+    and n >= 1, so s/n lies in [0, 2^62); u is clamped to that range, and the
+    band's exact sign reads the true u.  With u' = 2^-53, the conversions and
+    the division round once each, so |x - s/n| <= 3.01u' * s/n, and uf is
+    within u' of the clamped u.  As _BAND >> 4u', x < uf*(1 - _BAND) gives
+    s/n < u and x > uf*(1 + _BAND) gives s/n above the clamped u, and so above
+    u.  A zero or subnormal uf is below every s/n >= 2^-55 of an s >= 1.
     """
-    cf = float(c)
-    return _banded(e, cf - _EXPONENT_BAND, cf + _EXPONENT_BAND,
-                   lambda i: _power_compare(int(D[i]), b, int(n[i]), c))
+    uf = float(min(max(u, 0), 2**62))
+    return _banded(x, uf * (1.0 - _BAND), uf * (1.0 + _BAND),
+                   lambda i: _compare(int(s[i]) * u.denominator, u.numerator * int(n[i])))
 
 
-def _decide_segment(threshold: ThresholdSpec, b: int, D: np.ndarray,
-                    n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _decide_segment(threshold: ThresholdSpec, b: int, D: np.ndarray, n: np.ndarray,
+                    e: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
     """(inside, ties) for D < b*k(n) over one block: a bool mask and the
     ascending int64 offsets where D = b*k(n), decided exactly for every kind.
-    n need not be ascending (at-limit rows pass one checkpoint per element)."""
-    kind = threshold.kind
+    n need not be ascending (at-limit rows pass one checkpoint per element).
+    A power threshold reads the effective exponents e when the caller shares them.
+    """
+    kind, c = threshold.kind, threshold.param
     if kind == "power":
-        return _decide_power(threshold.param, b, D, n, _exponents(D, b, n))
-    if kind in ("constant", "linear"):
-        k = b * threshold.param  # D < k or D < k*n, cleared of k's denominator
-        linear = kind == "linear"
-        if max(int(D.max(initial=0)) * k.denominator,
-               k.numerator * (int(n.max(initial=0)) if linear else 1)) >= 2**62:
-            raise CapabilityError(  # the compares below live in int64
-                "threshold parameters at this limit exceed the int64 working range")
-        lhs = D * np.int64(k.denominator)
-        rhs = np.int64(k.numerator) * (n if linear else 1)
-        return lhs < rhs, np.flatnonzero(lhs == rhs)
+        e = _exponents(D, b, n) if e is None else e
+        return _banded(e, float(c) - _EXPONENT_BAND, float(c) + _EXPONENT_BAND,
+                       lambda i: _power_compare(int(D[i]), b, int(n[i]), c))
+    if kind in ("constant", "linear"):  # D/n < b*c, or D/1 < b*k0
+        m = n if kind == "linear" else np.ones_like(D)
+        return _ratio_below(D / m, D, m, b * c)
     if kind in ("x_over_log", "x_log_x"):  # k(1) is +inf for y/log y, 0 for y*log y
         nf = n.astype(np.float64)
         logn = np.log(nf)
@@ -233,13 +237,11 @@ def count_thresholds(target, thresholds: list[ThresholdSpec], checkpoints,
                         x = int(cks[j])
                         inside, ties = _decide_segment(threshold, b, D[skip:x],
                                                        np.full(x - skip, x))
-                        counter.partial[[i, rows + i], j] += np.count_nonzero(inside), len(ties)
+                        counter.add_at([i, rows + i], j, (np.count_nonzero(inside), len(ties)))
                 continue
-            if threshold.kind == "power":
-                e = _exponents(D, b, n) if e is None else e
-                inside, ties = _decide_power(threshold.param, b, D, n, e)
-            else:
-                inside, ties = _decide_segment(threshold, b, D, n)
+            if threshold.kind == "power" and e is None:
+                e = _exponents(D, b, n)
+            inside, ties = _decide_segment(threshold, b, D, n, e)
             if skip:
                 inside[0] = False
                 ties = ties[ties > 0]

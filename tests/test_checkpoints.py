@@ -158,3 +158,27 @@ def test_checkpoint_series_quotients_take_three_columns_above_the_inputs():
         tracemalloc.stop()
     assert peak < 4 * 8 * 10**6
     assert series.quotient[1] == 1 / (2 / math.log(2))
+
+
+def test_checkpoint_counter_keeps_one_grid():
+    # first-counted hits in one rows x (C + 1) grid, and counts() its one cumsum
+    from withinperfect.exact import _CheckpointCounter
+
+    checkpoints = np.arange(1, 10**6 + 1, dtype=np.int64)
+    n = np.arange(1, 2**16 + 1, dtype=np.int64)
+    hits = n % 3 == 0
+    grid = 2 * 8 * 10**6
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        counter = _CheckpointCounter(checkpoints, 2)
+        counter.block(n)
+        counter.add(0, hits)
+        counter.add(1, np.flatnonzero(hits))
+        counts = counter.counts()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * grid
+    want = np.minimum(checkpoints, 2**16) // 3
+    assert counts[0].tolist() == counts[1].tolist() == want.tolist()

@@ -153,6 +153,14 @@ def test_decide_consumers_bytes(capsys, argv, digest):
      "2298cf7fdc3f0a9425b86cec559088c2873d616fbf83c43b81bf95617a61c9dd"),
     (["sporadic", "--b", "1", "--k", "1", "--checkpoints", "1e3,1e4"],
      "df3b67a0613e4d37f75f8c763f5bc5ca73436f47a2a5e5292165d337e47f3acf"),
+    # the text renderings and the dioph series, stdout only (stderr has elapsed:)
+    (["table1", "--format", "table"],
+     "3bd07f750bbc639e1db4c92652baddaa6bbd987f69484c3d810b84190e56ad0f"),
+    (["sporadic", "--b", "1", "--k", "12", "--checkpoints", "1e3,1e5", "--format", "table"],
+     "f087400b2d94b9e297a278b70d3c247a02e2e972944b86f358f7dd4cee89df1a"),
+    (["dioph", "--a", "2", "--b", "1", "--k", "12", "--limit", "1e6",
+      "--checkpoints", "1e2,1e4,1e6", "--format", "csv"],
+     "23c48e1bbaacf1b591d24e37315bd6ad614c3f13689740386f239b6742be0bd0"),
 ])
 def test_series_csv_bytes(capsys, argv, digest):
     code, out = run_cli(capsys, *argv)
@@ -327,12 +335,25 @@ def test_figure1_beyond_memory_exits_2(capsys):
     assert err.startswith("error: out of memory") and err.count("\n") == 1
 
 
-def test_at_limit_linear_beyond_int64_exits_2(capsys):
-    # 2^59 * 8 reaches 2^62 only at the top checkpoint
-    assert run_cli(capsys, "--at-limit", "series", "--ell", "2", "--threshold",
-                   f"lin:{2**59}", "--checkpoints", "3,5,8")[0] == 2
-    assert run_cli(capsys, "--at-limit", "series", "--ell", "2", "--threshold",
-                   f"lin:{2**59}", "--checkpoints", "3,5,7")[0] == 0
+def test_at_limit_linear_beyond_int64_is_exact(capsys):
+    # 2^59 * 8 reaches 2^62 at the top checkpoint; every n <= x is inside
+    for checkpoints, counts in (("3,5,8", [3, 5, 8]), ("3,5,7", [3, 5, 7])):
+        code, out = run_cli(capsys, "--at-limit", "series", "--ell", "2", "--threshold",
+                            f"lin:{2**59}", "--checkpoints", checkpoints)
+        assert code == 0
+        assert [int(line.split(",")[1]) for line in out.splitlines()[1:]] == counts
+
+
+@pytest.mark.parametrize("threshold, line", [
+    ("lin:1e-15", "100000,4,"),   # |sigma(n)/n - 2| < 1e-15: the perfect numbers
+    ("const:1e30", "100000,100000,"),
+    ("const:1e400", "100000,100000,"),  # beyond float64: every n
+])
+def test_constant_and_linear_thresholds_far_from_one_are_exact(capsys, threshold, line):
+    code, out = run_cli(capsys, "count", "--ell", "2", "--threshold", threshold,
+                        "--limit", "1e5")
+    assert code == 0
+    assert out.splitlines()[1].startswith(line)
 
 
 def test_cache_dir_under_a_regular_file_exits_2(capsys, tmp_path):
@@ -468,6 +489,33 @@ def test_a_format_from_the_config_file_is_refused_too(capsys, tmp_path):
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
     assert captured.err == "error: figure1 renders csv, not json\n"
+
+
+@pytest.mark.parametrize("command", sorted(set(RENDERED) - {"count", "series", "figure1"}))
+@pytest.mark.parametrize("flag", ["--non-strict", "--at-limit", "--from-two"])
+def test_a_convention_flag_is_refused_where_it_is_not_read(capsys, monkeypatch,
+                                                           command, flag):
+    # only count, series and figure1 read the conventions; the run is stubbed,
+    # so the refusal comes before any sieving
+    monkeypatch.setattr(cli, "_dispatch", lambda args, config: ["ok\n"])
+    code = main([flag, command, *RENDERED[command][1]])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == (f"error: {command} takes no --non-strict, --at-limit "
+                            f"or --from-two\n")
+
+
+def test_a_convention_from_the_config_file_is_refused_too(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "_dispatch", lambda args, config: ["ok\n"])
+    cfg = tmp_path / "run.cfg"
+    argv = ["--config", str(cfg), "census", *RENDERED["census"][1]]
+    cfg.write_text("strict_inequality=false\n")
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: census takes no ")
+    cfg.write_text("strict_inequality=true\n")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "ok\n"
 
 
 def test_threads_beyond_the_cap_exit_2(capsys):
@@ -754,7 +802,7 @@ def fuzz_dir(tmp_path_factory):
 @settings(max_examples=150, deadline=None)
 @given(argv=_argv())
 @example(argv=["figure1", "--limit", "0"])                # empty series: exit 1
-@example(argv=["cdf", "--limit", "1", "--grid", "1e400"])  # beyond float64: exit 2
+@example(argv=["cdf", "--limit", "1", "--grid", "1e400"])  # beyond float64: exit 0
 @example(argv=["wirsing", "--ell", "1e400", "--checkpoints", "10,100"])
 def test_fuzzed_argv_exits_0_1_or_2(fuzz_dir, argv):
     paths = {"CACHE": fuzz_dir / "seg.sgma", "CACHE_DIR": fuzz_dir / "cache",

@@ -7,6 +7,7 @@ a segment, at its first and last n, inside it) and exponents p/q, q <= 10.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import mpmath
@@ -16,8 +17,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from withinperfect.sieve import SigmaSource
 from withinperfect.types import RationalTarget, ThresholdSpec
-from withinperfect.within import (_decide_power, _decide_segment, _exponents,
-                                  _power_compare, _xlog_compare, count_thresholds)
+from withinperfect.within import (_decide_segment, _exponents, _power_compare,
+                                  _xlog_compare, count_thresholds)
 
 TARGETS = ("2", "3/2", "7/2", "3", "5/4")
 
@@ -113,12 +114,43 @@ def test_power_decide_near_the_threshold_up_to_the_domain_cap():
                     nn.append(n)
             D = np.array(Ds, dtype=np.int64)
             n = np.array(nn, dtype=np.int64)
-            inside, ties = _decide_power(c, b, D, n, _exponents(D, b, n))
+            inside, ties = _decide_segment(ThresholdSpec.power(c), b, D, n,
+                                           _exponents(D, b, n))
             want = [_power_compare(d, b, m, c) for d, m in zip(Ds, nn)]
             assert inside.tolist() == [s < 0 for s in want]
             assert ties.tolist() == [i for i, s in enumerate(want) if s == 0]
             assert np.all(np.diff(ties) > 0)
             assert any(s == 0 for s in want)
+
+
+def test_ratio_decide_near_the_threshold_up_to_the_domain_cap():
+    # D just below, at and above b*k0 (constant) and b*c*n (linear) for n up
+    # to 2^55 and n = 1, with k's denominator up to 2^61 + 1 and its numerator
+    # past 2^63; every D stays below 2^62, as _guard_linear keeps it, and
+    # 2^62 - 1 is inside every b*k(n) of 2^62 or more
+    rng = np.random.default_rng(11)
+    ns = rng.integers(2, 2**55, size=30).tolist() + [1, 2, 3, 2**55]
+    ks = [Fraction(1), Fraction(1, 10), Fraction(1, 7), Fraction(10**15 + 37, 10**15),
+          Fraction(3, 10**15), Fraction(2**63 + 5, 2**61 + 1), Fraction(2**64 + 1, 3),
+          Fraction(2**61 + 1, 2**61 + 3)]
+    seen_tie = False
+    for kind, k, b in itertools.product(("constant", "linear"), ks, (1, 3)):
+        Ds, nn = [], []
+        for n in ns:
+            t = b * k * (n if kind == "linear" else 1)
+            r = math.floor(t)
+            for d in (r - 1, r, r + 1, 2**62 - 1):
+                if 0 <= d < 2**62:
+                    Ds.append(d)
+                    nn.append(n)
+        D = np.array(Ds, dtype=np.int64)
+        n = np.array(nn, dtype=np.int64)
+        inside, ties = _decide_segment(ThresholdSpec(kind, k), b, D, n)
+        t = [b * k * (m if kind == "linear" else 1) for m in nn]
+        assert inside.tolist() == [d < x for d, x in zip(Ds, t)], (kind, k, b)
+        assert ties.tolist() == [i for i, (d, x) in enumerate(zip(Ds, t)) if d == x]
+        seen_tie |= len(ties) > 0
+    assert seen_tie
 
 
 def test_xlog_decide_near_the_threshold_up_to_the_domain_cap():

@@ -141,14 +141,14 @@ def test_mixed_at_n_and_at_limit_rows_equal_separate_calls():
             assert mixed.ties[i].tolist() == alone.ties[0].tolist()
 
 
-def test_linear_guard_reads_the_largest_x():
-    # at-limit rows decide each n at its own checkpoint, so x is not ascending
+def test_linear_beyond_int64_is_answered_exactly():
+    # at-limit rows decide each n at its own checkpoint, so x is not ascending;
+    # b*c*x = 2^62 at x = 8 is past what int64 products of D and n can hold
     spec = ThresholdSpec.linear(2**59, at_limit=True)
     D = np.array([1, 1], dtype=np.int64)
-    with pytest.raises(CapabilityError):
-        _decide_segment(spec, 1, D, np.array([8, 3], dtype=np.int64))
-    inside, ties = _decide_segment(spec, 1, D, np.array([7, 3], dtype=np.int64))
-    assert inside.tolist() == [True, True] and ties.tolist() == []
+    for x in ([8, 3], [7, 3]):
+        inside, ties = _decide_segment(spec, 1, D, np.array(x, dtype=np.int64))
+        assert inside.tolist() == [True, True] and ties.tolist() == []
 
 
 def test_x_over_log_series_defined_everywhere():
