@@ -2,18 +2,27 @@
 
 One subcommand per reproducible computation.  Exit codes: 0 success,
 1 validation error (bad arguments, malformed rationals), 2 capability,
-overflow, memory, cache, or I/O failure.  Output is deterministic for a fixed
-configuration: CSV uses commas and LF with no BOM, quotients carry six
+overflow, budget, memory, cache, or I/O failure.  Output is deterministic for
+a fixed configuration: CSV uses commas and LF with no BOM, quotients carry six
 decimals, and thread count never changes a result.
+
+Every refusal comes before the first byte.  The long artifacts (figure1,
+count, series, census) are then written block by block as the sieve reaches
+them, so an error mid-stream (out of memory, a failing disk or cache, a closed
+pipe) leaves on stdout the whole blocks written before it, a prefix of the
+artifact that ends at a row; --out replaces its file only on success.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import os
+import stat
 import sys
+import tempfile
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import cache, congruence, distribution, emit, exact, within
 from .errors import (BudgetExceededError, CacheFormatError, CapabilityError,
@@ -255,9 +264,11 @@ def _threshold_from_args(args, config: RunConfig) -> ThresholdSpec:
                    at_limit=not config.threshold_at_n)
 
 
-def _dispatch(args, config: RunConfig) -> list[str]:
-    """The artifact of the subcommand as the list of its rendered text blocks
-    (one block, or for the long series and NDJSON artifacts several)."""
+def _dispatch(args, config: RunConfig) -> Iterable[str]:
+    """The artifact of the subcommand as its text blocks, a list or a
+    generator; for figure1, count, series and census, one that renders each
+    block as the sieve reaches it.  Every argument, the limit and the run's
+    cost are checked here, before the first block."""
     fmt = config.output_format
     source = config.source()
 
@@ -276,16 +287,15 @@ def _dispatch(args, config: RunConfig) -> list[str]:
 
     if args.command == "count":
         threshold = _threshold_from_args(args, config)
-        result = within.series(RationalTarget.parse(args.ell), threshold,
-                               [args.limit], source, config.include_n_equals_1)
-        return emit.series_csv_blocks(result)
+        return emit.series_csv_blocks(within.series_stream(
+            RationalTarget.parse(args.ell), threshold, [args.limit], source,
+            config.include_n_equals_1))
 
     if args.command == "series":
         threshold = _threshold_from_args(args, config)
-        result = within.series(RationalTarget.parse(args.ell), threshold,
-                               parse_checkpoints(args.checkpoints), source,
-                               config.include_n_equals_1)
-        return emit.series_csv_blocks(result)
+        return emit.series_csv_blocks(within.series_stream(
+            RationalTarget.parse(args.ell), threshold, parse_checkpoints(args.checkpoints),
+            source, config.include_n_equals_1))
 
     if args.command == "table1":
         report = within.table1_reproduce(source, args.limit)
@@ -302,17 +312,16 @@ def _dispatch(args, config: RunConfig) -> list[str]:
             raise ValueError("figure1 needs --limit >= 2 (its series starts at x = 2)")
         threshold = ThresholdSpec.x_over_log(strict=config.strict_inequality,
                                              at_limit=not config.threshold_at_n)
-        result = within.series(RationalTarget(2, 1), threshold,
-                               range(2, args.limit + 1), source,
-                               config.include_n_equals_1)
-        return emit.series_csv_blocks(result)
+        return emit.series_csv_blocks(within.series_stream(
+            RationalTarget(2, 1), threshold, range(2, args.limit + 1), source,
+            config.include_n_equals_1))
 
     if args.command == "perfect":
         checkpoints = parse_checkpoints(args.checkpoints) if args.checkpoints else None
         census_ = exact.enumerate_perfect(RationalTarget.parse(args.ell),
                                           args.limit, source, checkpoints)
         if fmt == "csv":
-            return emit.series_csv_blocks(census_.counting)
+            return emit.series_csv_blocks([census_.counting])
         if fmt == "json":
             return [emit.perfect_json(census_)]
 
@@ -326,9 +335,9 @@ def _dispatch(args, config: RunConfig) -> list[str]:
         checkpoints = parse_checkpoints(args.checkpoints) if args.checkpoints else None
         solution = exact.solve_diophantine(problem, source, checkpoints)
         if fmt == "csv":
-            return emit.series_csv_blocks(solution.series)
+            return emit.series_csv_blocks([solution.series])
         if fmt == "ndjson":
-            return emit.records_ndjson_blocks(solution.records)
+            return emit.records_ndjson_blocks([solution.records])
         if fmt == "json":
             return [emit.dioph_json(solution)]
 
@@ -337,17 +346,17 @@ def _dispatch(args, config: RunConfig) -> list[str]:
         if not problem.in_uniform_range:
             sys.stderr.write(f"warning: |k|={abs(args.k)} is outside the uniform "
                              f"range b*x^(2/3)\n")
-        records = congruence.census(problem, source)
+        parts = congruence.census_stream(problem, source)
         if fmt == "ndjson":
-            return emit.records_ndjson_blocks(records)
+            return emit.records_ndjson_blocks(parts)
         if fmt == "json":
-            return [emit.records_json(records)]
+            return emit.records_json_blocks(parts)
 
     if args.command == "sporadic":
         report = congruence.sporadic_growth_report(
             args.b, args.k, parse_checkpoints(args.checkpoints), source)
         if fmt == "csv":
-            return emit.series_csv_blocks(report.series)
+            return emit.series_csv_blocks([report.series])
         if fmt == "table":
             return [emit.sporadic_text(report)]
 
@@ -371,6 +380,53 @@ def _dispatch(args, config: RunConfig) -> list[str]:
         return [emit.gcdsum_csv(exact.gcd_sum(args.x, source))]
 
     raise ValueError(f"no {fmt} rendering of {args.command!r}")
+
+
+#: Longest str handed to a text stream at once.  The stream encodes each write
+#: whole; a piece this long stays a small allocation, while a whole block's
+#: (about 1.3 MB for figure1) is mapped afresh and faulted in page by page on
+#: every block, which cost figure1 --limit 1e6 about 15,000 page faults.
+_PIECE = 1 << 16
+
+
+def _write(fh, blocks: Iterable[str]) -> None:
+    """Write each block as it is rendered, in pieces of at most _PIECE."""
+    for block in blocks:
+        for i in range(0, len(block), _PIECE):
+            fh.write(block[i:i + _PIECE])
+
+
+def _write_out(path: str, blocks: Iterable[str]) -> None:
+    """Write the blocks to path as they come.  A regular file, or a path that
+    does not exist yet, is replaced only once every block is written: the
+    blocks go to a temporary file beside it (symlinks resolved), which is
+    renamed over it, so a failure leaves no partial file and an existing one
+    keeps its bytes.  Anything else (a device, a FIFO) is written in place."""
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(target, "w", encoding="utf-8", newline="\n") as fh:
+            _write(fh, blocks)
+        return
+    if mode is None:  # a new file gets the mode open() would give it
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    elif not os.access(target, os.W_OK):  # a file open() could not write stays
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+    fd, temp = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.",
+                                dir=os.path.dirname(target))
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            _write(fh, blocks)
+        os.chmod(temp, stat.S_IMODE(mode))
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def main(argv=None) -> int:
@@ -407,12 +463,11 @@ def main(argv=None) -> int:
         if env_cache:
             config = replace(config, cache_dir=env_cache)
 
-        blocks = _dispatch(args, config)  # every block rendered before the first byte
+        blocks = _dispatch(args, config)  # checked, but not yet rendered
         if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.writelines(blocks)
+            _write_out(args.out, blocks)
         else:
-            sys.stdout.writelines(blocks)
+            _write(sys.stdout, blocks)
             sys.stdout.flush()  # so a closed pipe fails here, not at interpreter exit
     except (InvalidProblemError, InvalidThresholdError, ValueError, TypeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
@@ -424,7 +479,7 @@ def main(argv=None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except MemoryError as exc:  # such as figure1's checkpoint column at --limit 1e15
+    except MemoryError as exc:
         sys.stderr.write(f"error: out of memory: {exc}\n")
         return 2
     return 0

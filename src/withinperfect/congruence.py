@@ -6,17 +6,18 @@ prime, p not dividing m, m | b*sigma(m), and sigma(m) = k/b; every other
 solution, and every solution when b does not divide k, is sporadic.  n = 1
 divides everything, so it is a solution for every (b, k); it has no p*m
 decomposition and is classified sporadic.  The census streams
-SigmaSource.blocks, so its per-n temporaries are one block long.
+SigmaSource.blocks, and census_stream yields the solutions of each block as
+they are classified, so a writer holds one block of records at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
-from .exact import _counts_upto, _guard_linear
+from .exact import _guard_linear
 from .sieve import SigmaSource, _witnesses
 from .types import CheckpointSeries, SolutionTable, checkpoint_column
 
@@ -41,8 +42,10 @@ class CongruenceProblem:
         return abs(self.k) < self.b * self.limit ** (2.0 / 3.0)
 
 
-def census(problem: CongruenceProblem, source: Optional[SigmaSource] = None) -> SolutionTable:
-    """Exhaustively list and classify the solutions n <= limit, ascending.
+def census_stream(problem: CongruenceProblem,
+                  source: Optional[SigmaSource] = None) -> Iterator[SolutionTable]:
+    """The solutions n <= limit of each block of source.blocks, classified,
+    as one SolutionTable per block in ascending order; checked at the call.
 
     The anchors are the solutions m with b*sigma(m) = k and m | k, so each has
     sigma(m) = k/b, and the witness of a regular n is read off sigma(n)
@@ -53,17 +56,25 @@ def census(problem: CongruenceProblem, source: Optional[SigmaSource] = None) -> 
     source = source or SigmaSource()
     b, k, limit = problem.b, problem.k, problem.limit
     _guard_linear(1, b, limit, k)
+    return _classified(b, k, source.blocks(limit))
+
+
+def _classified(b: int, k: int, blocks) -> Iterator[SolutionTable]:
     anchors = np.empty(0, dtype=np.int64)
-    parts = []
-    for n, sigma in source.blocks(limit):
+    for n, sigma in blocks:
         value = sigma * np.int64(b) - np.int64(k)
         idx = np.flatnonzero(value % n == 0)
         ns, sigma_n, value = n[idx], sigma[idx], value[idx]
         new = ns[value == 0]
         anchors = np.concatenate([anchors, new[k % new == 0]])
         q = np.where(value >= 0, value // ns, -1)
-        parts.append((ns, sigma_n, q, *_witnesses(ns, sigma_n, anchors, k // b)))
-    return SolutionTable.concat(parts)
+        yield SolutionTable(ns, sigma_n, q, *_witnesses(ns, sigma_n, anchors, k // b))
+
+
+def census(problem: CongruenceProblem, source: Optional[SigmaSource] = None) -> SolutionTable:
+    """Exhaustively list and classify the solutions n <= limit, ascending:
+    the concatenation of census_stream."""
+    return SolutionTable.concat(census_stream(problem, source))
 
 
 @dataclass
@@ -88,7 +99,7 @@ def sporadic_growth_report(b: int, k: int, checkpoints,
     """
     checkpoints = checkpoint_column(checkpoints).tolist()
     table = census(CongruenceProblem(b, k, checkpoints[-1]), source)
-    counts = _counts_upto(table.n[table.p == 0], checkpoints).tolist()
+    counts = np.searchsorted(table.n[table.p == 0], checkpoints, side="right").tolist()
     ratios, slack, sqrt_shape = [], [], []
     for x, c in zip(checkpoints, counts):
         ratios.append(c / (b * b * x ** (2.0 / 3.0)))

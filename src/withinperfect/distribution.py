@@ -39,6 +39,7 @@ def _abundancy_counts(checkpoints, points,
     The float64 sigma/n of a block is computed once for every point."""
     rows = len(points)
     counter = _CheckpointCounter(checkpoint_column(checkpoints), 2 * rows)
+    parts = []
     for n, sigma in source.blocks(int(counter.checkpoints[-1])):
         ratio = sigma / n
         counter.block(n)
@@ -46,7 +47,8 @@ def _abundancy_counts(checkpoints, points,
             below, ties = _ratio_below(ratio, sigma, n, u)
             counter.add(i, below)
             counter.add(rows + i, ties)
-    counts = counter.counts()
+        parts.append(counter.done()[1])
+    counts = np.concatenate(parts, axis=1)
     return counts[:rows], counts[rows:]
 
 

@@ -5,13 +5,18 @@ produce byte-identical artifacts.  The long outputs (a series or Wirsing
 CSV, solution records as JSON or NDJSON) are rendered from their columns in
 blocks of _BLOCK rows by one renderer, _rows, with the bytes of json.dumps
 or the f-string that the rows it cannot render exactly fall back to.
+
+The *_blocks renderers are generators over the parts of a stream
+(within.series_stream, congruence.census_stream): each part is rendered as
+it arrives, so a writer holds one block of text at a time.  The renderers
+whose names end in _csv, _json, _ndjson or _text return the whole str.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -74,16 +79,18 @@ def _digits(v: np.ndarray, pad_to: int = 0) -> np.ndarray:
 
 def series_csv(series: CheckpointSeries, header: str = "x,count,quotient") -> str:
     """The header, then the bytes of f"{x},{c},{q:.6f}" per row."""
-    return "".join(series_csv_blocks(series, header))
+    return "".join(series_csv_blocks([series], header))
 
 
-def series_csv_blocks(series: CheckpointSeries, header: str = "x,count,quotient") -> list[str]:
-    """series_csv as its header line and one str per block of _BLOCK rows, so
-    a writer need not hold the text twice to join it."""
-    return [header + "\n"] + [
-        _series_block(series.x[i : i + _BLOCK], series.count[i : i + _BLOCK],
-                      series.quotient[i : i + _BLOCK])
-        for i in range(0, len(series), _BLOCK)]
+def series_csv_blocks(parts: Iterable[CheckpointSeries],
+                      header: str = "x,count,quotient") -> Iterator[str]:
+    """series_csv of the consecutive parts, as its header line and then one
+    str per block of at most _BLOCK rows, each part rendered as it arrives."""
+    yield header + "\n"
+    for part in parts:
+        for i in range(0, len(part), _BLOCK):
+            yield _series_block(part.x[i : i + _BLOCK], part.count[i : i + _BLOCK],
+                                part.quotient[i : i + _BLOCK])
 
 
 def wirsing_csv(report: WirsingReport) -> str:
@@ -119,42 +126,50 @@ def _series_block(x: np.ndarray, c: np.ndarray, q: np.ndarray) -> str:
 def records_json(records: Iterable[SolutionRecord]) -> str:
     """The records as the JSON array json.dumps(..., indent=2) gives for
     their to_json_dict(), rendered from the columns (see _record_blocks)."""
-    return _json_array(_table(records), 0) + "\n"
+    return "".join(records_json_blocks([_table(records)]))
+
+
+def records_json_blocks(parts: Iterable[SolutionTable]) -> Iterator[str]:
+    """records_json of the consecutive parts, one str per block of records."""
+    yield from _json_array(parts, 0)
+    yield "\n"
 
 
 def records_ndjson(records: Iterable[SolutionRecord]) -> str:
     """One compact JSON object per line, the bytes json.dumps would give for
     to_json_dict(), rendered from the columns (see _record_blocks)."""
-    return "".join(records_ndjson_blocks(records))
+    return "".join(records_ndjson_blocks([_table(records)]))
 
 
-def records_ndjson_blocks(records: Iterable[SolutionRecord]) -> list[str]:
-    """records_ndjson as one str per block of records."""
-    return _record_blocks(_table(records), "\n", None)
+def records_ndjson_blocks(parts: Iterable[SolutionTable]) -> Iterator[str]:
+    """records_ndjson of the consecutive parts, one str per block of records."""
+    return _record_blocks(parts, "\n", None)
 
 
 def _table(records: Iterable[SolutionRecord]) -> SolutionTable:
     return records if isinstance(records, SolutionTable) else SolutionTable.from_records(records)
 
 
-def _json_array(t: SolutionTable, depth: int) -> str:
+def _json_array(parts: Iterable[SolutionTable], depth: int) -> Iterator[str]:
     """The records array as json.dumps(indent=2) renders it at nesting depth
-    depth (0 for a top-level array)."""
-    if not len(t):
-        return "[]"
+    depth (0 for a top-level array).  One block is held back, so the comma
+    after the last item can be dropped."""
     pad = "  " * depth
-    blocks = _record_blocks(t, ",\n", pad + "  ")
-    blocks[-1] = blocks[-1][:-2]  # no comma after the last item
-    return "".join(["[\n", *blocks, f"\n{pad}]"])
+    held = None
+    for block in _record_blocks(parts, ",\n", pad + "  "):
+        yield "[\n" if held is None else held
+        held = block
+    yield "[]" if held is None else f"{held[:-2]}\n{pad}]"
 
 
-def _record_blocks(t: SolutionTable, end: str, pad: Optional[str]) -> list[str]:
-    """The records of t in blocks of _BLOCK // 4, each record followed by end,
-    with the bytes of _dumps: the pieces of _record_layout around the digits
-    of n, sigma_n, p and m.  Both kinds of record start with n and sigma_n;
-    the regular fields are blanked on sporadic rows (p = 0), the sporadic tail
-    on regular rows, and a row with a negative column falls back to _dumps of
-    its record."""
+def _record_blocks(parts: Iterable[SolutionTable], end: str,
+                   pad: Optional[str]) -> Iterator[str]:
+    """The records of the parts in blocks of at most _BLOCK // 4, each record
+    followed by end, with the bytes of _dumps: the pieces of _record_layout
+    around the digits of n, sigma_n, p and m.  Both kinds of record start with
+    n and sigma_n; the regular fields are blanked on sporadic rows (p = 0),
+    the sporadic tail on regular rows, and a row with a negative column falls
+    back to _dumps of its record."""
     (head, mid, regular, inner, regular_end), (_, _, sporadic_end) = _record_layout(pad, end)
 
     def block(b: SolutionTable) -> str:
@@ -164,7 +179,9 @@ def _record_blocks(t: SolutionTable, end: str, pad: Optional[str]) -> list[str]:
                      (b.n < 0) | (b.sigma_n < 0) | (b.p < 0) | (b.m < 0),
                      lambda i: _dumps(b[i], pad) + end)
 
-    return [block(t[i : i + _BLOCK // 4]) for i in range(0, len(t), _BLOCK // 4)]
+    for t in parts:
+        for i in range(0, len(t), _BLOCK // 4):
+            yield block(t[i : i + _BLOCK // 4])
 
 
 def _dumps(record: SolutionRecord, pad: Optional[str]) -> str:
@@ -205,7 +222,7 @@ def dioph_json(solution: DiophantineSolution) -> str:
                               if solution.predicted_density is not None else None),
     }
     head = json.dumps(payload, indent=2)[:-2]  # the records go before the closing "\n}"
-    return f'{head},\n  "records": {_json_array(_table(solution.records), 1)}\n}}\n'
+    return f'{head},\n  "records": {"".join(_json_array([solution.records], 1))}\n}}\n'
 
 
 def cdf_csv(cdf: EmpiricalCDF) -> str:

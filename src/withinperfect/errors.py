@@ -2,7 +2,9 @@
 
 
 class BudgetExceededError(Exception):
-    """A requested segment is longer than sieve.MAX_SEGMENT_LENGTH."""
+    """A request beyond a documented budget of the sieve: a segment longer than
+    sieve.MAX_SEGMENT_LENGTH, more threads than sieve.MAX_THREADS, or a run
+    whose estimated cost exceeds sieve.MAX_RUN_COST."""
 
 
 class SigmaOverflowError(OverflowError):

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import CapabilityError, InvalidProblemError
 from .sieve import SigmaSource, _icbrt, _witnesses, factor
-from .types import CheckpointSeries, RationalTarget, SolutionTable, checkpoint_column
+from .types import (CheckpointSeries, RationalTarget, SolutionTable, checkpoint_column,
+                    checkpoint_index, checkpoint_values)
 
 if TYPE_CHECKING:
     import mpmath
@@ -43,58 +44,69 @@ def _fraction_sum(terms: list[Fraction]) -> Fraction:
     return work[0]
 
 
-def _counts_upto(hits, checkpoints) -> np.ndarray:
-    """How many of the ascending hits are <= each checkpoint, in one call.
-
-    A checkpoint below every hit counts 0 and one at or past the last counts
-    them all.
-    """
-    return np.searchsorted(hits, checkpoints, side="right")
-
-
 class _CheckpointCounter:
-    """Rows of hit counts up to each ascending checkpoint, accumulated over
-    ascending blocks that end at or before the last checkpoint.
+    """Rows of hit counts up to each ascending checkpoint, an int64 column or
+    a range of checkpoint_column (whose column is never built), over the
+    ascending blocks of consecutive n that cover [1, last checkpoint].
 
-    One grid, first[row, j], holds the hits first counted at checkpoint j
-    (column len(checkpoints) is never), and counts() is its one cumsum.  A
-    block [lo, hi] places each hit among the checkpoints in [lo, hi) and adds
-    the rest at the first checkpoint >= hi, so no checkpoint is touched by a
-    block that does not hold it (figure1 has 10^6 of them).
+    A block completes the checkpoints up to its last n.  block() finds them,
+    the add methods place the block's hits in a grid with one column per
+    completed checkpoint and one for the rest, and done() returns the counts
+    at them and keeps each row's running total as its carry.  A hit counted
+    from a later checkpoint on (add_from, the at-limit rows) is pending in its
+    row until the block that completes that checkpoint.  So memory is one
+    block's checkpoints and the pending hits, never a grid of every
+    checkpoint (figure1 has 10^6 or more).
     """
 
-    def __init__(self, checkpoints: np.ndarray, rows: int):
+    def __init__(self, checkpoints, rows: int):
         self.checkpoints = checkpoints
-        self.first = np.zeros((rows, len(checkpoints) + 1), dtype=np.int64)
+        self.carry = np.zeros(rows, dtype=np.int64)
+        self.pending: list[list] = [[] for _ in range(rows)]  # (ascending indices, sign)
 
     def block(self, n: np.ndarray) -> None:
         """Start counting the hits of the block of consecutive n."""
-        self._j0, self._j1 = np.searchsorted(self.checkpoints, (n[0], n[-1])).tolist()
-        self._upto = self.checkpoints[self._j0:self._j1] - n[0]  # as offsets into n
+        self.j0, self.j1 = checkpoint_index(self.checkpoints, (n[0], n[-1] + 1)).tolist()
+        self.x = checkpoint_values(self.checkpoints, slice(self.j0, self.j1))
+        self._upto = self.x - n[0]  # as offsets into n
+        self._first = np.zeros((len(self.carry), len(self.x) + 1), dtype=np.int64)
 
     def add(self, row: int, hits: np.ndarray) -> None:
         """Count hits of the current block: a bool mask or ascending int64 offsets."""
         mask = hits.dtype == bool
         if len(self._upto):  # the index of each hit among the block's checkpoints
             local = np.searchsorted(self._upto, np.flatnonzero(hits) if mask else hits)
-            self.first[row, self._j0:self._j1 + 1] += np.bincount(
-                local, minlength=len(self._upto) + 1)
+            self._first[row] += np.bincount(local, minlength=len(self._upto) + 1)
         else:
-            self.first[row, self._j1] += np.count_nonzero(hits) if mask else len(hits)
+            self._first[row, 0] += np.count_nonzero(hits) if mask else len(hits)
 
     def add_at(self, rows, j: int, hits) -> None:
-        """Count hits at checkpoint index j alone, not at the later ones."""
-        self.first[rows, j] += hits
-        self.first[rows, j + 1] -= hits
+        """Count hits at checkpoint index j, one the block completes, alone."""
+        self._first[rows, j - self.j0] += hits
+        self._first[rows, j - self.j0 + 1] -= hits
 
     def add_from(self, row: int, first: np.ndarray, sign: int = 1) -> None:
-        """Count sign hits at each checkpoint index of first and at every later
-        one (an index of len(checkpoints) is none of them)."""
-        self.first[row] += sign * np.bincount(first, minlength=len(self.checkpoints) + 1)
+        """Count sign hits at each checkpoint index of first, none below the
+        block's, and at every later one (an index of len(checkpoints) is none)."""
+        due = first < self.j1
+        self._first[row] += sign * np.bincount(first[due] - self.j0, minlength=len(self.x) + 1)
+        later = np.sort(first[~due])
+        later = later[:np.searchsorted(later, len(self.checkpoints))]
+        if len(later):
+            self.pending[row].append((later, sign))
 
-    def counts(self) -> np.ndarray:
-        """The int64 [row, checkpoint] grid of hits <= each checkpoint."""
-        return np.cumsum(self.first[:, :-1], axis=1)
+    def done(self) -> tuple[np.ndarray, np.ndarray]:
+        """The int64 checkpoints x the block completes and the int64
+        [row, x] counts of the hits up to each."""
+        for chunks, row in zip(self.pending, self._first):
+            for i, (later, sign) in enumerate(chunks):
+                due = np.searchsorted(later, self.j1)
+                np.add.at(row, later[:due] - self.j0, sign)
+                chunks[i] = later[due:], sign
+            chunks[:] = [chunk for chunk in chunks if len(chunk[0])]
+        counts = self.carry[:, None] + np.cumsum(self._first, axis=1)
+        self.carry = counts[:, -1]
+        return self.x, counts[:, :-1]
 
 
 @dataclass
@@ -122,7 +134,7 @@ def enumerate_perfect(target, limit: int, source: Optional[SigmaSource] = None,
     members: list[int] = []
     for n, sigma in source.blocks(limit):
         members += n[b * sigma == a * n].tolist()
-    counting = CheckpointSeries(cks, _counts_upto(members, cks),
+    counting = CheckpointSeries(cks, np.searchsorted(members, cks, side="right"),
                                 label=f"perfect l={target}")
     return PerfectCensus(target, limit, members, counting)
 
@@ -327,11 +339,11 @@ def solve_diophantine(problem: DiophantineProblem, source: Optional[SigmaSource]
     for n, sigma in source.blocks(limit):
         idx = np.flatnonzero(bv * sigma - av * n == kv)
         ns, sigma_n = n[idx], sigma[idx]
-        parts.append((ns, sigma_n, np.full(len(ns), av),
-                      *_witnesses(ns, sigma_n, anchors, k // b)))
+        parts.append(SolutionTable(ns, sigma_n, np.full(len(ns), av),
+                                   *_witnesses(ns, sigma_n, anchors, k // b)))
     records = SolutionTable.concat(parts)
 
-    series = CheckpointSeries(cks, _counts_upto(records.n, cks),
+    series = CheckpointSeries(cks, np.searchsorted(records.n, cks, side="right"),
                               label=f"dioph {b}*sigma(n)={a}*n+{k}")
     return DiophantineSolution(
         problem=problem, records=records, series=series,

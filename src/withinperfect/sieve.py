@@ -10,11 +10,13 @@ width that holds it: u32 up to hi = U32_SIGMA_LIMIT = 2^27, u64 above
 cut from the segments as they come; ``segments``, the sieve-and-cache layer
 under it, sieves (or loads from the cache) segment_length elements at a time.
 Its ``table`` (one segment from 1) has no caller in the package and stays only
-because the benchmark traces it.
+because the benchmark traces it.  A run from 1 whose estimated cost (ranges)
+exceeds MAX_RUN_COST is refused before any segment is sieved.
 
 The kernel, _pair_sums, enumerates divisor pairs (d, m/d) with d <= sqrt(hi):
-one strided numpy add per d that has a multiple in range, with the bounds of
-every d computed as numpy columns.  A long segment is sieved by 2-adic parts:
+one strided numpy add per d that has a multiple in range (per 2^16 of its
+multiples), with the bounds of every d computed as numpy columns.  A long
+segment is sieved by 2-adic parts:
 sigma(2^k * m) = (2^(k+1) - 1) * sigma(m) for odd m, so only odd m are sieved,
 by odd divisor pairs: for the segment of length L = 2^22 ending at 2e7, 4.6 L
 strided additions instead of 8.9 L, but 1.7 times as many divisors d.
@@ -72,6 +74,15 @@ MIN_SEGMENT_LENGTH = 1 << 10
 
 #: Longest segment that is sieved; anything longer is refused before allocating.
 MAX_SEGMENT_LENGTH = 1 << 25
+
+#: Most work a SigmaSource run from 1 may ask for: the n sieved plus, for each
+#: of the limit/L segments of length L, up to isqrt(limit) Python iterations
+#: of one strided add per divisor d (SigmaSource.ranges).  A limit of 10^8 costs
+#: about 10^8 (figure1 --limit 1e8 takes about 40 s on one core).  The cap is
+#: about half an hour of sieving from 1 at the default length, and refuses,
+#: before any sieving, a run that would take days or years (figure1 at 1e15,
+#: a checkpoint near 2^55).
+MAX_RUN_COST = 10**11
 
 #: Most threads a SigmaSource sieves with; it holds at most threads + 1
 #: segments, so more are refused before any pool exists.
@@ -182,13 +193,15 @@ def _pair_sums(m0: int, mhi: int, step: int) -> np.ndarray:
     """sigma(m) for m = m0, m0 + step, ... <= mhi (step 1, or step 2 from an
     odd m0) by divisor pairs (d, q), d <= q, d*q = m, with d and q in the
     residue class of m0 mod step.  Consecutive such multiples of d are d apart
-    in the output, so each d is one strided add of the pair sums d + q.
+    in the output, so each d is a strided add of the pair sums d + q, at most
+    _CHUNK of them at a time.
 
     The bounds of every d are computed as numpy columns, _CHUNK values of d
-    at a time (so memory stays O(mhi - m0) up to the domain cap), and a d
-    without a multiple in range costs nothing; the squares
-    q = d, where the pair sum counts d twice, are corrected in one fancy-index
-    subtraction per chunk.
+    at a time, and a d with more than _CHUNK multiples takes one row per
+    _CHUNK of them, so no temporary is longer than _CHUNK and memory stays
+    O(mhi - m0) up to the domain cap.  A d without a multiple in range costs
+    nothing; the squares q = d, where the pair sum counts d twice, are
+    corrected in one fancy-index subtraction per chunk.
     """
     dtype = sigma_dtype(mhi)
     sig = np.zeros((mhi - m0) // step + 1, dtype=dtype)
@@ -198,7 +211,12 @@ def _pair_sums(m0: int, mhi: int, step: int) -> np.ndarray:
         first = np.maximum(d, -(-m0 // d) | (step - 1))  # ceil(m0/d), odd for step 2
         last = mhi // d  # for step 2 an even last counts as last - 1 in what follows
         keep = first <= last
-        d, first, last = d[keep], first[keep], last[keep]
+        # a d with more than _CHUNK pair sums takes one row per _CHUNK of them
+        pieces = (last[keep] - first[keep]) // (_CHUNK * step) + 1
+        d, first, last = (v[keep].repeat(pieces) for v in (d, first, last))
+        piece = np.arange(len(d)) - (np.cumsum(pieces) - pieces).repeat(pieces)
+        first += piece * (_CHUNK * step)
+        last = np.minimum(last, first + (_CHUNK - 1) * step)
         start = (d * first - m0) // step
         stop = start + (last - first) // step * d + 1
         for dd, a, b, i, j in zip(d.tolist(), (first + d).tolist(), (last + d + 1).tolist(),
@@ -433,12 +451,18 @@ class SigmaSource:
 
     def ranges(self, limit: int) -> Iterator[tuple[int, int]]:
         """The (lo, hi) bounds covering [1, limit], generated as they are taken;
-        limit is checked at the call."""
+        limit is checked at the call, against the domain cap first and then
+        against MAX_RUN_COST (BudgetExceededError), with no segment sieved."""
         if limit < 1:
             raise ValueError("limit must be >= 1")
         if limit > DOMAIN_CAP:
             raise SigmaOverflowError(f"limit {limit} exceeds the domain cap 2^55")
         step = self.segment_length
+        cost = limit + -(-limit // step) * math.isqrt(limit)
+        if cost > MAX_RUN_COST:
+            raise BudgetExceededError(
+                f"sieving [1, {limit}] in segments of {step} costs about {cost:.2e} "
+                f"steps, beyond the run budget {MAX_RUN_COST:.0e}")
         return ((lo, min(lo + step - 1, limit)) for lo in range(1, limit + 1, step))
 
     def _materialize(self, bounds: tuple[int, int]) -> SigmaSegment:
@@ -458,9 +482,12 @@ class SigmaSource:
         return sieve_segment(lo, hi)
 
     def segments(self, limit: int) -> Iterator[SigmaSegment]:
-        """Yield the segments in order.  With threads, at most threads + 1 are
-        requested ahead of the consumer, so memory stays bounded."""
-        ranges = self.ranges(limit)
+        """The segments in order, as they are sieved; limit is checked at the
+        call (ranges).  With threads, at most threads + 1 are requested ahead
+        of the consumer, so memory stays bounded."""
+        return self._sieved(self.ranges(limit))
+
+    def _sieved(self, ranges: Iterator[tuple[int, int]]) -> Iterator[SigmaSegment]:
         if self.threads == 1:
             for bounds in ranges:
                 yield self._materialize(bounds)
@@ -478,15 +505,19 @@ class SigmaSource:
             pool.shutdown(cancel_futures=True)
 
     def blocks(self, limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield the int64 columns (n, sigma) of at most BLOCK_LENGTH elements,
-        n consecutive and sigma[i] = sigma(n[i]), covering [1, limit] in order,
-        cut from the segments of ``segments``.
+        """The int64 columns (n, sigma) of at most BLOCK_LENGTH elements, n
+        consecutive and sigma[i] = sigma(n[i]), covering [1, limit] in order,
+        cut from the segments of ``segments``; limit is checked at the call.
 
         sigma is exact in int64, since sigma(n) <= n(1 + ln n) < 2^61 for
         n <= 2^55 (the bound of sigma_dtype).  Each block is the consumer's own
         copy, and the spent segment is let go before the next one is taken.
         """
-        for seg in self.segments(limit):
+        return self._cut(self.segments(limit))
+
+    @staticmethod
+    def _cut(segments: Iterator[SigmaSegment]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for seg in segments:
             for start in range(0, len(seg), BLOCK_LENGTH):
                 sigma = seg.sigma[start:start + BLOCK_LENGTH].astype(np.int64)
                 lo = seg.lo + start

@@ -167,11 +167,13 @@ class ThresholdSpec:
                 "x_log_x": "y*log y"}[self.kind]
 
 
-def checkpoint_column(values, limit: Optional[int] = None) -> np.ndarray:
+def checkpoint_column(values, limit: Optional[int] = None, lazy: bool = False):
     """The checkpoint rule of every statistic: values in any order as an
     ascending int64 column, duplicates kept.  Each must be an integer >= 1 (1e4
     is; 100.5 raises ValueError, never rounded), and none past limit (ValueError)
-    or int64 (SigmaOverflowError).  A range becomes np.arange with no list built.
+    or int64 (SigmaOverflowError).  A range becomes np.arange with no list built,
+    or with lazy stays an ascending range, read by checkpoint_index and
+    checkpoint_values, so that its column is never built at all.
     """
     if isinstance(values, range):
         ascending = values if values.step > 0 else values[::-1]
@@ -187,8 +189,28 @@ def checkpoint_column(values, limit: Optional[int] = None) -> np.ndarray:
     if top > np.iinfo(np.int64).max:
         raise SigmaOverflowError(f"limit {top} exceeds the domain cap 2^55")
     if isinstance(ascending, range):
-        return np.arange(ascending.start, ascending.stop, ascending.step, dtype=np.int64)
+        return ascending if lazy else checkpoint_values(ascending, slice(None))
     return np.array(ascending, dtype=np.int64)
+
+
+def checkpoint_index(checkpoints, v):
+    """np.searchsorted(checkpoints, v), how many checkpoints lie below v, for
+    an ascending int64 column or range of checkpoint_column."""
+    if not isinstance(checkpoints, range):
+        return np.searchsorted(checkpoints, v)
+    below = -((checkpoints.start - np.asarray(v, dtype=np.int64)) // checkpoints.step)
+    return np.clip(below, 0, len(checkpoints))
+
+
+def checkpoint_values(checkpoints, index) -> np.ndarray:
+    """checkpoints[index] as int64 for a slice or an int64 array of indices,
+    of an ascending int64 column or range of checkpoint_column."""
+    if not isinstance(checkpoints, range):
+        return checkpoints[index]
+    if isinstance(index, slice):
+        part = checkpoints[index]
+        return np.arange(part.start, part.stop, part.step, dtype=np.int64)
+    return checkpoints.start + index * checkpoints.step
 
 
 def _checkpoint(value) -> int:
@@ -262,6 +284,12 @@ class CheckpointSeries:
     def rows(self):
         return list(zip(self.checkpoints, self.counts, self.quotients))
 
+    @classmethod
+    def concat(cls, parts: list["CheckpointSeries"]) -> "CheckpointSeries":
+        """One series from consecutive parts (at least one), labelled as the first."""
+        return cls(*(np.concatenate([getattr(p, c) for p in parts])
+                     for c in ("x", "count", "quotient")), label=parts[0].label)
+
 
 def _column(column: np.ndarray, name: str, length: Optional[int] = None) -> np.ndarray:
     """column, refused unless it is 1-D and, given a length, that long."""
@@ -325,9 +353,9 @@ class SolutionTable(Sequence[SolutionRecord]):
             _column(getattr(self, name), name, length)
 
     @classmethod
-    def concat(cls, parts: list[tuple[np.ndarray, ...]]) -> "SolutionTable":
-        """One table from per-segment (n, sigma_n, q, p, m) column tuples."""
-        return cls(*(np.concatenate(col) for col in zip(*parts)))
+    def concat(cls, parts: Iterable["SolutionTable"]) -> "SolutionTable":
+        """One table from consecutive parts (at least one)."""
+        return cls(*(np.concatenate(col) for col in zip(*(p._columns() for p in parts))))
 
     @classmethod
     def from_records(cls, records: Iterable[SolutionRecord]) -> "SolutionTable":

@@ -9,10 +9,14 @@ power n^(p/q) is prefiltered on one effective exponent e(n) = log(D/b)/log(n)
 per n for every exponent, and its sign compares D^q with b^q * n^p.  Ties come
 back as offsets, so the strict and non-strict conventions share a single pass.
 
-count_thresholds decides SigmaSource.blocks, the int64 columns (n, sigma(n))
+count_stream decides SigmaSource.blocks, the int64 columns (n, sigma(n))
 of at most 2^16 n, whose working arrays stay in L2, and counts hits up to each
 checkpoint through exact._CheckpointCounter, thresholds frozen at the
-checkpoint (at_limit) too.
+checkpoint (at_limit) too.  It yields the counts at the checkpoints each block
+completes as soon as the block is decided, so memory is set by the block, not
+by the number of checkpoints: a range of them (figure1) is never built as a
+column.  count_thresholds and series are the concatenation of that stream,
+and series_stream is the stream a writer renders as it comes.
 Checkpoints in any order are read by types.checkpoint_column.
 """
 
@@ -22,7 +26,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -30,7 +34,7 @@ from .errors import CapabilityError, InvalidThresholdError
 from .exact import _CheckpointCounter, _fraction_sum, _guard_linear, enumerate_perfect
 from .sieve import SigmaSource
 from .types import (CheckpointSeries, RationalTarget, ThresholdSpec, checkpoint_column,
-                    normalized_quotient)
+                    checkpoint_index, checkpoint_values, normalized_quotient)
 
 #: Relative width of the float64 guard band around b*n*log(n)^(+-1) and u.
 _BAND = 1e-9
@@ -170,13 +174,14 @@ def _bisect(threshold: ThresholdSpec, b: int, D: np.ndarray, start: np.ndarray,
     """Per element, the least checkpoint index j >= start with D < b*k(cks[j])
     (<= unless strict), len(cks) if none, and whether D = b*k(cks[j]) there.
     k is nondecreasing over checkpoints >= 3, so each round decides every open
-    element exactly at the middle of its own index range."""
+    element exactly at the middle of its own index range.  cks is a column or
+    range of checkpoint_column."""
     lo, hi = start.copy(), np.full_like(start, len(cks))
     tie = np.zeros(len(lo), dtype=bool)  # whether the decide at hi was a tie
     active = np.flatnonzero(lo < hi)
     while len(active):
         mid = (lo[active] + hi[active]) // 2
-        inside, ties = _decide_segment(threshold, b, D[active], cks[mid])
+        inside, ties = _decide_segment(threshold, b, D[active], checkpoint_values(cks, mid))
         at = np.zeros(len(active), dtype=bool)
         at[ties] = not strict
         inside |= at
@@ -199,30 +204,38 @@ class ThresholdCounts:
     ties: np.ndarray
 
 
-def count_thresholds(target, thresholds: list[ThresholdSpec], checkpoints,
-                     source: Optional[SigmaSource] = None,
-                     include_one: bool = True) -> ThresholdCounts:
-    """One streaming pass over [1, max checkpoint] for several thresholds at once.
+def count_stream(target, thresholds: list[ThresholdSpec], checkpoints,
+                 source: Optional[SigmaSource] = None, include_one: bool = True
+                 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """One streaming pass over [1, max checkpoint] for several thresholds at
+    once.  For each block that completes checkpoints, it yields them, x (int64,
+    ascending), with the int64 [threshold, x] strict and tie counts.  The
+    arguments, the limit and the run's cost are checked at the call, before
+    any sieving.
 
     An at_limit threshold counts n at x when n <= x and D(n) < b*k(x).  From
     x = 3 on every kind is nondecreasing, so n counts from the first such
     checkpoint on (_bisect) and ties are the <= first indices less the < ones.
     """
     target = RationalTarget.parse(target)
-    cks = checkpoint_column(checkpoints)
+    cks = checkpoint_column(checkpoints, lazy=True)
     limit = int(cks[-1])
     source = source or SigmaSource()
     _guard_linear(target.a, target.b, limit)
+    return _counted(target, list(thresholds), cks, source.blocks(limit), include_one)
 
+
+def _counted(target: RationalTarget, thresholds: list[ThresholdSpec], cks, blocks,
+             include_one: bool) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     a, b = target.a, target.b
     rows = len(thresholds)  # strict counts in rows [0, rows), ties in [rows, 2*rows)
     counter = _CheckpointCounter(cks, 2 * rows)
     at_limit = any(t.at_limit for t in thresholds)
-    for n, sigma in source.blocks(limit):
+    for n, sigma in blocks:
         D = np.abs(np.int64(b) * sigma - np.int64(a) * n)
         skip = int(not include_one and n[0] == 1)  # leaves out n = 1
         e = None  # effective exponents, shared by every power threshold
-        start = np.searchsorted(cks, np.maximum(n[skip:], 3)) if at_limit else None
+        start = checkpoint_index(cks, np.maximum(n[skip:], 3)) if at_limit else None
         counter.block(n)
         for i, threshold in enumerate(thresholds):
             if threshold.at_limit:  # from the first checkpoint >= max(n, 3)
@@ -233,7 +246,7 @@ def count_thresholds(target, thresholds: list[ThresholdSpec], checkpoints,
                 counter.add_from(rows + i, loose)
                 counter.add_from(rows + i, strict, -1)
                 if n[0] == 1:  # y/log y falls up to e: x = 1, 2 (x > skip) directly
-                    for j in range(*np.searchsorted(cks, (1 + skip, 3))):
+                    for j in range(*checkpoint_index(cks, (1 + skip, 3)).tolist()):
                         x = int(cks[j])
                         inside, ties = _decide_segment(threshold, b, D[skip:x],
                                                        np.full(x - skip, x))
@@ -247,20 +260,39 @@ def count_thresholds(target, thresholds: list[ThresholdSpec], checkpoints,
                 ties = ties[ties > 0]
             counter.add(i, inside)
             counter.add(rows + i, ties)
-    counts = counter.counts()
-    return ThresholdCounts(target, list(thresholds), cks, counts[:rows], counts[rows:])
+        x, counts = counter.done()
+        if len(x):
+            yield x, counts[:rows], counts[rows:]
+
+
+def count_thresholds(target, thresholds: list[ThresholdSpec], checkpoints,
+                     source: Optional[SigmaSource] = None,
+                     include_one: bool = True) -> ThresholdCounts:
+    """The counts of count_stream at every checkpoint, from its one pass."""
+    target = RationalTarget.parse(target)
+    parts = count_stream(target, thresholds, checkpoints, source, include_one)
+    x, strict, ties = (np.concatenate(column, axis=-1) for column in zip(*parts))
+    return ThresholdCounts(target, list(thresholds), x, strict, ties)
+
+
+def series_stream(target, threshold: ThresholdSpec, checkpoints,
+                  source: Optional[SigmaSource] = None,
+                  include_one: bool = True) -> Iterator[CheckpointSeries]:
+    """series as one CheckpointSeries per block of count_stream, checked at
+    the call, so that a writer can render each part as it comes."""
+    target = RationalTarget.parse(target)
+    label = f"within l={target} k={threshold.describe()}"
+    parts = count_stream(target, [threshold], checkpoints, source, include_one)
+    return (CheckpointSeries(x, strict[0] + (0 if threshold.strict else ties[0]), label=label)
+            for x, strict, ties in parts)
 
 
 def series(target, threshold: ThresholdSpec, checkpoints,
            source: Optional[SigmaSource] = None,
            include_one: bool = True) -> CheckpointSeries:
     """Within-perfect counts and quotients count/(x/log x) at each checkpoint."""
-    target = RationalTarget.parse(target)
-    counts = count_thresholds(target, [threshold], checkpoints, source, include_one)
-    resolved = counts.strict[0] + (0 if threshold.strict else counts.ties[0])
-    return CheckpointSeries(
-        counts.checkpoints, resolved,
-        label=f"within l={target} k={threshold.describe()}")
+    return CheckpointSeries.concat(list(series_stream(target, threshold, checkpoints,
+                                                      source, include_one)))
 
 
 # --- reproduction of the published quotient grid for l = 2 ---
@@ -321,6 +353,9 @@ def table1_reproduce(source: Optional[SigmaSource] = None,
     if limit < TABLE_CHECKPOINTS[-1]:
         raise CapabilityError(
             f"the grid needs sieve capability {TABLE_CHECKPOINTS[-1]}, got {limit}")
+    if limit > TABLE_CHECKPOINTS[-1]:  # rather than ignored
+        raise ValueError(f"the published grid stops at {TABLE_CHECKPOINTS[-1]}, "
+                         f"got limit {limit}")
     t0 = time.monotonic()
     thresholds = [ThresholdSpec.power(c) for c in TABLE_EXPONENTS]
     counts = count_thresholds(RationalTarget(2, 1), thresholds,

@@ -160,25 +160,29 @@ def test_checkpoint_series_quotients_take_three_columns_above_the_inputs():
     assert series.quotient[1] == 1 / (2 / math.log(2))
 
 
-def test_checkpoint_counter_keeps_one_grid():
-    # first-counted hits in one rows x (C + 1) grid, and counts() its one cumsum
+def test_checkpoint_counter_keeps_a_carry_per_row():
+    # the counts at the checkpoints each block completes, from a carry per row
+    # and the pending at-limit hits: no grid over the 10^8 checkpoints of the
+    # range, whose column is never built either
     from withinperfect.exact import _CheckpointCounter
 
-    checkpoints = np.arange(1, 10**6 + 1, dtype=np.int64)
-    n = np.arange(1, 2**16 + 1, dtype=np.int64)
-    hits = n % 3 == 0
-    grid = 2 * 8 * 10**6
+    checkpoints = checkpoint_column(range(10**8, 0, -1), lazy=True)
+    assert checkpoints == range(1, 10**8 + 1)
     tracemalloc.start()
     try:
-        base = tracemalloc.get_traced_memory()[0]
-        counter = _CheckpointCounter(checkpoints, 2)
-        counter.block(n)
-        counter.add(0, hits)
-        counter.add(1, np.flatnonzero(hits))
-        counts = counter.counts()
-        peak = tracemalloc.get_traced_memory()[1] - base
+        counter = _CheckpointCounter(checkpoints, 3)
+        for lo, first, sign in ((1, [5, 70000, 70000, 10**8], 1), (2**16 + 1, [100000], -1)):
+            n = np.arange(lo, lo + 2**16, dtype=np.int64)
+            counter.block(n)
+            counter.add(0, n % 3 == 0)
+            counter.add(1, np.flatnonzero(n % 3 == 0))
+            counter.add_from(2, np.array(first), sign)  # index 10^8 is no checkpoint
+            x, counts = counter.done()
+            assert np.array_equal(x, n)
+            assert np.array_equal(counts[:2], np.tile(x // 3, (2, 1)))
+            want = (x >= 6).astype(int) + 2 * (x >= 70001) - (x >= 100001)
+            assert np.array_equal(counts[2], want)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * grid
-    want = np.minimum(checkpoints, 2**16) // 3
-    assert counts[0].tolist() == counts[1].tolist() == want.tolist()
+    assert peak < 16 * 2**20  # a grid over the range would take 2.4 GB

@@ -2,9 +2,11 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +16,10 @@ from hypothesis import example, given, settings, strategies as st
 from withinperfect import cli
 from withinperfect.cache import read_segment
 from withinperfect.cli import CACHE_DIR_ENV, apply_config_file, main, RunConfig
+from withinperfect import emit
 from withinperfect.emit import records_json, records_ndjson
-from withinperfect.sieve import SigmaSegment
+from withinperfect.errors import BudgetExceededError
+from withinperfect.sieve import MAX_RUN_COST, SigmaSegment, SigmaSource
 from withinperfect.types import SolutionRecord, parse_checkpoints
 
 
@@ -328,11 +332,56 @@ def test_limits_beyond_int64_hit_the_domain_cap(capsys, argv):
         " exceeds the domain cap 2^55\n")
 
 
-def test_figure1_beyond_memory_exits_2(capsys):
-    # the 10^15 checkpoints of the series cannot be allocated: one error line
+def _no_sieving(monkeypatch):
+    """Make any segment that is sieved or read fail the test."""
+    def refuse(self, bounds):
+        raise AssertionError(f"segment {bounds} taken")
+
+    monkeypatch.setattr(SigmaSource, "_materialize", refuse)
+
+
+def test_figure1_beyond_memory_exits_2(capsys, monkeypatch):
+    # streamed, the 10^15 checkpoints would take years, not memory: refused
+    # by the run budget before any sieving, with one error line
+    _no_sieving(monkeypatch)
     assert main(["figure1", "--limit", "1e15"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: out of memory") and err.count("\n") == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: sieving [1, 1000000000000000] in segments of ")
+    assert err.endswith(f" beyond the run budget {MAX_RUN_COST:.0e}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("series", "--ell", "2", "--threshold", "pow:0.5", "--checkpoints", "1.2345678901234567e16"),
+    ("count", "--ell", "2", "--threshold", "xlog", "--limit", "2e11"),
+    ("census", "--b", "1", "--k", "1", "--limit", "1e12", "--format", "json"),
+    ("--segment-length", "1024", "figure1", "--limit", "3e9"),
+])
+def test_a_run_beyond_the_budget_exits_2_before_any_sieving(capsys, monkeypatch, argv):
+    _no_sieving(monkeypatch)
+    assert main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: sieving [1, ") and "beyond the run budget" in err
+
+
+def test_the_run_budget_leaves_every_tier_one_size_well_under_the_cap():
+    # figure1 at 1e8, and table1 at 2e7 in the shortest segments, cost 10^3
+    # times less than the cap; the cap sits below sieving 10^11 from 1
+    for limit, length in ((10**8, 1 << 22), (2 * 10**7, 1024)):
+        assert limit + -(-limit // length) * math.isqrt(limit) < MAX_RUN_COST / 900
+    SigmaSource().ranges(MAX_RUN_COST // 2)
+    with pytest.raises(BudgetExceededError):
+        SigmaSource().ranges(MAX_RUN_COST)
+
+
+def test_table1_beyond_the_published_grid_exits_1(capsys, monkeypatch):
+    # the grid stops at 2e7; a larger limit is refused rather than ignored
+    _no_sieving(monkeypatch)
+    assert main(["table1", "--limit", "20000001"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("error: the published grid stops at 20000000, "
+                                 "got limit 20000001\n")
 
 
 def test_at_limit_linear_beyond_int64_is_exact(capsys):
@@ -390,6 +439,123 @@ def test_out_file_lf_no_bom(capsys, tmp_path):
     blob = target.read_bytes()
     assert blob == b"x,count,quotient\n30,9,1.020359\n"
     assert not blob.startswith(b"\xef\xbb\xbf")
+
+
+def _fail_on_second_block(monkeypatch):
+    """Make the second rendered series block fail, after the header and one
+    block of rows have been handed to the writer."""
+    calls = []
+    render = emit._series_block
+
+    def failing(*columns):
+        calls.append(1)
+        if len(calls) == 2:
+            raise OSError("injected failure after the first block")
+        return render(*columns)
+
+    monkeypatch.setattr(emit, "_series_block", failing)
+    return calls
+
+
+def test_a_failure_mid_stream_keeps_the_out_file(capsys, monkeypatch, tmp_path):
+    # the blocks go to a temporary file that is removed: no partial file, and
+    # the target keeps its old bytes
+    target = tmp_path / "figure1.csv"
+    target.write_bytes(b"old bytes\n")
+    calls = _fail_on_second_block(monkeypatch)
+    assert main(["figure1", "--limit", "200000", "--out", str(target)]) == 2
+    assert capsys.readouterr().err == "error: injected failure after the first block\n"
+    assert target.read_bytes() == b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["figure1.csv"]
+    target.unlink()  # and a target that did not exist is not made
+    calls.clear()
+    assert main(["figure1", "--limit", "200000", "--out", str(target)]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failure_mid_stream_leaves_whole_blocks_on_stdout(capsys, monkeypatch):
+    # stdout has the header and the first block of rows, a prefix of the
+    # artifact that ends at a row, then the one error line
+    code, whole = run_cli(capsys, "figure1", "--limit", "200000")
+    assert code == 0
+    _fail_on_second_block(monkeypatch)
+    assert main(["figure1", "--limit", "200000"]) == 2
+    out, err = capsys.readouterr()
+    assert err.count("\n") == 1 and err.startswith("error: injected failure")
+    assert out.endswith("\n") and whole.startswith(out)
+    assert out.count("\n") == 1 + 2**16 - 1  # x = 2..65536
+
+
+def test_out_to_a_fifo_is_written_in_place(capsys, tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+    reader.start()
+    code = main(["figure1", "--limit", "100000", "--out", str(fifo)])
+    reader.join(timeout=60)
+    assert code == 0
+    run_cli(capsys, "figure1", "--limit", "100000")  # clears capsys
+    _, want = run_cli(capsys, "figure1", "--limit", "100000")
+    assert got == [want.encode()]
+    assert fifo.is_fifo() and [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+
+def test_out_through_a_symlink_replaces_its_target(capsys, tmp_path):
+    target = tmp_path / "real.csv"
+    target.write_bytes(b"old bytes\n")
+    target.chmod(0o640)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert main(["count", "--ell", "2", "--threshold", "pow:0.5", "--limit", "30",
+                 "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == b"x,count,quotient\n30,9,1.020359\n"
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+
+#: figure1 and census artifacts across block and segment edges, the digests
+#: taken before they were streamed.
+STREAM_DIGESTS = [
+    (["figure1", "--limit", "300000"],
+     "d3cea2513c8bc0897aebb184d1ecd2ec011aa201c04d5a430c15a10a7cd228b7"),
+    (["census", "--b", "1", "--k", "12", "--limit", "300000"],
+     "6d6f1d4fe017b60a98064698f51295d2bab35058b173bb06ced42f204dc29bd7"),
+    (["census", "--b", "1", "--k", "12", "--limit", "300000", "--format", "json"],
+     "7c7491c461128fa0ed6ceb32cce7d55be4533324601f8d737f42a3e70ef8d455"),
+    (["census", "--b", "2", "--k", "6", "--limit", "300000", "--format", "json"],
+     "db3c017e3d45826169a8c3b278d7c54fc309c68a6dd0d639eef46bccebc293a7"),
+]
+
+
+@pytest.mark.parametrize("length", ["1024", str(3 * 2**16 - 1), str(3 * 2**16 + 1)])
+@pytest.mark.parametrize("argv, digest", STREAM_DIGESTS)
+def test_streamed_bytes_across_segment_edges(capsys, length, argv, digest):
+    code, out = run_cli(capsys, "--segment-length", length, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _figure1_peak_kib(limit: str) -> int:
+    """VmHWM of a child process that streams figure1 to /dev/null."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import os, withinperfect.cli as cli\n"
+            f"assert cli.main(['--segment-length', '65536', 'figure1', '--limit', '{limit}',"
+            " '--out', os.devnull]) == 0\n"
+            "print(next(l for l in open('/proc/self/status') if l.startswith('VmHWM')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    return int(out.split()[1])
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_figure1_memory_is_set_by_the_segment_not_the_output():
+    # ten times the checkpoints, the same peak: nothing grows with the series
+    small, large = _figure1_peak_kib("2e5"), _figure1_peak_kib("2e6")
+    assert large - small < 8 * 1024, (small, large)
 
 
 def test_determinism_across_runs_and_threads(capsys):
