@@ -6,6 +6,12 @@ overflow, budget, memory, cache, or I/O failure.  Output is deterministic for
 a fixed configuration: CSV uses commas and LF with no BOM, quotients carry six
 decimals, and thread count never changes a result.
 
+One command table, _COMMANDS, maps each subcommand to its run and its
+renders, {command: (run, {format: render})}: the run checks every argument
+and the run's cost and returns the result, and each render maps that result
+to its text blocks.  The formats each subcommand takes, _RENDERS, are the
+table's keys.
+
 Every refusal comes before the first byte.  The long artifacts (figure1,
 count, series, census) are then written block by block as the sieve reaches
 them, so an error mid-stream (out of memory, a failing disk or cache, a closed
@@ -34,21 +40,13 @@ CACHE_DIR_ENV = "WITHINPERFECT_CACHE_DIR"
 
 _FORMATS = ("csv", "json", "ndjson", "table")
 
-#: The formats each subcommand renders, its default first; any other is
-#: refused before the run.  table1's default, "both", is its text table, a
-#: blank line, then its CSV.
-_RENDERS = {
-    "sieve": ("csv",), "count": ("csv",), "series": ("csv",),
-    "table1": ("both", "table", "csv"), "figure1": ("csv",),
-    "perfect": ("json", "csv"), "wirsing": ("csv",),
-    "dioph": ("json", "csv", "ndjson"), "census": ("ndjson", "json"),
-    "sporadic": ("csv", "table"), "cdf": ("csv",), "phase": ("csv",),
-    "probe": ("csv",), "gcdsum": ("csv",),
-}
-
 #: The subcommands that read the counting conventions (--non-strict,
 #: --at-limit, --from-two and their config keys); any other refuses them.
 _CONVENTION_COMMANDS = ("count", "series", "figure1")
+
+#: The subcommands whose --checkpoints is optional and read by their CSV
+#: only; another format refuses it.
+_CSV_CHECKPOINTS = ("perfect", "dioph")
 
 
 @dataclass
@@ -258,128 +256,109 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _threshold_from_args(args, config: RunConfig) -> ThresholdSpec:
-    return replace(ThresholdSpec.parse(args.threshold),
-                   strict=config.strict_inequality,
+def _series_stream(config: RunConfig, source, threshold: str, ell: str, checkpoints):
+    """The counting stream of count, series and figure1 under the run's
+    conventions; checkpoints is a comma list or the checkpoints themselves."""
+    spec = replace(ThresholdSpec.parse(threshold), strict=config.strict_inequality,
                    at_limit=not config.threshold_at_n)
+    target = RationalTarget.parse(ell)
+    if isinstance(checkpoints, str):
+        checkpoints = parse_checkpoints(checkpoints)
+    return within.series_stream(target, spec, checkpoints, source, config.include_n_equals_1)
+
+
+def _figure1(args, config: RunConfig, source):
+    if args.limit < 2:
+        raise ValueError("figure1 needs --limit >= 2 (its series starts at x = 2)")
+    return _series_stream(config, source, "xlog", "2", range(2, args.limit + 1))
+
+
+def _sieve(args, config: RunConfig, source) -> str:
+    segment = sieve_segment(args.lo, args.hi)
+    if args.cache_path:
+        cache.write_segment(segment, args.cache_path)
+    # A u64 sum of 2^25 values below 2^61 can wrap, so the low and high
+    # halves of each value (u32 or u64) are summed apart in u64 (each sum
+    # below 2^57) and joined exactly.
+    width = segment.sigma.itemsize
+    halves = segment.sigma.astype(f"<u{width}", copy=False).view(f"<u{width // 2}")
+    low, high = (int(halves[j::2].sum(dtype="u8")) for j in (0, 1))
+    total = low + (high << 4 * width)
+    return f"lo,hi,length,sigma_total\n{segment.lo},{segment.hi},{len(segment)},{total}\n"
+
+
+def _table1(args, config: RunConfig, source):
+    report = within.table1_reproduce(source, args.limit)
+    sys.stderr.write(f"elapsed: {report.elapsed_seconds:.1f}s\n")
+    return report
+
+
+def _census(args, config: RunConfig, source):
+    problem = congruence.CongruenceProblem(args.b, args.k, args.limit)
+    if not problem.in_uniform_range:
+        sys.stderr.write(f"warning: |k|={abs(args.k)} is outside the uniform "
+                         f"range b*x^(2/3)\n")
+    return congruence.census_stream(problem, source)
+
+
+def _checkpoints(args):
+    return parse_checkpoints(args.checkpoints) if args.checkpoints else None
+
+
+_SERIES_CSV = {"csv": lambda parts: emit.series_csv_blocks(parts)}
+
+#: Each subcommand's (run, {format: render}), its default format first.  For
+#: count, series, figure1 and census the run returns the stream that sieves as
+#: it is read.  The renders look emit's functions up at call time.
+_COMMANDS = {
+    "sieve": (_sieve, {"csv": lambda text: [text]}),
+    "count": (lambda a, c, s: _series_stream(c, s, a.threshold, a.ell, [a.limit]),
+              _SERIES_CSV),
+    "series": (lambda a, c, s: _series_stream(c, s, a.threshold, a.ell, a.checkpoints),
+               _SERIES_CSV),
+    "table1": (_table1, {
+        "both": lambda r: [emit.table1_text(r), "\n", emit.table1_csv(r)],
+        "table": lambda r: [emit.table1_text(r)],
+        "csv": lambda r: [emit.table1_csv(r)]}),
+    "figure1": (_figure1, _SERIES_CSV),
+    "perfect": (lambda a, c, s: exact.enumerate_perfect(a.ell, a.limit, s, _checkpoints(a)), {
+        "json": lambda r: [emit.perfect_json(r)],
+        "csv": lambda r: emit.series_csv_blocks([r.counting])}),
+    "wirsing": (lambda a, c, s: exact.wirsing_count_check(
+        RationalTarget.parse(a.ell), parse_checkpoints(a.checkpoints), s),
+        {"csv": lambda r: [emit.wirsing_csv(r)]}),
+    "dioph": (lambda a, c, s: exact.solve_diophantine(
+        exact.DiophantineProblem(a.a, a.b, a.k, a.limit), s, _checkpoints(a)), {
+        "json": lambda r: [emit.dioph_json(r)],
+        "csv": lambda r: emit.series_csv_blocks([r.series]),
+        "ndjson": lambda r: emit.records_ndjson_blocks([r.records])}),
+    "census": (_census, {"ndjson": lambda parts: emit.records_ndjson_blocks(parts),
+                         "json": lambda parts: emit.records_json_blocks(parts)}),
+    "sporadic": (lambda a, c, s: congruence.sporadic_growth_report(
+        a.b, a.k, parse_checkpoints(a.checkpoints), s), {
+        "csv": lambda r: emit.series_csv_blocks([r.series]),
+        "table": lambda r: [emit.sporadic_text(r)]}),
+    "cdf": (lambda a, c, s: distribution.empirical_cdf(
+        a.limit, [g.strip() for g in a.grid.split(",") if g.strip()], s),
+        {"csv": lambda r: [emit.cdf_csv(r)]}),
+    "phase": (lambda a, c, s: distribution.phase_experiment(
+        RationalTarget.parse(a.ell), a.regime, parse_checkpoints(a.checkpoints), s, c=a.c),
+        {"csv": lambda r: [emit.phase_csv(r)]}),
+    "probe": (lambda a, c, s: distribution.sigma_approx_probe(
+        a.ell, a.depth, a.search_limit, s), {"csv": lambda r: [emit.probe_csv(r)]}),
+    "gcdsum": (lambda a, c, s: exact.gcd_sum(a.x, s), {"csv": lambda r: [emit.gcdsum_csv(r)]}),
+}
+
+#: Any other format is refused before the run.  table1's default, "both", is
+#: its text table, a blank line, then its CSV.
+_RENDERS = {command: tuple(renders) for command, (_, renders) in _COMMANDS.items()}
 
 
 def _dispatch(args, config: RunConfig) -> Iterable[str]:
-    """The artifact of the subcommand as its text blocks, a list or a
-    generator; for figure1, count, series and census, one that renders each
-    block as the sieve reaches it.  Every argument, the limit and the run's
-    cost are checked here, before the first block."""
-    fmt = config.output_format
-    source = config.source()
-
-    if args.command == "sieve":
-        segment = sieve_segment(args.lo, args.hi)
-        if args.cache_path:
-            cache.write_segment(segment, args.cache_path)
-        # A u64 sum of 2^25 values below 2^61 can wrap, so the low and high
-        # halves of each value (u32 or u64) are summed apart in u64 (each sum
-        # below 2^57) and joined exactly.
-        width = segment.sigma.itemsize
-        halves = segment.sigma.astype(f"<u{width}", copy=False).view(f"<u{width // 2}")
-        low, high = (int(halves[j::2].sum(dtype="u8")) for j in (0, 1))
-        total = low + (high << 4 * width)
-        return [f"lo,hi,length,sigma_total\n{segment.lo},{segment.hi},{len(segment)},{total}\n"]
-
-    if args.command == "count":
-        threshold = _threshold_from_args(args, config)
-        return emit.series_csv_blocks(within.series_stream(
-            RationalTarget.parse(args.ell), threshold, [args.limit], source,
-            config.include_n_equals_1))
-
-    if args.command == "series":
-        threshold = _threshold_from_args(args, config)
-        return emit.series_csv_blocks(within.series_stream(
-            RationalTarget.parse(args.ell), threshold, parse_checkpoints(args.checkpoints),
-            source, config.include_n_equals_1))
-
-    if args.command == "table1":
-        report = within.table1_reproduce(source, args.limit)
-        sys.stderr.write(f"elapsed: {report.elapsed_seconds:.1f}s\n")
-        if fmt == "table":
-            return [emit.table1_text(report)]
-        if fmt == "csv":
-            return [emit.table1_csv(report)]
-        if fmt == "both":
-            return [emit.table1_text(report), "\n", emit.table1_csv(report)]
-
-    if args.command == "figure1":
-        if args.limit < 2:
-            raise ValueError("figure1 needs --limit >= 2 (its series starts at x = 2)")
-        threshold = ThresholdSpec.x_over_log(strict=config.strict_inequality,
-                                             at_limit=not config.threshold_at_n)
-        return emit.series_csv_blocks(within.series_stream(
-            RationalTarget(2, 1), threshold, range(2, args.limit + 1), source,
-            config.include_n_equals_1))
-
-    if args.command == "perfect":
-        checkpoints = parse_checkpoints(args.checkpoints) if args.checkpoints else None
-        census_ = exact.enumerate_perfect(RationalTarget.parse(args.ell),
-                                          args.limit, source, checkpoints)
-        if fmt == "csv":
-            return emit.series_csv_blocks([census_.counting])
-        if fmt == "json":
-            return [emit.perfect_json(census_)]
-
-    if args.command == "wirsing":
-        report = exact.wirsing_count_check(RationalTarget.parse(args.ell),
-                                           parse_checkpoints(args.checkpoints), source)
-        return [emit.wirsing_csv(report)]
-
-    if args.command == "dioph":
-        problem = exact.DiophantineProblem(args.a, args.b, args.k, args.limit)
-        checkpoints = parse_checkpoints(args.checkpoints) if args.checkpoints else None
-        solution = exact.solve_diophantine(problem, source, checkpoints)
-        if fmt == "csv":
-            return emit.series_csv_blocks([solution.series])
-        if fmt == "ndjson":
-            return emit.records_ndjson_blocks([solution.records])
-        if fmt == "json":
-            return [emit.dioph_json(solution)]
-
-    if args.command == "census":
-        problem = congruence.CongruenceProblem(args.b, args.k, args.limit)
-        if not problem.in_uniform_range:
-            sys.stderr.write(f"warning: |k|={abs(args.k)} is outside the uniform "
-                             f"range b*x^(2/3)\n")
-        parts = congruence.census_stream(problem, source)
-        if fmt == "ndjson":
-            return emit.records_ndjson_blocks(parts)
-        if fmt == "json":
-            return emit.records_json_blocks(parts)
-
-    if args.command == "sporadic":
-        report = congruence.sporadic_growth_report(
-            args.b, args.k, parse_checkpoints(args.checkpoints), source)
-        if fmt == "csv":
-            return emit.series_csv_blocks([report.series])
-        if fmt == "table":
-            return [emit.sporadic_text(report)]
-
-    if args.command == "cdf":
-        grid = [g.strip() for g in args.grid.split(",") if g.strip()]
-        result = distribution.empirical_cdf(args.limit, grid, source)
-        return [emit.cdf_csv(result)]
-
-    if args.command == "phase":
-        report = distribution.phase_experiment(
-            RationalTarget.parse(args.ell), args.regime,
-            parse_checkpoints(args.checkpoints), source, c=args.c)
-        return [emit.phase_csv(report)]
-
-    if args.command == "probe":
-        report = distribution.sigma_approx_probe(args.ell, args.depth,
-                                                 args.search_limit, source)
-        return [emit.probe_csv(report)]
-
-    if args.command == "gcdsum":
-        return [emit.gcdsum_csv(exact.gcd_sum(args.x, source))]
-
-    raise ValueError(f"no {fmt} rendering of {args.command!r}")
+    """The artifact of the subcommand as its text blocks: its run on one
+    source from config.source(), then the render of the chosen format."""
+    run, renders = _COMMANDS[args.command]
+    return renders[config.output_format](run(args, config, config.source()))
 
 
 #: Longest str handed to a text stream at once.  The stream encodes each write
@@ -459,6 +438,9 @@ def main(argv=None) -> int:
                 config.strict_inequality and config.threshold_at_n
                 and config.include_n_equals_1):
             raise ValueError(f"{args.command} takes no --non-strict, --at-limit or --from-two")
+        if (args.command in _CSV_CHECKPOINTS and args.checkpoints
+                and config.output_format != "csv"):
+            raise ValueError(f"{args.command} takes --checkpoints only with --format csv")
         env_cache = os.environ.get(CACHE_DIR_ENV)
         if env_cache:
             config = replace(config, cache_dir=env_cache)

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from withinperfect import cli
 from withinperfect.cache import read_segment
 from withinperfect.cli import CACHE_DIR_ENV, apply_config_file, main, RunConfig
-from withinperfect import emit
+from withinperfect import emit, sieve
 from withinperfect.emit import records_json, records_ndjson
 from withinperfect.errors import BudgetExceededError
 from withinperfect.sieve import MAX_RUN_COST, SigmaSegment, SigmaSource
@@ -627,6 +627,50 @@ RENDERED = {
 
 def test_every_subcommand_has_its_formats():
     assert sorted(RENDERED) == sorted(cli.build_parser()._subparsers._group_actions[0].choices)
+    # the refusal tests below read RENDERED, so it must be the CLI's own table
+    assert {command: formats for command, (formats, _) in RENDERED.items()} == cli._RENDERS
+
+
+#: sha256 of stdout for every (subcommand, format) pair at RENDERED's sizes,
+#: the default format given by omitting --format (table1: stdout only, its
+#: stderr has elapsed:).
+RENDERED_DIGESTS = {
+    ("sieve", "csv"): "23f17be4f535b5bde3ccc9f9cd9cf9b22e41df9b332852cdedce42538cb0f844",
+    ("count", "csv"): "34a570d89ca68ae670f4d18290807017e5f5c5b7df5e93510d89c9ac369c3578",
+    ("series", "csv"): "367b706efffe9ea52089f2da458283c7c3f0df8c6939a2b9cf5c44f1bc1a390f",
+    ("table1", "both"): "7fa55a50b68e25e975ad74dedad6f539835fb6a9b86e52a927fb63eae3431b46",
+    ("table1", "table"): "3bd07f750bbc639e1db4c92652baddaa6bbd987f69484c3d810b84190e56ad0f",
+    ("table1", "csv"): "6f666ed29ed938e45a97a72e56531712f86b1649a565e4fa49a688daf15e52f3",
+    ("figure1", "csv"): "ef224517372b4166d701131e82dc8f8f24662b97b05c57275aa12bb3c39bc693",
+    ("perfect", "json"): "3d94b21bac850e2790847423128eebd8abb4c0decef3b8ad985be20f545a5bca",
+    ("perfect", "csv"): "3c5afb10ec916d116457d4485765d4f96a9e73b7654240a51f29984ca529784e",
+    ("wirsing", "csv"): "90717751a4863c481a8a90096847a43c45cb74ea999fd8c4274d12a97e0612a2",
+    ("dioph", "json"): "3674f6ae81bcccf461d6f3dde571bd98bd721691449d063736cd068ceeaaf5ad",
+    ("dioph", "csv"): "85ce842539eb10b37c4e1e996cd95e559c33e1ca01b75ff55a133f5f89619ae4",
+    ("dioph", "ndjson"): "ae73af80dd03bd7e6928d172ed0917db953f94213eacdf26cb72efb90861a16e",
+    ("census", "ndjson"): "608eeb5005d8f9a1a99743ac4b757b9ce2ebadf7144ed81fd451ada11c3edd8e",
+    ("census", "json"): "309828186a7eb2167ca4219581a89b6332c95e3ce5afde651678668bf1d9a807",
+    ("sporadic", "csv"): "ce3405da6b0cc193c48169ce2e79e8dac496829345002e075263a19bc117a658",
+    ("sporadic", "table"): "80e88800019a26a83a2745dd54713ff77de6490ebbdc293ba7bc6580952d8659",
+    ("cdf", "csv"): "4a949bcffdad2efe3ac77473c77a8cb40ee3ed838cd4a51907335408d7eadb1b",
+    ("phase", "csv"): "69765748a0bdf1890155c757cd86ee0ce5ef13aa839bb8bb2e24d66b8bf309c0",
+    ("probe", "csv"): "7502a3a10d40f7143e3231803bae9d14f480744122f923e144338fa026a17f37",
+    ("gcdsum", "csv"): "318b0acd39986994a69f8eed5b20b52497f7ebb92c74cff19918acdb968ad7bc",
+}
+
+
+def test_every_rendered_pair_is_pinned():
+    assert sorted(RENDERED_DIGESTS) == sorted(
+        (command, fmt) for command, (formats, _) in RENDERED.items() for fmt in formats)
+
+
+@pytest.mark.parametrize("command, fmt", sorted(RENDERED_DIGESTS))
+def test_every_rendered_pair_keeps_its_bytes(capsys, command, fmt):
+    formats, args = RENDERED[command]
+    code, out = run_cli(capsys, command, *args,
+                        *([] if fmt == formats[0] else ["--format", fmt]))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == RENDERED_DIGESTS[command, fmt]
 
 
 @pytest.mark.parametrize("command", sorted(RENDERED))
@@ -682,6 +726,45 @@ def test_a_convention_from_the_config_file_is_refused_too(capsys, monkeypatch, t
     cfg.write_text("strict_inequality=true\n")
     assert main(argv) == 0
     assert capsys.readouterr().out == "ok\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["perfect", "--ell", "2", "--limit", "100", "--checkpoints", "10,100"],
+    ["perfect", "--ell", "2", "--limit", "100", "--checkpoints", "10,100", "--format", "json"],
+    ["dioph", "--a", "2", "--b", "1", "--k", "12", "--limit", "100", "--checkpoints", "100"],
+    ["dioph", "--a", "2", "--b", "1", "--k", "12", "--limit", "100", "--checkpoints", "100",
+     "--format", "ndjson"],
+])
+def test_checkpoints_are_refused_where_the_format_never_reads_them(capsys, monkeypatch,
+                                                                    argv):
+    # perfect's JSON and dioph's JSON and NDJSON printed the same bytes with and
+    # without --checkpoints; the run is stubbed, so the refusal comes before it
+    monkeypatch.setattr(cli, "_dispatch", lambda args, config: ["ok\n"])
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == f"error: {argv[0]} takes --checkpoints only with --format csv\n"
+    assert main([*argv, "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "ok\n"
+
+
+@pytest.mark.parametrize("command", sorted(RENDERED))
+@pytest.mark.parametrize("flags, code, message", [
+    (["--threads", "65"], 2, "threads 65 exceeds the cap 64"),
+    (["--segment-length", "1023"], 1, "segment_length must be >= 1024"),
+])
+def test_run_wide_refusals_fire_for_every_subcommand(capsys, monkeypatch, command, flags,
+                                                     code, message):
+    # every run gets its source from config.source(), sieve's too, though it
+    # sieves its own segment; sieving is stubbed, so a refusal comes before it
+    def no_sieving(lo, hi):
+        raise AssertionError(f"sieved [{lo}, {hi}] before the refusal")
+
+    monkeypatch.setattr(cli, "sieve_segment", no_sieving)
+    monkeypatch.setattr(sieve, "sieve_segment", no_sieving)
+    assert main([*flags, command, *RENDERED[command][1]]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_threads_beyond_the_cap_exit_2(capsys):
