@@ -302,7 +302,7 @@ def _census(args, config: RunConfig, source):
 
 
 def _checkpoints(args):
-    return parse_checkpoints(args.checkpoints) if args.checkpoints else None
+    return None if args.checkpoints is None else parse_checkpoints(args.checkpoints)
 
 
 _SERIES_CSV = {"csv": lambda parts: emit.series_csv_blocks(parts)}
@@ -438,7 +438,7 @@ def main(argv=None) -> int:
                 config.strict_inequality and config.threshold_at_n
                 and config.include_n_equals_1):
             raise ValueError(f"{args.command} takes no --non-strict, --at-limit or --from-two")
-        if (args.command in _CSV_CHECKPOINTS and args.checkpoints
+        if (args.command in _CSV_CHECKPOINTS and args.checkpoints is not None
                 and config.output_format != "csv"):
             raise ValueError(f"{args.command} takes --checkpoints only with --format csv")
         env_cache = os.environ.get(CACHE_DIR_ENV)

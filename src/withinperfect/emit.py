@@ -23,7 +23,7 @@ import numpy as np
 from .congruence import SporadicGrowthReport
 from .distribution import EmpiricalCDF, PhaseReport, ProbeReport
 from .exact import DiophantineSolution, GcdSumReport, PerfectCensus, WirsingReport
-from .types import CheckpointSeries, SolutionRecord, SolutionTable
+from .types import CheckpointSeries, SolutionRecord, SolutionTable, normalized_quotient
 from .within import TableOneReport
 
 
@@ -37,21 +37,27 @@ _BLOCK = 1 << 16
 
 
 def _rows(fields: list, blanks, slow: np.ndarray, fallback: Callable) -> str:
-    """One block of rows, its fields (a uint8 digit block from _digits or a
-    literal str) side by side in a uint8 matrix.  Each (mask, first, stop) of
-    blanks sets fields first..stop-1 to 0 on the rows of mask, and the rows
-    of slow are set to 0 whole.  The 0 bytes are dropped, and fallback(i) is
-    spliced in where each slow row i was (where the row before it ends)."""
-    fields = [np.frombuffer(f.encode(), "u1")[None] if isinstance(f, str) else f for f in fields]
+    """One block of rows, its fields (a uint8 digit block from _digits, one
+    column per row, or a literal str) side by side in a uint8 matrix.  Each
+    (mask, first, stop) of blanks sets fields first..stop-1 to 0 on the rows
+    of mask, and the rows of slow are set to 0 whole.  The 0 bytes are
+    dropped, and fallback(i) is spliced in where each slow row i was (where
+    the row before it ends)."""
+    fields = [np.frombuffer(f.encode(), "u1")[None] if isinstance(f, str) else f.T
+              for f in fields]
     edges = np.cumsum([0] + [f.shape[1] for f in fields]).tolist()
-    rows = np.empty((max(len(f) for f in fields), edges[-1]), dtype=np.uint8)
+    rows = np.empty((len(slow), edges[-1]), dtype=np.uint8)
     for field, a, b in zip(fields, edges, edges[1:]):
         rows[:, a:b] = field
     for mask, first, stop in blanks:
         rows[mask, edges[first]:edges[stop]] = 0
     late = np.flatnonzero(slow).tolist()
     rows[late] = 0
-    text = rows[rows != 0].tobytes().decode("ascii")
+    # bytes.replace drops a few 0 bytes (a series' leading zeros) fastest, and
+    # a mask many (a record's blanked fields)
+    sparse = 8 * np.count_nonzero(rows) > 7 * rows.size
+    kept = rows.tobytes().replace(b"\0", b"") if sparse else rows[rows != 0].tobytes()
+    text = kept.decode("ascii")
     if not late:
         return text
     cuts = [0, *np.cumsum(np.count_nonzero(rows, axis=1))[late].tolist(), len(text)]
@@ -59,21 +65,22 @@ def _rows(fields: list, blanks, slow: np.ndarray, fallback: Callable) -> str:
 
 
 def _digits(v: np.ndarray, pad_to: int = 0) -> np.ndarray:
-    """The decimal digits of nonnegative int64 v as ASCII, one uint8 row per
-    v: zero-padded to pad_to digits or, with pad_to 0, right-aligned to the
-    largest v with the leading zeros set to 0 (a 0 keeps its one digit)."""
-    width = pad_to or len(str(int(v.max(initial=0))))
-    digits = np.empty((len(v), width), dtype=np.uint8)
-    rest = v
-    for j in range(width - 1, -1, -1):  # one division by the scalar 10 per column
+    """The decimal digits of nonnegative int64 v as ASCII, one uint8 column
+    per v and one row per digit: zero-padded to pad_to digits or, with pad_to
+    0, right-aligned to the largest v with the leading zeros set to 0 (a 0
+    keeps its one digit).  A block whose values all fit in uint32 is divided
+    in uint32, about twice as fast as in int64."""
+    top = int(v.max(initial=0))
+    width = pad_to or len(str(top))
+    digits = np.empty((width, len(v)), dtype=np.uint8)
+    rest = v.astype(np.uint32) if top <= np.iinfo(np.uint32).max else v
+    for j in range(width - 1, -1, -1):  # one division by the scalar 10 per digit
         quotient = rest // 10
-        digits[:, j] = rest - quotient * 10
+        np.subtract(rest, quotient * 10, out=digits[j], casting="unsafe")
+        digits[j] += ord("0")
+        if not pad_to and j < width - 1:
+            digits[j] *= rest != 0  # a leading zero: nothing of v is left
         rest = quotient
-    digits += ord("0")
-    if not pad_to:
-        lead = v[:, None] < 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
-        lead[:, -1] = False
-        digits[lead] = 0
     return digits
 
 
@@ -85,12 +92,16 @@ def series_csv(series: CheckpointSeries, header: str = "x,count,quotient") -> st
 def series_csv_blocks(parts: Iterable[CheckpointSeries],
                       header: str = "x,count,quotient") -> Iterator[str]:
     """series_csv of the consecutive parts, as its header line and then one
-    str per block of at most _BLOCK rows, each part rendered as it arrives."""
+    str per block of at most _BLOCK rows, each part rendered as it arrives.
+    A part whose quotient is the default and not yet built is rendered from
+    its x and count (see _series_block), and its quotient column stays
+    unbuilt."""
     yield header + "\n"
     for part in parts:
+        q = vars(part).get("quotient")  # None: the default column, not built
         for i in range(0, len(part), _BLOCK):
-            yield _series_block(part.x[i : i + _BLOCK], part.count[i : i + _BLOCK],
-                                part.quotient[i : i + _BLOCK])
+            rows = slice(i, i + _BLOCK)
+            yield _series_block(part.x[rows], part.count[rows], None if q is None else q[rows])
 
 
 def wirsing_csv(report: WirsingReport) -> str:
@@ -98,8 +109,14 @@ def wirsing_csv(report: WirsingReport) -> str:
     return series_csv(CheckpointSeries(s.x, s.count, report.ratios), "x,count,ratio")
 
 
-def _series_block(x: np.ndarray, c: np.ndarray, q: np.ndarray) -> str:
-    """The rows f"{x},{c},{q:.6f}\n" of one block, through _rows.
+#: The log of _series_block's default quotients.  tests/test_emit.py checks
+#: |np.log(x) - math.log(x)| <= 2^-48 * log x, the bound its band is proved from.
+_log = np.log
+
+
+def _series_block(x: np.ndarray, c: np.ndarray, q: Optional[np.ndarray] = None) -> str:
+    """The rows f"{x},{c},{q:.6f}\n" of one block, through _rows; q None is
+    the default quotient, whose rows are f"{x},{c},{normalized_quotient(c, x):.6f}\n".
 
     The quotient prints as rint(s) with s = q * 10^6, split at the point.
     format(q, ".6f") is the exact value of q rounded half-even to six
@@ -111,16 +128,36 @@ def _series_block(x: np.ndarray, c: np.ndarray, q: np.ndarray) -> str:
     twice that wide, which absorbs the rounding of the test itself, fall back
     to the per-row f-string.  So do non-finite q, q with the sign bit set
     ("-0.000000"), s >= 2^52, and a negative x or count.
+
+    The default quotient q = c/(x/math.log(x)) of normalized_quotient is not
+    built: s is taken from q' = c/(x/_log(x)) in numpy.  With |_log(x) -
+    math.log(x)| <= 2^-48 * log x, the two divisions of q, the two of q' and
+    the product each add a relative error of at most 2^-53, so |s - S| <=
+    (2^-48 + 5 * 2^-53) * S < 2^-47 * s.  The band is widened to |s - h| <=
+    2^-40 * s, 128 times that.  A row outside it has 2^-40 * s < |s - h| <=
+    1/2, so s < 2^39 and |s - S| < 2^-8: S lies on the side of h that s
+    does, and rint(s) is again the integer nearest S.  So every printed
+    sixth decimal is still that of math.log: _log only passes rows far from
+    a rounding edge, and the rows inside the band, those with x < 2 and the
+    other slow rows fall back to normalized_quotient.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if q is None:
+            q = x.astype(np.float64)
+            q /= _log(q)
+            np.divide(c, q, out=q)
+            q[x < 2] = np.nan  # normalized_quotient's NaN, and so a slow row
+            band, exact = 2.0**-40, lambda i: normalized_quotient(int(c[i]), int(x[i]))
+        else:
+            band, exact = 2.0**-52, lambda i: float(q[i])
         s = q * 1e6
         fast = (s < 2.0**52) & ~np.signbit(q) & (x >= 0) & (c >= 0)
         s[~fast] = 0.0
-        fast &= np.abs(s - (np.floor(s) + 0.5)) > s * 2.0**-52
+        fast &= np.abs(s - (np.floor(s) + 0.5)) > s * band
     r = np.rint(s).astype(np.int64)
     fields = [_digits(x), ",", _digits(c), ",",
               _digits(r // 10**6), ".", _digits(r % 10**6, 6), "\n"]
-    return _rows(fields, (), ~fast, lambda i: f"{int(x[i])},{int(c[i])},{float(q[i]):.6f}\n")
+    return _rows(fields, (), ~fast, lambda i: f"{int(x[i])},{int(c[i])},{exact(i):.6f}\n")
 
 
 def records_json(records: Iterable[SolutionRecord]) -> str:

@@ -232,9 +232,13 @@ class CheckpointSeries:
     the int-to-float conversions and both divisions are correctly rounded in
     numpy as in Python.  np.log is not used, because it may differ from
     math.log by one ulp (it does at 54 of the x <= 10^6 on AVX-512 hosts),
-    which can move a sixth decimal.  The list-valued checkpoints, counts and
-    quotients are built on first read.  Two series are equal when their labels
-    and columns are, NaN quotients matching NaN.
+    which can move a sixth decimal.  That default column is built only when
+    quotient (or quotients, rows, ==, repr) is first read, so a writer can
+    render the series without it (see emit.series_csv_blocks); until then
+    "quotient" is not in the instance __dict__.  A given quotient column is
+    stored as given.  The list-valued checkpoints, counts and quotients are
+    built on first read.  Two series are equal when their labels and columns
+    are, NaN quotients matching NaN.
     """
 
     def __init__(self, checkpoints, counts, quotients=None, label: str = ""):
@@ -245,15 +249,21 @@ class CheckpointSeries:
         if np.any(self.x[1:] < self.x[:-1]):
             raise ValueError("checkpoints must be ascending")
         self.count = _column(np.asarray(counts, dtype=np.int64), "counts", len(self.x))
-        if quotients is None:
-            quotients = np.full(len(self.x), math.nan)
-            start = int(np.searchsorted(self.x, 2))  # x < 2 is an ascending prefix
-            x = self.x[start:].astype(np.float64)
-            logs = np.fromiter(map(math.log, memoryview(x)), dtype=np.float64, count=len(x))
-            np.divide(x, logs, out=x)  # in place: three columns, not five, at once
-            np.divide(self.count[start:], x, out=quotients[start:])
-        self.quotient = _column(np.asarray(quotients, dtype=np.float64), "quotients", len(self.x))
+        if quotients is not None:  # shadows the default column's cached_property
+            self.quotient = _column(np.asarray(quotients, dtype=np.float64), "quotients",
+                                    len(self.x))
         self.label = label
+
+    @cached_property
+    def quotient(self) -> np.ndarray:
+        """The default column count/(x/log x), NaN below x = 2."""
+        quotients = np.full(len(self.x), math.nan)
+        start = int(np.searchsorted(self.x, 2))  # x < 2 is an ascending prefix
+        x = self.x[start:].astype(np.float64)
+        logs = np.fromiter(map(math.log, memoryview(x)), dtype=np.float64, count=len(x))
+        np.divide(x, logs, out=x)  # in place: three columns, not five, at once
+        np.divide(self.count[start:], x, out=quotients[start:])
+        return quotients
 
     @cached_property
     def checkpoints(self) -> list[int]:
@@ -286,9 +296,12 @@ class CheckpointSeries:
 
     @classmethod
     def concat(cls, parts: list["CheckpointSeries"]) -> "CheckpointSeries":
-        """One series from consecutive parts (at least one), labelled as the first."""
-        return cls(*(np.concatenate([getattr(p, c) for p in parts])
-                     for c in ("x", "count", "quotient")), label=parts[0].label)
+        """One series from consecutive parts (at least one), labelled as the
+        first; its quotient is the default, still unbuilt, when every part's is."""
+        lazy = all("quotient" not in vars(p) for p in parts)
+        columns = ("x", "count") if lazy else ("x", "count", "quotient")
+        return cls(*(np.concatenate([getattr(p, c) for p in parts]) for c in columns),
+                   label=parts[0].label)
 
 
 def _column(column: np.ndarray, name: str, length: Optional[int] = None) -> np.ndarray:

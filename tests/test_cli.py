@@ -748,6 +748,21 @@ def test_checkpoints_are_refused_where_the_format_never_reads_them(capsys, monke
     assert capsys.readouterr().out == "ok\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["perfect", "--ell", "2", "--limit", "100", "--format", "csv"],
+    ["series", "--ell", "2", "--threshold", "xlog"],
+    ["dioph", "--a", "2", "--b", "1", "--k", "12", "--limit", "100", "--format", "csv"],
+])
+@pytest.mark.parametrize("checkpoints", ["", ",", " , "])
+def test_empty_checkpoints_exit_1(capsys, argv, checkpoints):
+    # perfect --checkpoints "" printed the limit's row and exited 0, while
+    # --checkpoints , exited 1: an empty list is given, not absent
+    code = main([*argv, "--checkpoints", checkpoints])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: need at least one checkpoint\n"
+
+
 @pytest.mark.parametrize("command", sorted(RENDERED))
 @pytest.mark.parametrize("flags, code, message", [
     (["--threads", "65"], 2, "threads 65 exceeds the cap 64"),

@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from withinperfect import emit
-from withinperfect.emit import dioph_json, records_json, records_ndjson, series_csv
+from withinperfect import cli, emit
+from withinperfect.emit import (dioph_json, records_json, records_ndjson, series_csv,
+                                series_csv_blocks)
 from withinperfect.exact import DiophantineProblem, DiophantineSolution, enumerate_perfect
 from withinperfect.types import (CheckpointSeries, SolutionRecord, SolutionTable,
                                  normalized_quotient)
@@ -76,6 +77,94 @@ def test_quotients_are_math_log_bit_for_bit():
     got = np.array(CheckpointSeries(range(2, 10**6 + 1), counts).quotients)
     expected = np.array([c / (v / math.log(v)) for c, v in zip(counts.tolist(), x.tolist())])
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def test_fast_log_is_within_the_band_assumption():
+    # the band of emit._series_block is proved from this bound: a host whose
+    # np.log breaks it fails here instead of changing bytes
+    x = np.arange(1, 10**6 + 1, dtype=np.float64)
+    far = np.random.default_rng(23).integers(2, 2**55, 10**5, endpoint=True).astype(np.float64)
+    for column in (x, far):
+        exact = np.fromiter(map(math.log, column), dtype=np.float64, count=len(column))
+        assert np.all(np.abs(emit._log(column) - exact) <= 2.0**-48 * exact)
+
+
+def _on_half_point(x: int, k: int) -> list[int]:
+    """Counts c whose normalized_quotient(c, x) is half_point(k) and the
+    doubles either side of it.  At x near 2^60, for 1/4 <= half_point(k) <
+    0.32, the counts lie below 2^53, so they are floats exactly, and the next
+    count moves the quotient by 3.6e-17, less than its ulp of 5.6e-17."""
+    h = half_point(k)
+    counts = round(Fraction(h) * Fraction(x / math.log(x))) + np.arange(-8, 9)
+    got = [normalized_quotient(c, x) for c in counts.tolist()]
+    return [int(counts[got.index(q)]) for q in (np.nextafter(h, -math.inf), h,
+                                                  np.nextafter(h, math.inf))]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.integers(250_000, 319_999), min_size=1, max_size=40))
+def test_default_quotients_are_math_log_with_a_skewed_fast_log(ks):
+    # the fast log off by 2^-46, four times the asserted bound: the rows on and
+    # beside half points fall back to math.log and print the same bytes
+    xs = list(range(1, 300)) + [2**60 + 3 * i for i in range(3 * len(ks))]
+    counts = [x // 3 for x in range(1, 300)]
+    for x, k in zip(xs[299::3], ks):
+        counts += _on_half_point(x, k)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(emit, "_log", lambda x: np.log(x) * (1 + 2.0**-46))
+        text = series_csv(CheckpointSeries(xs, counts))
+    assert text == per_row_csv(xs, counts, [normalized_quotient(c, x)
+                                            for c, x in zip(counts, xs)])
+
+
+def test_figure1_never_builds_the_exact_quotients(monkeypatch):
+    # the CLI renders figure1 from x and count alone; quotient stays unbuilt
+    parts = []
+
+    def kept(blocks):
+        def each():
+            for part in blocks:
+                parts.append(part)
+                yield part
+        return series_csv_blocks(each())
+
+    monkeypatch.setattr(emit, "series_csv_blocks", kept)
+    args = cli.build_parser().parse_args(["figure1", "--limit", "300000"])
+    text = "".join(cli._dispatch(args, cli.RunConfig()))
+    assert len(parts) > 1 and not any("quotient" in vars(p) for p in parts)
+    x = np.concatenate([p.x for p in parts]).tolist()
+    counts = np.concatenate([p.count for p in parts]).tolist()
+    assert x == list(range(2, 300001))
+    assert text == per_row_csv(x, counts, [normalized_quotient(c, v)
+                                           for c, v in zip(counts, x)])
+
+
+def test_concat_keeps_the_default_quotient_unbuilt():
+    a, b = CheckpointSeries([1, 2], [0, 1]), CheckpointSeries([3, 4], [1, 2])
+    lazy = CheckpointSeries.concat([a, b])
+    assert "quotient" not in vars(lazy)
+    assert lazy == CheckpointSeries([1, 2, 3, 4], [0, 1, 1, 2])
+    mixed = CheckpointSeries.concat([a, b, CheckpointSeries([5], [3], [0.25])])
+    assert np.array_equal(mixed.quotient, [*lazy.quotients, 0.25], equal_nan=True)
+
+
+def _texts(block: np.ndarray) -> list[str]:
+    """The digits of each column of a _digits block, its 0 bytes dropped."""
+    return [bytes(column[column != 0]).decode() for column in block.T]
+
+
+_DIGIT_EDGES = (0, 9, 10, 10**9 - 1, 10**9, 2**32 - 1, 2**32, 2**63 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@example([(e, 0) for e in _DIGIT_EDGES])  # a mixed block: some values need int64
+@example([(10**9 - 1, 0), (0, 0), (2**32 - 1, 0)])  # all uint32, one of ten digits
+@given(st.lists(st.tuples(st.sampled_from(_DIGIT_EDGES), st.integers(-1000, 1000)),
+                min_size=1, max_size=12))
+def test_digits_in_uint32_and_int64(draws):
+    v = np.array([min(max(e + d, 0), 2**63 - 1) for e, d in draws], dtype=np.int64)
+    assert _texts(emit._digits(v)) == [str(n) for n in v.tolist()]
+    assert _texts(emit._digits(v, 6)) == [str(n).zfill(6)[-6:] for n in v.tolist()]
 
 
 def test_series_compare_by_value():
