@@ -6,11 +6,15 @@ overflow, budget, memory, cache, or I/O failure.  Output is deterministic for
 a fixed configuration: CSV uses commas and LF with no BOM, quotients carry six
 decimals, and thread count never changes a result.
 
-One command table, _COMMANDS, maps each subcommand to its run and its
-renders, {command: (run, {format: render})}: the run checks every argument
-and the run's cost and returns the result, and each render maps that result
-to its text blocks.  The formats each subcommand takes, _RENDERS, are the
-table's keys.
+Two tables declare the CLI.  _SETTINGS has each global option once: its
+dest, flag, argparse kwargs and config-file value parser; the options, the
+config keys and main's RunConfig are read from it.  _COMMANDS has each
+subcommand once: its help, options, run and renders {format: render}, and
+whether it reads the counting conventions or takes --checkpoints with CSV
+only.  build_parser adds one subparser per entry.  The run checks every
+argument and the run's cost and returns the result, and each render maps that
+result to its text blocks; _RENDERS, the formats each subcommand takes, are
+the renders' keys.
 
 Every refusal comes before the first byte.  The long artifacts (figure1,
 count, series, census) are then written block by block as the sieve reaches
@@ -27,8 +31,8 @@ import os
 import stat
 import sys
 import tempfile
-from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from dataclasses import asdict, dataclass, replace
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import cache, congruence, distribution, emit, exact, within
 from .errors import (BudgetExceededError, CacheFormatError, CapabilityError,
@@ -39,14 +43,6 @@ from .types import RationalTarget, ThresholdSpec, parse_checkpoints, parse_integ
 CACHE_DIR_ENV = "WITHINPERFECT_CACHE_DIR"
 
 _FORMATS = ("csv", "json", "ndjson", "table")
-
-#: The subcommands that read the counting conventions (--non-strict,
-#: --at-limit, --from-two and their config keys); any other refuses them.
-_CONVENTION_COMMANDS = ("count", "series", "figure1")
-
-#: The subcommands whose --checkpoints is optional and read by their CSV
-#: only; another format refuses it.
-_CSV_CHECKPOINTS = ("perfect", "dioph")
 
 
 @dataclass
@@ -77,31 +73,10 @@ def _parse_bool(text: str) -> bool:
         raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def apply_config_file(config: RunConfig, path: str) -> RunConfig:
-    """key=value lines override the flag values (unknown keys are an error)."""
-    updates = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValueError(f"malformed config line {raw.strip()!r}")
-            key, value = key.strip(), value.strip()
-            if key in ("segment_length", "threads"):
-                updates[key] = parse_integer(value, key)
-            elif key == "cache_dir":
-                updates[key] = value or None
-            elif key in ("format", "output_format"):
-                if value not in _FORMATS:
-                    raise ValueError(f"unknown format {value!r}")
-                updates["output_format"] = value
-            elif key in ("strict_inequality", "threshold_at_n", "include_n_equals_1"):
-                updates[key] = _parse_bool(value)
-            else:
-                raise ValueError(f"unknown config key {key!r}")
-    return replace(config, **updates)
+def _parse_format(text: str) -> str:
+    if text not in _FORMATS:
+        raise ValueError(f"unknown format {text!r}")
+    return text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,128 +106,85 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _common_options(for_subparser: bool) -> argparse.ArgumentParser:
-    """Global options, accepted both before and after the subcommand.
+#: (dest, flag, argparse kwargs, config value parser): a dest with a parser is a
+#: RunConfig field and a config-file key; --config and --out have none.
+_SETTINGS = (
+    ("config", "--config", dict(metavar="FILE",
+                                help="key=value file overriding the other flags"), None),
+    ("segment_length", "--segment-length", dict(type=_integer),
+     lambda text: parse_integer(text, "segment_length")),
+    ("cache_dir", "--cache-dir", {}, lambda text: text or None),
+    ("threads", "--threads", dict(type=_integer), lambda text: parse_integer(text, "threads")),
+    ("output_format", "--format", dict(
+        choices=_FORMATS, help="output format (default depends on the subcommand)"),
+     _parse_format),
+    ("out", "--out", dict(metavar="FILE",
+                          help="write the artifact to FILE instead of stdout"), None),
+    ("strict_inequality", "--non-strict", dict(
+        action="store_false", help="count ties: use <= instead of < in |sigma-l*n| < k"),
+     _parse_bool),
+    ("threshold_at_n", "--at-limit", dict(
+        action="store_false", help="evaluate the threshold at the limit x instead of n"),
+     _parse_bool),
+    ("include_n_equals_1", "--from-two", dict(
+        action="store_false", help="count from n = 2 instead of n = 1"), _parse_bool),
+)
 
-    The subparser variant defaults everything to SUPPRESS so values already
-    parsed by the main parser survive (argparse re-applies action defaults
-    from a fresh namespace inside each subparser).
-    """
-    s = argparse.SUPPRESS
-    common = argparse.ArgumentParser(add_help=False)
-    g = common.add_argument_group("common options")
-    g.add_argument("--config", metavar="FILE", default=s if for_subparser else None,
-                   help="key=value file overriding the other flags")
-    g.add_argument("--segment-length", type=_integer,
-                   default=s if for_subparser else DEFAULT_SEGMENT_LENGTH)
-    g.add_argument("--cache-dir", default=s if for_subparser else None)
-    g.add_argument("--threads", type=_integer, default=s if for_subparser else 1)
-    g.add_argument("--format", choices=_FORMATS, default=s if for_subparser else None,
-                   help="output format (default depends on the subcommand)")
-    g.add_argument("--out", metavar="FILE", default=s if for_subparser else None,
-                   help="write the artifact to FILE instead of stdout")
-    g.add_argument("--non-strict", action="store_true",
-                   default=s if for_subparser else False,
-                   help="count ties: use <= instead of < in |sigma-l*n| < k")
-    g.add_argument("--at-limit", action="store_true",
-                   default=s if for_subparser else False,
-                   help="evaluate the threshold at the limit x instead of n")
-    g.add_argument("--from-two", action="store_true",
-                   default=s if for_subparser else False,
-                   help="count from n = 2 instead of n = 1")
-    return common
+#: The config-file keys and their value parsers; the key format is output_format.
+_CONFIG_KEYS = {dest: parse for dest, _, _, parse in _SETTINGS if parse}
+
+
+def apply_config_file(config: RunConfig, path: str) -> RunConfig:
+    """key=value lines override the flag values (unknown keys are an error)."""
+    updates = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for raw in fh:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise ValueError(f"malformed config line {raw.strip()!r}")
+            key = key.strip()
+            field = "output_format" if key == "format" else key
+            if field not in _CONFIG_KEYS:
+                raise ValueError(f"unknown config key {key!r}")
+            updates[field] = _CONFIG_KEYS[field](value.strip())
+    return replace(config, **updates)
+
+
+def _global_options() -> argparse.ArgumentParser:
+    """The global options, accepted before and after the subcommand, with no
+    defaults: a subparser's would undo a value given before the subcommand."""
+    options = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    group = options.add_argument_group("common options")
+    for dest, flag, kwargs, _ in _SETTINGS:
+        group.add_argument(flag, dest=dest, **kwargs)
+    return options
+
+
+_INT = dict(type=_integer)
+#: The options several subcommands share; a subcommand's own kwargs go on top.
+_SHARED = {"--ell": {}, "--threshold": {}, "--checkpoints": {}, "--limit": _INT,
+           "--b": _INT, "--k": _INT}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_options(for_subparser=True)
-    parser = _Parser(prog="withinperfect", parents=[_common_options(False)],
+    """One subparser per _COMMANDS entry; an option is required unless it has a
+    default.  The main parser has the global defaults on its own copy of the
+    options, as set_defaults writes into actions that parents=[...] shares."""
+    parser = _Parser(prog="withinperfect", parents=[_global_options()],
                      description="sum-of-divisors censuses, congruence "
                                  "classification, and within-perfect counting")
-
+    parser.set_defaults(config=None, out=None, **asdict(RunConfig(output_format=None)))
+    common = _global_options()
     sub = parser.add_subparsers(dest="command", metavar="SUBCOMMAND",
                                 parser_class=_Parser)
-
-    p = sub.add_parser("sieve", parents=[common],
-                       help="sieve sigma over [lo, hi]; optionally cache it")
-    p.add_argument("--lo", type=_integer, required=True)
-    p.add_argument("--hi", type=_integer, required=True)
-    p.add_argument("--cache-path", default=None,
-                   help="write the segment in the binary cache format")
-
-    p = sub.add_parser("count", parents=[common],
-                       help="count n <= limit with |sigma(n)-l*n| < k(n)")
-    p.add_argument("--ell", required=True)
-    p.add_argument("--threshold", required=True, help="pow:C | const:K | lin:C | xlog")
-    p.add_argument("--limit", type=_integer, required=True)
-
-    p = sub.add_parser("series", parents=[common],
-                       help="within-perfect counts at several checkpoints")
-    p.add_argument("--ell", required=True)
-    p.add_argument("--threshold", required=True)
-    p.add_argument("--checkpoints", required=True, help="comma list, e.g. 1e4,1e5,1e6")
-
-    p = sub.add_parser("table1", parents=[common],
-                       help="recompute the published 8x3 quotient grid (l=2)")
-    p.add_argument("--limit", type=_integer, default=2 * 10**7)
-
-    p = sub.add_parser("figure1", parents=[common],
-                       help="quotient series for k(y)=y/log y, x=2..limit")
-    p.add_argument("--limit", type=_integer, default=10**4)
-
-    p = sub.add_parser("perfect", parents=[common],
-                       help="enumerate m <= limit with b*sigma(m) = a*m")
-    p.add_argument("--ell", required=True)
-    p.add_argument("--limit", type=_integer, required=True)
-    p.add_argument("--checkpoints", default=None)
-
-    p = sub.add_parser("wirsing", parents=[common],
-                       help="perfect counts vs the uniform growth scale")
-    p.add_argument("--ell", required=True)
-    p.add_argument("--checkpoints", required=True)
-
-    p = sub.add_parser("dioph", parents=[common],
-                       help="solve b*sigma(n) = a*n + k exhaustively")
-    p.add_argument("--a", type=_integer, required=True)
-    p.add_argument("--b", type=_integer, required=True)
-    p.add_argument("--k", type=_integer, required=True)
-    p.add_argument("--limit", type=_integer, required=True)
-    p.add_argument("--checkpoints", default=None)
-
-    p = sub.add_parser("census", parents=[common],
-                       help="solutions of b*sigma(n) = k (mod n), classified")
-    p.add_argument("--b", type=_integer, required=True)
-    p.add_argument("--k", type=_integer, required=True)
-    p.add_argument("--limit", type=_integer, required=True)
-
-    p = sub.add_parser("sporadic", parents=[common],
-                       help="sporadic-solution growth report")
-    p.add_argument("--b", type=_integer, required=True)
-    p.add_argument("--k", type=_integer, required=True)
-    p.add_argument("--checkpoints", required=True)
-
-    p = sub.add_parser("cdf", parents=[common],
-                       help="empirical distribution of sigma(n)/n")
-    p.add_argument("--limit", type=_integer, required=True)
-    p.add_argument("--grid", required=True, help="comma list of query points")
-
-    p = sub.add_parser("phase", parents=[common],
-                       help="density experiment for a threshold regime")
-    p.add_argument("--ell", required=True)
-    p.add_argument("--regime", required=True,
-                   choices=("sublinear", "linear", "superlinear"))
-    p.add_argument("--c", default=None, help="exponent or slope, regime dependent")
-    p.add_argument("--checkpoints", required=True)
-
-    p = sub.add_parser("probe", parents=[common],
-                       help="approximate a target by abundancy ratios")
-    p.add_argument("--ell", required=True, help="target value > 1 (exact decimal)")
-    p.add_argument("--depth", type=_integer, default=8)
-    p.add_argument("--search-limit", type=_integer, default=10**4)
-
-    p = sub.add_parser("gcdsum", parents=[common],
-                       help="sum of gcd(m, sigma(m))/m^2 over the middle range")
-    p.add_argument("--x", type=_integer, required=True)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=command.help)
+        for flag, kwargs in command.options.items():
+            kwargs = {**_SHARED.get(flag, {}), **kwargs}
+            p.add_argument(flag, required="default" not in kwargs, **kwargs)
     return parser
 
 
@@ -305,60 +237,104 @@ def _checkpoints(args):
     return None if args.checkpoints is None else parse_checkpoints(args.checkpoints)
 
 
+class _Command(NamedTuple):
+    """A subcommand: options {flag: argparse kwargs}, run (args, config, source)
+    -> result and renders {format: result -> text blocks}, the default first.
+    Only a subcommand with conventions reads --non-strict, --at-limit and
+    --from-two (or their config keys); one with csv_checkpoints takes its
+    --checkpoints with CSV only."""
+
+    help: str
+    options: dict
+    run: Callable
+    renders: dict
+    conventions: bool = False
+    csv_checkpoints: bool = False
+
+
 _SERIES_CSV = {"csv": lambda parts: emit.series_csv_blocks(parts)}
 
-#: Each subcommand's (run, {format: render}), its default format first.  For
-#: count, series, figure1 and census the run returns the stream that sieves as
-#: it is read.  The renders look emit's functions up at call time.
+#: For count, series, figure1 and census the run returns the stream that sieves
+#: as it is read.  Runs and renders look up sieve_segment, emit and exact at call time.
 _COMMANDS = {
-    "sieve": (_sieve, {"csv": lambda text: [text]}),
-    "count": (lambda a, c, s: _series_stream(c, s, a.threshold, a.ell, [a.limit]),
-              _SERIES_CSV),
-    "series": (lambda a, c, s: _series_stream(c, s, a.threshold, a.ell, a.checkpoints),
-               _SERIES_CSV),
-    "table1": (_table1, {
+    "sieve": _Command("sieve sigma over [lo, hi]; optionally cache it", {
+        "--lo": _INT, "--hi": _INT, "--cache-path": dict(
+            default=None, help="write the segment in the binary cache format")},
+        _sieve, {"csv": lambda text: [text]}),
+    "count": _Command("count n <= limit with |sigma(n)-l*n| < k(n)", {
+        "--ell": {}, "--threshold": dict(help="pow:C | const:K | lin:C | xlog"),
+        "--limit": {}}, lambda a, c, s: _series_stream(c, s, a.threshold, a.ell, [a.limit]),
+        _SERIES_CSV, conventions=True),
+    "series": _Command("within-perfect counts at several checkpoints", {
+        "--ell": {}, "--threshold": {},
+        "--checkpoints": dict(help="comma list, e.g. 1e4,1e5,1e6")},
+        lambda a, c, s: _series_stream(c, s, a.threshold, a.ell, a.checkpoints), _SERIES_CSV,
+        conventions=True),
+    "table1": _Command("recompute the published 8x3 quotient grid (l=2)",
+                       {"--limit": dict(default=2 * 10**7)}, _table1, {
         "both": lambda r: [emit.table1_text(r), "\n", emit.table1_csv(r)],
         "table": lambda r: [emit.table1_text(r)],
         "csv": lambda r: [emit.table1_csv(r)]}),
-    "figure1": (_figure1, _SERIES_CSV),
-    "perfect": (lambda a, c, s: exact.enumerate_perfect(a.ell, a.limit, s, _checkpoints(a)), {
+    "figure1": _Command("quotient series for k(y)=y/log y, x=2..limit",
+                        {"--limit": dict(default=10**4)}, _figure1, _SERIES_CSV,
+                        conventions=True),
+    "perfect": _Command("enumerate m <= limit with b*sigma(m) = a*m", {
+        "--ell": {}, "--limit": {}, "--checkpoints": dict(default=None)},
+        lambda a, c, s: exact.enumerate_perfect(a.ell, a.limit, s, _checkpoints(a)), {
         "json": lambda r: [emit.perfect_json(r)],
-        "csv": lambda r: emit.series_csv_blocks([r.counting])}),
-    "wirsing": (lambda a, c, s: exact.wirsing_count_check(
+        "csv": lambda r: emit.series_csv_blocks([r.counting])}, csv_checkpoints=True),
+    "wirsing": _Command("perfect counts vs the uniform growth scale", {
+        "--ell": {}, "--checkpoints": {}}, lambda a, c, s: exact.wirsing_count_check(
         RationalTarget.parse(a.ell), parse_checkpoints(a.checkpoints), s),
         {"csv": lambda r: [emit.wirsing_csv(r)]}),
-    "dioph": (lambda a, c, s: exact.solve_diophantine(
+    "dioph": _Command("solve b*sigma(n) = a*n + k exhaustively", {
+        "--a": _INT, "--b": {}, "--k": {}, "--limit": {},
+        "--checkpoints": dict(default=None)}, lambda a, c, s: exact.solve_diophantine(
         exact.DiophantineProblem(a.a, a.b, a.k, a.limit), s, _checkpoints(a)), {
         "json": lambda r: [emit.dioph_json(r)],
         "csv": lambda r: emit.series_csv_blocks([r.series]),
-        "ndjson": lambda r: emit.records_ndjson_blocks([r.records])}),
-    "census": (_census, {"ndjson": lambda parts: emit.records_ndjson_blocks(parts),
-                         "json": lambda parts: emit.records_json_blocks(parts)}),
-    "sporadic": (lambda a, c, s: congruence.sporadic_growth_report(
-        a.b, a.k, parse_checkpoints(a.checkpoints), s), {
+        "ndjson": lambda r: emit.records_ndjson_blocks([r.records])}, csv_checkpoints=True),
+    "census": _Command("solutions of b*sigma(n) = k (mod n), classified", {
+        "--b": {}, "--k": {}, "--limit": {}}, _census, {
+        "ndjson": lambda parts: emit.records_ndjson_blocks(parts),
+        "json": lambda parts: emit.records_json_blocks(parts)}),
+    "sporadic": _Command("sporadic-solution growth report", {
+        "--b": {}, "--k": {}, "--checkpoints": {}}, lambda a, c, s:
+        congruence.sporadic_growth_report(a.b, a.k, parse_checkpoints(a.checkpoints), s), {
         "csv": lambda r: emit.series_csv_blocks([r.series]),
         "table": lambda r: [emit.sporadic_text(r)]}),
-    "cdf": (lambda a, c, s: distribution.empirical_cdf(
+    "cdf": _Command("empirical distribution of sigma(n)/n", {
+        "--limit": {}, "--grid": dict(help="comma list of query points")},
+        lambda a, c, s: distribution.empirical_cdf(
         a.limit, [g.strip() for g in a.grid.split(",") if g.strip()], s),
         {"csv": lambda r: [emit.cdf_csv(r)]}),
-    "phase": (lambda a, c, s: distribution.phase_experiment(
+    "phase": _Command("density experiment for a threshold regime", {
+        "--ell": {}, "--regime": dict(choices=("sublinear", "linear", "superlinear")),
+        "--c": dict(default=None, help="exponent or slope, regime dependent"),
+        "--checkpoints": {}}, lambda a, c, s: distribution.phase_experiment(
         RationalTarget.parse(a.ell), a.regime, parse_checkpoints(a.checkpoints), s, c=a.c),
         {"csv": lambda r: [emit.phase_csv(r)]}),
-    "probe": (lambda a, c, s: distribution.sigma_approx_probe(
-        a.ell, a.depth, a.search_limit, s), {"csv": lambda r: [emit.probe_csv(r)]}),
-    "gcdsum": (lambda a, c, s: exact.gcd_sum(a.x, s), {"csv": lambda r: [emit.gcdsum_csv(r)]}),
+    "probe": _Command("approximate a target by abundancy ratios", {
+        "--ell": dict(help="target value > 1 (exact decimal)"),
+        "--depth": dict(type=_integer, default=8),
+        "--search-limit": dict(type=_integer, default=10**4)},
+        lambda a, c, s: distribution.sigma_approx_probe(a.ell, a.depth, a.search_limit, s),
+        {"csv": lambda r: [emit.probe_csv(r)]}),
+    "gcdsum": _Command("sum of gcd(m, sigma(m))/m^2 over the middle range", {
+        "--x": _INT}, lambda a, c, s: exact.gcd_sum(a.x, s),
+        {"csv": lambda r: [emit.gcdsum_csv(r)]}),
 }
 
 #: Any other format is refused before the run.  table1's default, "both", is
 #: its text table, a blank line, then its CSV.
-_RENDERS = {command: tuple(renders) for command, (_, renders) in _COMMANDS.items()}
+_RENDERS = {name: tuple(command.renders) for name, command in _COMMANDS.items()}
 
 
 def _dispatch(args, config: RunConfig) -> Iterable[str]:
     """The artifact of the subcommand as its text blocks: its run on one
     source from config.source(), then the render of the chosen format."""
-    run, renders = _COMMANDS[args.command]
-    return renders[config.output_format](run(args, config, config.source()))
+    command = _COMMANDS[args.command]
+    return command.renders[config.output_format](command.run(args, config, config.source()))
 
 
 #: Longest str handed to a text stream at once.  The stream encodes each write
@@ -396,8 +372,11 @@ def _write_out(path: str, blocks: Iterable[str]) -> None:
         mode = 0o666 & ~umask
     elif not os.access(target, os.W_OK):  # a file open() could not write stays
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
-    fd, temp = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.",
-                                dir=os.path.dirname(target))
+    try:
+        fd, temp = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.",
+                                    dir=os.path.dirname(target))
+    except OSError as exc:  # named as open() would name it, not by the temporary file
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with open(fd, "w", encoding="utf-8", newline="\n") as fh:
             _write(fh, blocks)
@@ -418,27 +397,23 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
 
+    command = _COMMANDS[args.command]
     try:
-        config = RunConfig(
-            segment_length=args.segment_length,
-            cache_dir=args.cache_dir,
-            output_format=args.format or _RENDERS[args.command][0],
-            threads=args.threads,
-            strict_inequality=not args.non_strict,
-            threshold_at_n=not args.at_limit,
-            include_n_equals_1=not args.from_two,
-        )
-        if args.config:
+        if "" in (args.config, args.out):
+            raise ValueError(f"--{'config' if args.config == '' else 'out'} needs a file name")
+        config = RunConfig(**{field: getattr(args, field) for field in _CONFIG_KEYS})
+        config.output_format = config.output_format or _RENDERS[args.command][0]
+        if args.config is not None:
             config = apply_config_file(config, args.config)
-        if config.output_format not in _RENDERS[args.command]:
-            formats = [f for f in _RENDERS[args.command] if f in _FORMATS]
+        if config.output_format not in command.renders:
+            formats = [f for f in command.renders if f in _FORMATS]
             raise ValueError(f"{args.command} renders {' or '.join(formats)}, "
                              f"not {config.output_format}")
-        if args.command not in _CONVENTION_COMMANDS and not (
+        if not command.conventions and not (
                 config.strict_inequality and config.threshold_at_n
                 and config.include_n_equals_1):
             raise ValueError(f"{args.command} takes no --non-strict, --at-limit or --from-two")
-        if (args.command in _CSV_CHECKPOINTS and args.checkpoints is not None
+        if (command.csv_checkpoints and args.checkpoints is not None
                 and config.output_format != "csv"):
             raise ValueError(f"{args.command} takes --checkpoints only with --format csv")
         env_cache = os.environ.get(CACHE_DIR_ENV)
@@ -446,7 +421,7 @@ def main(argv=None) -> int:
             config = replace(config, cache_dir=env_cache)
 
         blocks = _dispatch(args, config)  # checked, but not yet rendered
-        if args.out:
+        if args.out is not None:
             _write_out(args.out, blocks)
         else:
             _write(sys.stdout, blocks)

@@ -428,8 +428,9 @@ class SigmaSource:
     """Streams SigmaSegments covering [1, limit] in ascending order.
 
     Segments are sieved on demand (optionally on a thread pool) and, when a
-    cache directory is configured (it is made here if missing), persisted in
-    the binary segment format so later passes reload instead of resieving.
+    cache directory is configured (it is made here if missing; "" is none),
+    persisted in the binary segment format so later passes reload instead of
+    resieving.
     Results are deterministic and identical for any thread count.
     """
 
@@ -445,7 +446,7 @@ class SigmaSource:
             raise BudgetExceededError(f"threads {threads} exceeds the cap {MAX_THREADS}")
         self.segment_length = segment_length
         self.threads = threads
-        self.cache_dir = cache_dir
+        self.cache_dir = cache_dir or None  # "" is no cache, as in a config file
         if cache_dir:
             os.makedirs(cache_dir, exist_ok=True)
 

@@ -813,6 +813,136 @@ def test_config_file_rejects_limit(capsys, tmp_path):
                    "--limit", "30")[0] == 1
 
 
+#: (config line, the flags that set the same, a command that takes them)
+CONFIG_KEY_FLAGS = [
+    ("segment_length=4096", ["--segment-length", "4096"], "count"),
+    ("cache_dir=CACHE", ["--cache-dir", "CACHE"], "count"),
+    ("threads=2", ["--threads", "2"], "count"),
+    ("format=csv", ["--format", "csv"], "perfect"),
+    ("output_format=csv", ["--format", "csv"], "perfect"),
+    ("strict_inequality=false", ["--non-strict"], "count"),
+    ("threshold_at_n=false", ["--at-limit"], "count"),
+    ("include_n_equals_1=false", ["--from-two"], "count"),
+]
+
+
+def test_every_config_key_is_tested_against_its_flag():
+    keys = {line.partition("=")[0] for line, _, _ in CONFIG_KEY_FLAGS}
+    assert keys == set(cli._CONFIG_KEYS) | {"format"}
+
+
+@pytest.mark.parametrize("line, flags, command", CONFIG_KEY_FLAGS)
+def test_a_config_key_sets_what_its_flag_sets(monkeypatch, tmp_path, line, flags, command):
+    # the run is stubbed: each argv hands its RunConfig to _dispatch
+    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+    seen = []
+    monkeypatch.setattr(cli, "_dispatch", lambda args, config: seen.append(config) or [])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line.replace("CACHE", str(tmp_path / "cache")) + "\n")
+    argv = [command, *RENDERED[command][1]]
+    flags = [w.replace("CACHE", str(tmp_path / "cache")) for w in flags]
+    assert main(argv) == 0
+    assert main([*flags, *argv]) == 0
+    assert main(["--config", str(cfg), *argv]) == 0
+    plain, by_flag, by_key = seen
+    assert by_flag == by_key != plain
+
+
+#: sha256 of the main parser's and each subcommand's --help (stdout, exit 0) and of
+#: each subcommand's usage error with no arguments (stderr, exit 1); table1 and
+#: figure1, whose options all have defaults, are given --limit with no value.
+#: Taken with COLUMNS=80 on Python 3.11, whose argparse lays out help this way.
+PARSER_DIGESTS = {
+    "--help": "ee5b9f95580831c665cd65c64f86ed064f706e1db74013b803bb147ede6cdb87",
+    "sieve --help": "4f2b52e87b136c3cf2bca1600f9d5d30bceae5025f896099c4ea93ce785ccaa0",
+    "count --help": "dbbf6681ac956254c703a486d956f1919e88b18ce28e875836cf4e078a35ba4c",
+    "series --help": "f864ff390edf583908c0849b778762722ba0557d0b90ce1456902bf07eeaf0aa",
+    "table1 --help": "547fd55f50981dfa2c234b962f4c1ee677bcc4237c5a1dc66c69eb17d5caed45",
+    "figure1 --help": "183b7eb3580a19c53a61549a4b1949e7bc54c7b3533d5b1dab68b67316019757",
+    "perfect --help": "043ad22180684d8363d15eb1fa61fd5d9837068bb289b9ced1d81c2416cf8da0",
+    "wirsing --help": "025d4ef19dcfbb5dbb3efeff4ff001881ec4903afed7079bfff8820a9d0ea919",
+    "dioph --help": "80ba8e3d800c15ab3be2d3aa0a08ba37342baffccbcbc31d585aca7041f7b993",
+    "census --help": "73d47323b7eea4c343203e5289016bf43ebae41e4527205ad651dd49c8acb23e",
+    "sporadic --help": "9edce9256da2a8449dc7f81966c76054277a3d74b2030ecb1ed2405b7300f504",
+    "cdf --help": "0f7a8ec59143607686eb9ce6d7b980496dcbda0d73cb9411f81db4f9e38e024a",
+    "phase --help": "af4bb5e50632c49432afdd73872eb78b52650801abc2a8fccc5909de17d16a9d",
+    "probe --help": "7c978c516733201acbde125d637eab60515f64795fe76439860ebe419446c05b",
+    "gcdsum --help": "113f03b5bf222bfe8a497ab546cf7e4c82ca939e2022274c626703e3a5977ab1",
+    "sieve": "5c53c7067d303e8c047dacbb5bb46264eacc432deb4e523a9e9fd10b321607be",
+    "count": "336d9167b693a11fef29562b2acad9331434660a104c6999b228257bb794e31e",
+    "series": "55e640f004ea415455cf0dd7e0ce5bdfcc8603073fd9c24e792aad1d361375ed",
+    "table1 --limit": "857cf58cedada667ef545d6ead1c4bed578ce3b39f11b0393941c4776c950410",
+    "figure1 --limit": "7f45681e8ad77e7670289f03b2b1dbbdd262ad4c82bf6b230113f86bf48d3f7b",
+    "perfect": "5613b9b43e641cdc595b1d0dba53d42697f0b625c939c56d727eac40d8e6d8b4",
+    "wirsing": "33524c70b6dc5c333aa35698dc547540c310a62bcfc6db4155629cb6fc155fe6",
+    "dioph": "fda753a899ded0af7a6a20fad5857bacd1cf75f6349d70f2bd36b1ece574ebbc",
+    "census": "e4b92c4167bddc4b910e2f561b2ac47537ad35e7a9395bf56359bb213a095675",
+    "sporadic": "69108b5cd3f05151641d011d942913b1fdc227ba7ee52ac7efe1dcc3a5647eaa",
+    "cdf": "1ec488399877fdd878aa547db43c4089443631d073e6572d10e682ef0fdd464e",
+    "phase": "566a0d9fceb0a5c2ce3b1bc29a0ee2003b687c6030cc986419a629e33df0c11e",
+    "probe": "1b727021e6a3c54ac8727fd9032bc9e1f7986beb6060ef814c76dc8fe3e0ebe9",
+    "gcdsum": "393dbfded3e6c34cff1b58b5ca222c38a012bbc33f41539ff2ba6891903900e3",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse's help layout differs between Python versions")
+@pytest.mark.parametrize("argv", sorted(PARSER_DIGESTS))
+def test_parser_help_and_usage_errors_keep_their_bytes(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    text = captured.out if argv.endswith("--help") else captured.err
+    assert code == (0 if argv.endswith("--help") else 1)
+    assert (captured.err if code == 0 else captured.out) == ""
+    assert hashlib.sha256(text.encode()).hexdigest() == PARSER_DIGESTS[argv]
+
+
+def test_every_parser_is_pinned():
+    commands = sorted(cli._COMMANDS)
+    assert sorted(PARSER_DIGESTS) == sorted(
+        ["--help"] + [f"{c} --help" for c in commands]
+        + [f"{c} --limit" if c in ("table1", "figure1") else c for c in commands])
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["figure1", "--limit", "100", "--out", ""], "--out"),
+    (["--out", "", "figure1", "--limit", "100"], "--out"),
+    (["--config", "", "figure1", "--limit", "100"], "--config"),
+    (["figure1", "--limit", "100", "--config", ""], "--config"),
+])
+def test_an_empty_out_or_config_is_refused(capsys, monkeypatch, argv, flag):
+    # --out "" wrote the artifact to stdout and --config "" read no file, both
+    # with exit 0; the run is stubbed, so the refusal comes before it
+    monkeypatch.setattr(cli, "_dispatch", lambda args, config: ["ok\n"])
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == f"error: {flag} needs a file name\n"
+
+
+def test_an_out_in_a_missing_directory_names_the_given_path(capsys, tmp_path):
+    # the error named the temporary file beside the target, '.x.<random>'
+    out = tmp_path / "missing" / "x"
+    code = main(["census", "--b", "1", "--k", "1", "--limit", "100", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+
+def test_an_empty_cache_dir_is_no_cache(capsys, monkeypatch, tmp_path):
+    # --cache-dir "" wrote sigma_1_100.sgma into the working directory, while
+    # a config file's cache_dir= and an empty WITHINPERFECT_CACHE_DIR wrote none
+    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    code, out = run_cli(capsys, "--cache-dir", "", "figure1", "--limit", "100")
+    assert code == 0 and out.startswith("x,count,quotient\n")
+    source = SigmaSource(cache_dir="")
+    assert source.cache_dir is None
+    assert sum(len(n) for n, _ in source.blocks(3000)) == 3000
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_file_integers_parse_exactly(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("segment_length=1.024e3\nthreads=2e0\n")
