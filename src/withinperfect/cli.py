@@ -399,8 +399,9 @@ def main(argv=None) -> int:
 
     command = _COMMANDS[args.command]
     try:
-        if "" in (args.config, args.out):
-            raise ValueError(f"--{'config' if args.config == '' else 'out'} needs a file name")
+        for dest in ("config", "out", "cache_path"):
+            if getattr(args, dest, None) == "":
+                raise ValueError(f"--{dest.replace('_', '-')} needs a file name")
         config = RunConfig(**{field: getattr(args, field) for field in _CONFIG_KEYS})
         config.output_format = config.output_format or _RENDERS[args.command][0]
         if args.config is not None:

@@ -5,9 +5,9 @@ reduced beforehand.  A solution is regular (for b | k) when n = p*m with p
 prime, p not dividing m, m | b*sigma(m), and sigma(m) = k/b; every other
 solution, and every solution when b does not divide k, is sporadic.  n = 1
 divides everything, so it is a solution for every (b, k); it has no p*m
-decomposition and is classified sporadic.  The census streams
-SigmaSource.blocks, and census_stream yields the solutions of each block as
-they are classified, so a writer holds one block of records at a time.
+decomposition and is classified sporadic.  census_stream is exact._solutions
+with q free, one classified SolutionTable per block, so a writer holds one
+block of records at a time and sporadic_growth_report keeps only their sporadic n.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .exact import _guard_linear
-from .sieve import SigmaSource, _witnesses
+from .exact import _guard_linear, _solutions
+from .sieve import SigmaSource
 from .types import CheckpointSeries, SolutionTable, checkpoint_column
 
 
@@ -44,31 +44,12 @@ class CongruenceProblem:
 
 def census_stream(problem: CongruenceProblem,
                   source: Optional[SigmaSource] = None) -> Iterator[SolutionTable]:
-    """The solutions n <= limit of each block of source.blocks, classified,
-    as one SolutionTable per block in ascending order; checked at the call.
-
-    The anchors are the solutions m with b*sigma(m) = k and m | k, so each has
-    sigma(m) = k/b, and the witness of a regular n is read off sigma(n)
-    (sieve._witnesses).  A regular n = p*m has m <= n/2, so adding each
-    block's anchors before classifying its solutions has every anchor of n in
-    hand.
-    """
+    """The solutions n <= limit of each block of source.blocks, classified by
+    exact._solutions, as one SolutionTable per block in ascending order;
+    checked at the call."""
     source = source or SigmaSource()
-    b, k, limit = problem.b, problem.k, problem.limit
-    _guard_linear(1, b, limit, k)
-    return _classified(b, k, source.blocks(limit))
-
-
-def _classified(b: int, k: int, blocks) -> Iterator[SolutionTable]:
-    anchors = np.empty(0, dtype=np.int64)
-    for n, sigma in blocks:
-        value = sigma * np.int64(b) - np.int64(k)
-        idx = np.flatnonzero(value % n == 0)
-        ns, sigma_n, value = n[idx], sigma[idx], value[idx]
-        new = ns[value == 0]
-        anchors = np.concatenate([anchors, new[k % new == 0]])
-        q = np.where(value >= 0, value // ns, -1)
-        yield SolutionTable(ns, sigma_n, q, *_witnesses(ns, sigma_n, anchors, k // b))
+    _guard_linear(1, problem.b, problem.limit, problem.k)
+    return _solutions(problem.b, problem.k, source.blocks(problem.limit))
 
 
 def census(problem: CongruenceProblem, source: Optional[SigmaSource] = None) -> SolutionTable:
@@ -98,8 +79,9 @@ def sporadic_growth_report(b: int, k: int, checkpoints,
     exceed 10 (the empirical stand-in for the x^(2/3+o(1)) bound).
     """
     checkpoints = checkpoint_column(checkpoints).tolist()
-    table = census(CongruenceProblem(b, k, checkpoints[-1]), source)
-    counts = np.searchsorted(table.n[table.p == 0], checkpoints, side="right").tolist()
+    parts = census_stream(CongruenceProblem(b, k, checkpoints[-1]), source)
+    sporadic = np.concatenate([part.n[part.p == 0] for part in parts])
+    counts = np.searchsorted(sporadic, checkpoints, side="right").tolist()
     ratios, slack, sqrt_shape = [], [], []
     for x, c in zip(checkpoints, counts):
         ratios.append(c / (b * b * x ** (2.0 / 3.0)))

@@ -1,7 +1,9 @@
 """Exact sigma-equations: perfect censuses, convergent series, gcd sums,
-and the linear Diophantine equation b*sigma(n) = a*n + k.  Each streams
-SigmaSource.blocks, so its per-n temporaries are one block long.  Checkpoints
-are read by types.checkpoint_column, which refuses one past a census's limit."""
+and the linear Diophantine equation b*sigma(n) = a*n + k.  The perfect census,
+that equation and the congruence census are one classified stream, _solutions.
+Each streams SigmaSource.blocks, so its per-n temporaries are one block long.
+Checkpoints are read by types.checkpoint_column, which refuses one past a
+census's limit."""
 
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from typing import TYPE_CHECKING, Iterator, Optional
 import numpy as np
 
 from .errors import CapabilityError, InvalidProblemError
-from .sieve import SigmaSource, _icbrt, _witnesses, factor
+from .sieve import SigmaSource, _icbrt, factor
 from .types import (CheckpointSeries, RationalTarget, SolutionTable, checkpoint_column,
                     checkpoint_index, checkpoint_values)
 
@@ -109,6 +111,67 @@ class _CheckpointCounter:
         return self.x, counts[:, :-1]
 
 
+def _witnesses(n: np.ndarray, sigma: np.ndarray, anchors: np.ndarray,
+               s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The witness (p, m) of each solution in the int64 column n, whose sigma
+    is the int64 column sigma, as two int64 columns: n = p*m with m one of the
+    anchors (an int64 column) and p a prime not dividing m, and
+    p = m = 0 where n has none (a sporadic solution).
+
+    Every anchor m has the same sigma(m) = s = k/b, as b*sigma(m) = k (see
+    _solutions).  With p = floor(sigma(n)/s) - 1, n has the witness (p, n/p)
+    exactly when p >= 1, p divides n, m = n/p is an anchor and gcd(p, m) = 1:
+
+    (=>) p is prime and does not divide m, so gcd(p, m) = 1 and sigma(n) =
+    (p + 1)*s, whence floor(sigma(n)/s) - 1 is that p.
+    (<=) gcd(p, m) = 1 gives sigma(n) = sigma(p)*sigma(m) = sigma(p)*s, so s
+    divides sigma(n), the floor is exact and sigma(p) = p + 1, which holds
+    only for a prime p (sigma(1) = 1).  p does not divide m, by the gcd.
+
+    So p, and with it m, is fixed by sigma(n): a solution has at most one
+    witness, and primality needs no sieve of its own.  (p + 1)*s is never
+    formed, since s may come near 2^62; the gcd is taken only on the rows that
+    pass the other checks.
+    """
+    wp = np.zeros(len(n), dtype=np.int64)
+    wm = np.zeros(len(n), dtype=np.int64)
+    if len(anchors) == 0:  # then s may be anything, zero included
+        return wp, wm
+    p = sigma // s - 1
+    idx = np.flatnonzero(p >= 1)
+    p = p[idx]
+    m, rem = np.divmod(n[idx], p)
+    keep = (rem == 0) & np.isin(m, anchors)
+    idx, p, m = idx[keep], p[keep], m[keep]
+    keep = np.gcd(p, m) == 1
+    wp[idx[keep]], wm[idx[keep]] = p[keep], m[keep]
+    return wp, wm
+
+
+def _solutions(b: int, k: int, blocks, a: Optional[int] = None) -> Iterator[SolutionTable]:
+    """The solutions n of b*sigma(n) - k = q*n in the blocks of (n, sigma), one
+    classified SolutionTable per block: q = a (b*sigma(n) = a*n + k, the perfect
+    census at k = 0), or any integer q when a is None (the congruence; q = -1
+    where b*sigma(n) < k).
+
+    The anchors are the n with b*sigma(n) = k and n | k, so sigma(n) = k/b, and
+    a regular n = p*m has m <= n/2: each block adds its anchors before its
+    witnesses are read off sigma (_witnesses).  For the equation, b*sigma(p*m)
+    = (p + 1)*k = a*p*m + k gives m = k/a, and k/a is an anchor exactly when
+    regular_family_anchor returns it: an integer k/a >= 1 divides k, and
+    b*sigma(k/a) = k with a, b coprime is ab | k and sigma(k/a) = k/b.
+    """
+    anchors = np.empty(0, dtype=np.int64)
+    for n, sigma in blocks:
+        value = sigma * np.int64(b) - np.int64(k)
+        new = n[value == 0]
+        anchors = np.concatenate([anchors, new[k % new == 0]])
+        idx = np.flatnonzero(value % n == 0 if a is None else value == np.int64(a) * n)
+        ns, sigma_n, value = n[idx], sigma[idx], value[idx]
+        q = np.where(value >= 0, value // ns, -1)
+        yield SolutionTable(ns, sigma_n, q, *_witnesses(ns, sigma_n, anchors, k // b))
+
+
 @dataclass
 class PerfectCensus:
     """All m <= limit with b*sigma(m) = a*m, plus the counting function."""
@@ -130,10 +193,8 @@ def enumerate_perfect(target, limit: int, source: Optional[SigmaSource] = None,
     source = source or SigmaSource()
     _guard_linear(target.a, target.b, limit)
     cks = checkpoint_column([limit] if checkpoints is None else checkpoints, limit)
-    a, b = np.int64(target.a), np.int64(target.b)
-    members: list[int] = []
-    for n, sigma in source.blocks(limit):
-        members += n[b * sigma == a * n].tolist()
+    members = SolutionTable.concat(
+        _solutions(target.b, 0, source.blocks(limit), target.a)).n.tolist()
     counting = CheckpointSeries(cks, np.searchsorted(members, cks, side="right"),
                                 label=f"perfect l={target}")
     return PerfectCensus(target, limit, members, counting)
@@ -332,17 +393,7 @@ def solve_diophantine(problem: DiophantineProblem, source: Optional[SigmaSource]
     _guard_linear(a, b, limit, k)
     cks = checkpoint_column([limit] if checkpoints is None else checkpoints, limit)
     m0 = regular_family_anchor(a, b, k)
-
-    anchors = np.array([] if m0 is None else [m0], dtype=np.int64)
-    av, bv, kv = np.int64(a), np.int64(b), np.int64(k)
-    parts = []
-    for n, sigma in source.blocks(limit):
-        idx = np.flatnonzero(bv * sigma - av * n == kv)
-        ns, sigma_n = n[idx], sigma[idx]
-        parts.append(SolutionTable(ns, sigma_n, np.full(len(ns), av),
-                                   *_witnesses(ns, sigma_n, anchors, k // b)))
-    records = SolutionTable.concat(parts)
-
+    records = SolutionTable.concat(_solutions(b, k, source.blocks(limit), a))
     series = CheckpointSeries(cks, np.searchsorted(records.n, cks, side="right"),
                               label=f"dioph {b}*sigma(n)={a}*n+{k}")
     return DiophantineSolution(

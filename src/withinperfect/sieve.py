@@ -1,7 +1,6 @@
 """Sum-of-divisors sieving: segments, the trial-division oracle, factorization,
 and the exact integer arithmetic built beside them (primality, cube roots).
-The sigma sieve is the package's only sieve: the regular-family witness of a
-census or Diophantine solution is read off sigma(n) itself (_witnesses).
+The sigma sieve is the package's only sieve.
 
 A segment holds sigma(n) over [lo, hi] and nothing else, in the narrowest
 width that holds it: u32 up to hi = U32_SIGMA_LIMIT = 2^27, u64 above
@@ -42,10 +41,11 @@ step-1 pairs / the 2-adic parts of the window of length L ending at hi:
     2^22    1e10    42          634 / 620       pairs (tie)
 
 Far-out short windows (L <= sqrt(hi) / 2, such as 2^16 at 1e12: 643 / 523)
-would also gain from the parts, but keep the step-1 pairs; see ROADMAP
-Direction 1.  Factorization is Pollard-Brent rho, exact below 2^64.  The
-trial-division oracle stays deliberately naive; it is the independent
-cross-check, never the fast path.
+would also gain from the parts, but keep the step-1 pairs: their time goes to
+the one Python iteration per divisor d, which a batched pass over the large d
+would cut further than the parts do.  Factorization is Pollard-Brent rho,
+exact below 2^64.  The trial-division oracle stays deliberately naive; it is
+the independent cross-check, never the fast path.
 """
 
 from __future__ import annotations
@@ -309,44 +309,6 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def _witnesses(n: np.ndarray, sigma: np.ndarray, anchors: np.ndarray,
-               s: int) -> tuple[np.ndarray, np.ndarray]:
-    """The witness (p, m) of each solution in the int64 column n, whose sigma
-    is the int64 column sigma, as two int64 columns: n = p*m with m one of the
-    anchors (an int64 column) and p a prime not dividing m, and
-    p = m = 0 where n has none (a sporadic solution).
-
-    Every anchor m has the same sigma(m) = s = k/b (census anchors solve
-    b*sigma(m) = k; the one Diophantine anchor k/a has sigma(k/a) = k/b).  With
-    p = floor(sigma(n)/s) - 1, n has the witness (p, n/p) exactly when p >= 1,
-    p divides n, m = n/p is an anchor and gcd(p, m) = 1:
-
-    (=>) p is prime and does not divide m, so gcd(p, m) = 1 and sigma(n) =
-    (p + 1)*s, whence floor(sigma(n)/s) - 1 is that p.
-    (<=) gcd(p, m) = 1 gives sigma(n) = sigma(p)*sigma(m) = sigma(p)*s, so s
-    divides sigma(n), the floor is exact and sigma(p) = p + 1, which holds
-    only for a prime p (sigma(1) = 1).  p does not divide m, by the gcd.
-
-    So p, and with it m, is fixed by sigma(n): a solution has at most one
-    witness, and primality needs no sieve of its own.  (p + 1)*s is never
-    formed, since s may come near 2^62; the gcd is taken only on the rows that
-    pass the other checks.
-    """
-    wp = np.zeros(len(n), dtype=np.int64)
-    wm = np.zeros(len(n), dtype=np.int64)
-    if len(anchors) == 0:  # then s may be anything, zero included
-        return wp, wm
-    p = sigma // s - 1
-    idx = np.flatnonzero(p >= 1)
-    p = p[idx]
-    m, rem = np.divmod(n[idx], p)
-    keep = (rem == 0) & np.isin(m, anchors)
-    idx, p, m = idx[keep], p[keep], m[keep]
-    keep = np.gcd(p, m) == 1
-    wp[idx[keep]], wm[idx[keep]] = p[keep], m[keep]
-    return wp, wm
 
 
 def _icbrt(v: int) -> int:

@@ -188,6 +188,14 @@ def test_series_csv_bytes(capsys, argv, digest):
     # anchor m = 2, and candidates such as 8 = 4*2 whose p is composite
     (["census", "--b", "2", "--k", "6", "--limit", "100000", "--format", "json"],
      "aa527350643e978b24142ff702c3985c2ce5dace91e4dbd23f20d0253571473e"),
+    # the regular family: anchor m = 6, witnesses (p, 6)
+    (["dioph", "--a", "2", "--b", "1", "--k", "12", "--limit", "1e6"],
+     "1011eeec76d69120d91d5c90ffb594bfc9fa16d51e2b061b243bc9d9746d8c21"),
+    (["dioph", "--a", "2", "--b", "1", "--k", "12", "--limit", "1e6", "--format", "ndjson"],
+     "a8eeee02a4da594dc8ca029d93b229c1142777eb5886ec92a0d9f284a8464068"),
+    # k = 0: the multiply perfect n and n = 1, with their q
+    (["census", "--b", "1", "--k", "0", "--limit", "1e5"],
+     "fb5b3ba7d2737e7228294c921ac73503172f45b31cd8a34f376aecabef2d8524"),
 ])
 def test_records_and_wirsing_bytes(capsys, argv, digest):
     code, out = run_cli(capsys, *argv)
@@ -537,16 +545,15 @@ def test_streamed_bytes_across_segment_edges(capsys, length, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def _figure1_peak_kib(limit: str) -> int:
-    """VmHWM of a child process that streams figure1 to /dev/null."""
+def _peak_kib(*argv: str) -> int:
+    """VmHWM of a child process that runs the CLI on argv, its artifact to /dev/null."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import os, withinperfect.cli as cli\n"
-            f"assert cli.main(['--segment-length', '65536', 'figure1', '--limit', '{limit}',"
-            " '--out', os.devnull]) == 0\n"
+    code = ("import os, sys, withinperfect.cli as cli\n"
+            "assert cli.main(sys.argv[1:] + ['--out', os.devnull]) == 0\n"
             "print(next(l for l in open('/proc/self/status') if l.startswith('VmHWM')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout
     return int(out.split()[1])
 
@@ -554,8 +561,16 @@ def _figure1_peak_kib(limit: str) -> int:
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
 def test_figure1_memory_is_set_by_the_segment_not_the_output():
     # ten times the checkpoints, the same peak: nothing grows with the series
-    small, large = _figure1_peak_kib("2e5"), _figure1_peak_kib("2e6")
+    small, large = (_peak_kib("--segment-length", "65536", "figure1", "--limit", limit)
+                    for limit in ("2e5", "2e6"))
     assert large - small < 8 * 1024, (small, large)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_sporadic_memory_is_set_by_the_segment_not_the_census():
+    # the report held every census row to count its sporadic ones: 134 MiB at 2e7
+    peak = _peak_kib("sporadic", "--b", "1", "--k", "1", "--checkpoints", "1e3,2e7")
+    assert peak <= 100 * 1024, peak
 
 
 def test_determinism_across_runs_and_threads(capsys):
@@ -910,10 +925,12 @@ def test_every_parser_is_pinned():
     (["--out", "", "figure1", "--limit", "100"], "--out"),
     (["--config", "", "figure1", "--limit", "100"], "--config"),
     (["figure1", "--limit", "100", "--config", ""], "--config"),
+    (["sieve", "--lo", "1", "--hi", "100", "--cache-path", ""], "--cache-path"),
 ])
 def test_an_empty_out_or_config_is_refused(capsys, monkeypatch, argv, flag):
-    # --out "" wrote the artifact to stdout and --config "" read no file, both
-    # with exit 0; the run is stubbed, so the refusal comes before it
+    # --out "" wrote the artifact to stdout, --config "" read no file and
+    # --cache-path "" wrote no cache file, all with exit 0; the run is stubbed,
+    # so the refusal comes before it
     monkeypatch.setattr(cli, "_dispatch", lambda args, config: ["ok\n"])
     code = main(argv)
     captured = capsys.readouterr()

@@ -1,8 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from withinperfect.cli import main
@@ -10,11 +11,12 @@ from withinperfect.congruence import (CongruenceProblem, census,
                                       sporadic_growth_report)
 from withinperfect.emit import records_json, records_ndjson
 from withinperfect.errors import CapabilityError
-from withinperfect.exact import enumerate_perfect
-from withinperfect.sieve import SigmaSource, _witnesses, sigma_oracle
+from withinperfect.exact import (DiophantineProblem, _witnesses, enumerate_perfect,
+                                 solve_diophantine)
+from withinperfect.sieve import SigmaSource, sigma_oracle
 from withinperfect.types import SolutionRecord, SolutionTable
 
-from conftest import brute_census, trial_is_prime
+from conftest import brute_census, brute_diophantine, trial_is_prime
 
 
 def test_census_frozen_small_case():
@@ -201,6 +203,41 @@ def test_census_witnesses_from_sigma_against_brute_force(oracle_sigma, bk, limit
     got = census(CongruenceProblem(b, k, limit), SigmaSource(segment_length=segment_length))
     assert {r.n: (r.classification, r.witnesses) for r in got} \
         == brute_census(b, k, limit, oracle_sigma)
+
+
+#: (a, b, k) in the regular family: coprime a > b >= 1 and k = a*m for an
+#: m <= 1000 with b*sigma(m) = a*m, so ab | k and sigma(k/a) = k/b.
+FAMILIES = [(a, b, a * m) for a in range(2, 8) for b in range(1, a) if math.gcd(a, b) == 1
+            for m in range(1, 1001) if b * sigma_oracle(m) == a * m]
+
+
+def _ks(ab):
+    """(a, b, k) with k < 0, a k in [1, 200] (often not a multiple of b), or ab | k."""
+    a, b = ab
+    return st.one_of(st.integers(-40, -1), st.integers(1, 200),
+                     st.integers(1, 30).map(lambda j: a * b * j)).map(lambda k: (a, b, k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.sampled_from(FAMILIES),
+                 st.tuples(st.integers(2, 7), st.integers(1, 6)).filter(
+                     lambda ab: ab[0] > ab[1] and math.gcd(*ab) == 1).flatmap(_ks)),
+       st.integers(1, 3000), st.sampled_from((1024, 3 * 2**16 - 1, 3 * 2**16 + 1)))
+@example((2, 1, -1), 3000, 1024)     # k < 0
+@example((3, 2, 7), 3000, 1024)      # b does not divide k
+@example((2, 1, 24), 3000, 1024)     # ab | k, but sigma(12) = 28 != 24
+@example((2, 1, 12), 3000, 1024)     # ab | k and sigma(6) = 12: the regular family
+def test_perfect_and_dioph_are_the_census_rows_with_q_equal_a(oracle_sigma, abk, limit,
+                                                              segment_length):
+    a, b, k = abk
+    source = SigmaSource(segment_length=segment_length)
+    rows = [r for r in census(CongruenceProblem(b, k, limit), source) if r.q == a]
+    assert list(solve_diophantine(DiophantineProblem(a, b, k, limit), source).records) == rows
+    assert {r.n: r.classification for r in rows} \
+        == brute_diophantine(a, b, k, limit, oracle_sigma)
+    members = [r.n for r in census(CongruenceProblem(b, 0, limit), source) if r.q == a]
+    assert enumerate_perfect(f"{a}/{b}", limit, source).members == members
+    assert members == [n for n in range(1, limit + 1) if b * oracle_sigma[n] == a * n]
 
 
 def test_witnesses_rule_on_hand_built_rows():
