@@ -12,40 +12,39 @@ Its ``table`` (one segment from 1) has no caller in the package and stays only
 because the benchmark traces it.  A run from 1 whose estimated cost (ranges)
 exceeds MAX_RUN_COST is refused before any segment is sieved.
 
-The kernel, _pair_sums, enumerates divisor pairs (d, m/d) with d <= sqrt(hi):
-one strided numpy add per d that has a multiple in range (per 2^16 of its
-multiples), with the bounds of every d computed as numpy columns.  A long
-segment is sieved by 2-adic parts:
-sigma(2^k * m) = (2^(k+1) - 1) * sigma(m) for odd m, so only odd m are sieved,
-by odd divisor pairs: for the segment of length L = 2^22 ending at 2e7, 4.6 L
-strided additions instead of 8.9 L, but 1.7 times as many divisors d.
-So the parts pay off where the additions dominate, and _sigma_block takes a
-segment by parts when L >= max(2^19, 128 * isqrt(hi)).  Measured in-process
-(best of 3-5, one core of a 2-vCPU Xeon, numpy 2.4), milliseconds for the
-step-1 pairs / the 2-adic parts of the window of length L ending at hi:
+The kernel, _pair_sums, enumerates divisor pairs (d, m/d) with d <= sqrt(hi),
+with the bounds of every d computed as numpy columns.  A d with more than
+_FEW = 128 multiples in range is one strided numpy add; every larger d goes
+through a batched pass, one np.add.at per about _BATCH = 2^14 pair sums, so
+no window pays a Python iteration per d (the bucket idea of Oliveira e Silva,
+Herzog & Pardi, Math. Comp. 83, 2014, applied to divisors).  Swept in-process
+on sieving to 2e7 in 2^20 segments, [1, 2e6] in 1024 segments and windows
+(2^16 at 1e12, 2^20 at 1e9, 2^22 at 4e9): _FEW = 32 and 64 were up to 50%
+and 14% slower, 128 to 512 within 5% of each other, 1024 up to 15% slower;
+_BATCH from 2^13 to 2^17 moved no case by more than 9%.
 
-    L       hi      L/sqrt(hi)  pairs / parts   rule
-    2^16    2^16    256         1.3 / 2.2       pairs (L < 2^19)
-    2^18    2^18    512         4.3 / 4.8       pairs (L < 2^19)
-    2^18    2e7     59          15 / 23         pairs
-    2^19    2^19    724         9.1 / 5.1       parts
-    2^19    2e7     117         19 / 14         pairs (tie)
-    2^19    1e8     52          29 / 28         pairs
-    2^20    1e6     1024        25 / 14         parts
-    2^20    2e7     235         35 / 26         parts
-    2^20    1e8     105         44 / 43         pairs (tie)
-    2^20    1e9     33          120 / 139       pairs
-    2^22    2e7     938         172 / 103       parts
-    2^22    1e9     133         408 / 284       parts
-    2^22    4e9     66          537 / 474       pairs (tie)
-    2^22    1e10    42          634 / 620       pairs (tie)
+A segment of length L >= _LONG_MIN = 2^18 is sieved by 2-adic parts:
+sigma(2^k * m) = (2^(k+1) - 1) * sigma(m) for odd m, so only odd m are
+sieved, by odd divisor pairs: for L = 2^22 ending at 2e7, 4.6 L strided
+additions instead of 8.9 L, but 1.7 times as many divisors d.  Measured
+in-process (best of 5, one core of a 2-vCPU Xeon, numpy 2.4), milliseconds
+for the step-1 pairs / the 2-adic parts of the window of length L ending at hi:
 
-Far-out short windows (L <= sqrt(hi) / 2, such as 2^16 at 1e12: 643 / 523)
-would also gain from the parts, but keep the step-1 pairs: their time goes to
-the one Python iteration per divisor d, which a batched pass over the large d
-would cut further than the parts do.  Factorization is Pollard-Brent rho,
-exact below 2^64.  The trial-division oracle stays deliberately naive; it is
-the independent cross-check, never the fast path.
+    L       hi      pairs / parts       L       hi      pairs / parts
+    2^10    2e7     0.2 / 0.7           2^18    1e12    49 / 60
+    2^10    1e12    19 / 34             2^19    1e8     16 / 11
+    2^16    1e9     4.8 / 5.4           2^19    1e12    73 / 75
+    2^16    1e12    32 / 49             2^20    2e7     24 / 15
+    2^17    2e7     4.1 / 3.9           2^20    1e9     54 / 29
+    2^18    2^18    2.5 / 2.8           2^20    1e12    115 / 93
+    2^18    1e8     8.2 / 6.3           2^22    2e7     125 / 53
+    2^18    1e9     13 / 9.3            2^22    4e9     284 / 149
+
+Of _LONG_MIN = 2^18, 2^19 and 2^20, 2^19 leaves the 2^18 windows from 1e8 to
+4e9 on the pairs, 20-35% slower, and 2^18 loses only far out (2^18 at 1e12,
+21-26%).  Factorization is Pollard-Brent rho, exact below 2^64.  The
+trial-division oracle stays deliberately naive; it is the independent
+cross-check, never the fast path.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ from .errors import BudgetExceededError, CapabilityError, SigmaOverflowError
 DOMAIN_CAP = 1 << 55
 
 #: Default streaming segment length (elements).
-DEFAULT_SEGMENT_LENGTH = 1 << 22
+DEFAULT_SEGMENT_LENGTH = 1 << 20
 
 #: Smallest segment length the streaming source accepts.
 MIN_SEGMENT_LENGTH = 1 << 10
@@ -75,11 +74,14 @@ MIN_SEGMENT_LENGTH = 1 << 10
 #: Longest segment that is sieved; anything longer is refused before allocating.
 MAX_SEGMENT_LENGTH = 1 << 25
 
-#: Most work a SigmaSource run from 1 may ask for: the n sieved plus, for each
-#: of the limit/L segments of length L, up to isqrt(limit) Python iterations
-#: of one strided add per divisor d (SigmaSource.ranges).  A limit of 10^8 costs
-#: about 10^8 (figure1 --limit 1e8 takes about 40 s on one core).  The cap is
-#: about half an hour of sieving from 1 at the default length, and refuses,
+#: Most work a SigmaSource run from 1 may ask for (SigmaSource.ranges): the n
+#: sieved plus, for each of the limit/L segments of length L, a Python
+#: iteration per strided d (those with more than _FEW multiples, at most
+#: min(isqrt(limit), L // _FEW)) and the numpy bounds of about 2 * isqrt(limit)
+#: d (with the 2-adic parts), at 1/32 of an iteration each (19 ns against
+#: 0.6-0.8 us).  A limit of 10^8 costs about 10^8 (figure1 --limit 1e8 takes
+#: about 40 s on one core).  The cap is about half an hour of sieving from 1
+#: at the default length, and refuses,
 #: before any sieving, a run that would take days or years (figure1 at 1e15,
 #: a checkpoint near 2^55).
 MAX_RUN_COST = 10**11
@@ -95,10 +97,14 @@ BLOCK_LENGTH = 1 << 16
 #: Largest hi whose segment holds sigma as u32; above it, u64.
 U32_SIGMA_LIMIT = 1 << 27
 
-#: A segment is sieved by 2-adic parts when its length L >= max(_LONG_MIN,
-#: _LONG_PER_ROOT * isqrt(hi)); see the module docstring.
-_LONG_MIN = 1 << 19
-_LONG_PER_ROOT = 128
+#: A segment is sieved by 2-adic parts when its length L >= _LONG_MIN; see
+#: the module docstring.
+_LONG_MIN = 1 << 18
+
+#: A d with at most _FEW pair sums in range goes through _pair_sums' batched
+#: pass, about _BATCH pairs per np.add.at; see the module docstring.
+_FEW = 128
+_BATCH = 1 << 14
 
 #: Values of d whose bounds _pair_sums computes in one numpy pass.
 _CHUNK = 1 << 16
@@ -193,15 +199,16 @@ def _pair_sums(m0: int, mhi: int, step: int) -> np.ndarray:
     """sigma(m) for m = m0, m0 + step, ... <= mhi (step 1, or step 2 from an
     odd m0) by divisor pairs (d, q), d <= q, d*q = m, with d and q in the
     residue class of m0 mod step.  Consecutive such multiples of d are d apart
-    in the output, so each d is a strided add of the pair sums d + q, at most
-    _CHUNK of them at a time.
+    in the output, so a d with more than _FEW of them is a strided add of the
+    pair sums d + q, at most _CHUNK at a time.  The pair sums of the other d,
+    at offsets start + j*d, are laid out flat, about _BATCH at a time, and
+    added by one np.add.at, since distinct d can share an m.
 
     The bounds of every d are computed as numpy columns, _CHUNK values of d
-    at a time, and a d with more than _CHUNK multiples takes one row per
-    _CHUNK of them, so no temporary is longer than _CHUNK and memory stays
-    O(mhi - m0) up to the domain cap.  A d without a multiple in range costs
-    nothing; the squares q = d, where the pair sum counts d twice, are
-    corrected in one fancy-index subtraction per chunk.
+    at a time, so no temporary is longer than _CHUNK (or _BATCH + _FEW) and
+    memory stays O(mhi - m0) up to the domain cap.  A d without a multiple in
+    range costs nothing; the squares q = d, where the pair sum counts d twice,
+    are corrected in one fancy-index subtraction per chunk.
     """
     dtype = sigma_dtype(mhi)
     sig = np.zeros((mhi - m0) // step + 1, dtype=dtype)
@@ -209,21 +216,29 @@ def _pair_sums(m0: int, mhi: int, step: int) -> np.ndarray:
     for d0 in range(1, top, _CHUNK * step):
         d = np.arange(d0, min(d0 + _CHUNK * step, top), step, dtype=np.int64)
         first = np.maximum(d, -(-m0 // d) | (step - 1))  # ceil(m0/d), odd for step 2
-        last = mhi // d  # for step 2 an even last counts as last - 1 in what follows
-        keep = first <= last
-        # a d with more than _CHUNK pair sums takes one row per _CHUNK of them
-        pieces = (last[keep] - first[keep]) // (_CHUNK * step) + 1
-        d, first, last = (v[keep].repeat(pieces) for v in (d, first, last))
-        piece = np.arange(len(d)) - (np.cumsum(pieces) - pieces).repeat(pieces)
-        first += piece * (_CHUNK * step)
-        last = np.minimum(last, first + (_CHUNK - 1) * step)
+        count = (mhi // d - first) // step + 1  # pair sums of d; < 1 for none
         start = (d * first - m0) // step
-        stop = start + (last - first) // step * d + 1
-        for dd, a, b, i, j in zip(d.tolist(), (first + d).tolist(), (last + d + 1).tolist(),
-                                  start.tolist(), stop.tolist()):
-            sig[i:j:dd] += np.arange(a, b, step, dtype=dtype)
         square = first == d
         sig[start[square]] -= d[square].astype(dtype)
+        many = count > _FEW
+        # a d with more than _CHUNK pair sums takes one row per _CHUNK of them
+        pieces = (count[many] - 1) // _CHUNK + 1
+        piece = np.arange(pieces.sum()) - (np.cumsum(pieces) - pieces).repeat(pieces)
+        dm, qm, cm, im = (v[many].repeat(pieces) for v in (d, first, count, start))
+        qm += piece * (_CHUNK * step)
+        im += piece * (_CHUNK * dm)
+        cm = np.minimum(cm - piece * _CHUNK, _CHUNK)
+        for dd, q, c, i in zip(dm.tolist(), (qm + dm).tolist(), cm.tolist(), im.tolist()):
+            sig[i : i + c * dd : dd] += np.arange(q, q + c * step, step, dtype=dtype)
+        few = (count > 0) & ~many
+        d, q, c, i = d[few], (first + d)[few], count[few], start[few]
+        flat = np.cumsum(c) - c  # where the pair sums of each d begin in the flat run
+        cuts = np.searchsorted(flat, np.arange(0, flat[-1] + 1 if len(c) else 0, _BATCH))
+        for u, v in zip(cuts.tolist(), cuts[1:].tolist() + [len(c)]):
+            reps = c[u:v]
+            j = np.arange(flat[u], flat[v - 1] + reps[-1]) - flat[u:v].repeat(reps)
+            np.add.at(sig, i[u:v].repeat(reps) + j * d[u:v].repeat(reps),
+                      (q[u:v].repeat(reps) + j * step).astype(dtype))
     return sig
 
 
@@ -231,15 +246,15 @@ def _sigma_block(lo: int, hi: int) -> np.ndarray:
     """Exact sigma(n) for n in [lo, hi], as u32 up to U32_SIGMA_LIMIT and u64
     above (sigma_dtype).
 
-    A long segment, L = hi - lo + 1 >= max(_LONG_MIN, _LONG_PER_ROOT *
-    isqrt(hi)) (the measured crossover in the module docstring), is sieved by
-    2-adic parts: the n = 2^k * m with m odd are every (2 << k)-th element
-    from the first, and sigma(n) = (2^(k+1) - 1) * sigma(m), with sigma(m)
-    from the odd-only pairs of _pair_sums.  Each n lies in exactly one part,
-    and each product is a sigma(n), so it fits the segment's width.  Any other
-    segment is one _pair_sums over every n.
+    A segment of length L = hi - lo + 1 >= _LONG_MIN (the measured crossover
+    in the module docstring) is sieved by 2-adic parts: the n = 2^k * m with
+    m odd are every (2 << k)-th element from the first, and sigma(n) =
+    (2^(k+1) - 1) * sigma(m), with sigma(m) from the odd-only pairs of
+    _pair_sums.  Each n lies in exactly one part, and each product is a
+    sigma(n), so it fits the segment's width.  A shorter segment is one
+    _pair_sums over every n.
     """
-    if hi - lo + 1 < max(_LONG_MIN, _LONG_PER_ROOT * math.isqrt(hi)):
+    if hi - lo + 1 < _LONG_MIN:
         return _pair_sums(lo, hi, 1)
     sig = np.empty(hi - lo + 1, dtype=sigma_dtype(hi))
     for k in range(hi.bit_length()):
@@ -420,8 +435,8 @@ class SigmaSource:
             raise ValueError("limit must be >= 1")
         if limit > DOMAIN_CAP:
             raise SigmaOverflowError(f"limit {limit} exceeds the domain cap 2^55")
-        step = self.segment_length
-        cost = limit + -(-limit // step) * math.isqrt(limit)
+        step, root = self.segment_length, math.isqrt(limit)
+        cost = limit + -(-limit // step) * (min(root, step // _FEW) + root // 16)
         if cost > MAX_RUN_COST:
             raise BudgetExceededError(
                 f"sieving [1, {limit}] in segments of {step} costs about {cost:.2e} "

@@ -179,11 +179,13 @@ def test_blocks_cut_each_segment():
 
 
 def test_blocks_identical_at_every_segment_length():
-    # the default length sieves its one segment by 2-adic parts, the others
-    # by the step-1 pairs; every block is the int64 columns (n, sigma) either way
-    limit = 2**19 + 1000
+    # the default length and 2^22 sieve by 2-adic parts and cut the same
+    # blocks, the others by the step-1 pairs; every block is the int64
+    # columns (n, sigma) either way
+    limit = 2**22 + 2**20 + 12345
     whole = sieve_segment(1, limit).sigma
-    for length, threads in ((DEFAULT_SEGMENT_LENGTH, 1), (1024, 2),
+    edges = {}
+    for length, threads in ((DEFAULT_SEGMENT_LENGTH, 1), (2**22, 2), (1024, 2),
                             (3 * BLOCK_LENGTH - 1, 1), (3 * BLOCK_LENGTH + 1, 2)):
         blocks = list(SigmaSource(segment_length=length, threads=threads).blocks(limit))
         assert all(n.dtype == sigma.dtype == np.int64 and len(n) == len(sigma)
@@ -191,6 +193,8 @@ def test_blocks_identical_at_every_segment_length():
         n = np.concatenate([n for n, _ in blocks])
         assert np.array_equal(n, np.arange(1, limit + 1))
         assert np.array_equal(np.concatenate([sigma for _, sigma in blocks]), whole)
+        edges[length] = [int(n[-1]) for n, _ in blocks]
+    assert edges[DEFAULT_SEGMENT_LENGTH] == edges[2**22]
 
 
 @pytest.mark.parametrize("hi", [U32_SIGMA_LIMIT, U32_SIGMA_LIMIT + 1024])

@@ -19,7 +19,8 @@ from withinperfect.cli import CACHE_DIR_ENV, apply_config_file, main, RunConfig
 from withinperfect import emit, sieve
 from withinperfect.emit import records_json, records_ndjson
 from withinperfect.errors import BudgetExceededError
-from withinperfect.sieve import MAX_RUN_COST, SigmaSegment, SigmaSource
+from withinperfect.sieve import (DEFAULT_SEGMENT_LENGTH, MAX_RUN_COST, SigmaSegment,
+                                 SigmaSource)
 from withinperfect.types import SolutionRecord, parse_checkpoints
 
 
@@ -363,7 +364,7 @@ def test_figure1_beyond_memory_exits_2(capsys, monkeypatch):
     ("series", "--ell", "2", "--threshold", "pow:0.5", "--checkpoints", "1.2345678901234567e16"),
     ("count", "--ell", "2", "--threshold", "xlog", "--limit", "2e11"),
     ("census", "--b", "1", "--k", "1", "--limit", "1e12", "--format", "json"),
-    ("--segment-length", "1024", "figure1", "--limit", "3e9"),
+    ("--segment-length", "1024", "figure1", "--limit", "3e10"),
 ])
 def test_a_run_beyond_the_budget_exits_2_before_any_sieving(capsys, monkeypatch, argv):
     _no_sieving(monkeypatch)
@@ -373,14 +374,25 @@ def test_a_run_beyond_the_budget_exits_2_before_any_sieving(capsys, monkeypatch,
     assert err.startswith("error: sieving [1, ") and "beyond the run budget" in err
 
 
-def test_the_run_budget_leaves_every_tier_one_size_well_under_the_cap():
-    # figure1 at 1e8, and table1 at 2e7 in the shortest segments, cost 10^3
-    # times less than the cap; the cap sits below sieving 10^11 from 1
-    for limit, length in ((10**8, 1 << 22), (2 * 10**7, 1024)):
-        assert limit + -(-limit // length) * math.isqrt(limit) < MAX_RUN_COST / 900
+def test_the_run_budget_leaves_every_tier_one_size_well_under_the_cap(monkeypatch):
+    # figure1 at 1e8, and table1 at 2e7 in the shortest segments, cost about
+    # 10^3 times less than the cap; the cap sits below sieving 10^11 from 1
+    monkeypatch.setattr(sieve, "MAX_RUN_COST", MAX_RUN_COST // 900)
+    for limit, length in ((10**8, DEFAULT_SEGMENT_LENGTH), (2 * 10**7, 1024)):
+        SigmaSource(segment_length=length).ranges(limit)
+    monkeypatch.undo()
     SigmaSource().ranges(MAX_RUN_COST // 2)
     with pytest.raises(BudgetExceededError):
         SigmaSource().ranges(MAX_RUN_COST)
+
+
+def test_the_default_length_takes_every_run_that_2_22_took_at_isqrt_per_segment():
+    # the largest limit accepted in segments of 2^22 when each segment cost
+    # isqrt(limit) strided adds, limit + (limit / 2^22) * isqrt(limit), is
+    # accepted at the default length; both estimates grow with the limit
+    limit = 93214485250
+    assert limit + -(-limit // 2**22) * math.isqrt(limit) <= MAX_RUN_COST
+    SigmaSource().ranges(limit)
 
 
 def test_table1_beyond_the_published_grid_exits_1(capsys, monkeypatch):

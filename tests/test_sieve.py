@@ -1,16 +1,17 @@
 import math
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from withinperfect import sieve
 from withinperfect.errors import (BudgetExceededError, CapabilityError,
                                   SigmaOverflowError)
 from withinperfect.sieve import (DOMAIN_CAP, MAX_SEGMENT_LENGTH, MAX_THREADS,
-                                 MIN_SEGMENT_LENGTH, U32_SIGMA_LIMIT, _LONG_MIN, _LONG_PER_ROOT,
+                                 MIN_SEGMENT_LENGTH, U32_SIGMA_LIMIT, _FEW, _LONG_MIN,
                                  FactorView, SigmaSource, _icbrt, _is_prime, _pair_sums,
                                  _sigma_block, abundancy, factor, sieve_segment,
                                  sigma_dtype, sigma_oracle)
@@ -38,7 +39,7 @@ def test_oracle_equivalence_20k():
 
 def _is_long(lo, hi):
     """The rule of _sigma_block: 2-adic parts from this length on."""
-    return hi - lo + 1 >= max(sieve._LONG_MIN, sieve._LONG_PER_ROOT * math.isqrt(hi))
+    return hi - lo + 1 >= sieve._LONG_MIN
 
 
 def _check_window(lo, hi, samples, seed):
@@ -55,19 +56,16 @@ def _check_window(lo, hi, samples, seed):
 
 @st.composite
 def long_windows(draw):
-    """A window the 2-adic path takes (lo = 1, odd or even lo) or one just
-    outside its rule (one element short, or hi one past the root bound)."""
+    """A window the 2-adic path takes (lo = 1, odd or even lo) or one element
+    too short for it."""
     length = draw(st.integers(_LONG_MIN, _LONG_MIN + 5000))
-    top = (length // _LONG_PER_ROOT + 1) ** 2 - 1  # the largest hi taken as long
-    side = draw(st.sampled_from(("lo=1", "odd", "even", "too short", "too far")))
+    side = draw(st.sampled_from(("lo=1", "odd", "even", "too short")))
     if side == "lo=1":
         return 1, length, True
     if side == "too short":
         lo = draw(st.integers(1, 10**6))
         return lo, lo + _LONG_MIN - 2, False
-    if side == "too far":
-        return top + 2 - length, top + 1, False
-    lo = draw(st.integers(1, (top - length) // 2)) * 2 - (side == "odd")
+    lo = draw(st.integers(1, 2**29)) * 2 - (side == "odd")
     return lo, lo + length - 1, True
 
 
@@ -91,6 +89,60 @@ def test_short_sigma_block_matches_factor(lo, length):
         assert int(sig[i]) == factor(lo + i).sigma
 
 
+#: Window lengths at the edges the kernel and the parts rule cut at.
+_EDGE_LENGTHS = (MIN_SEGMENT_LENGTH, _LONG_MIN - 1, _LONG_MIN, 3 * 2**16 - 1, 3 * 2**16 + 1)
+
+
+@st.composite
+def batched_windows(draw):
+    """A window whose d with at most _FEW multiples (from about L / _FEW on)
+    start below sqrt(hi), so the batched pass runs, or lie wholly above it, so
+    every d is a strided add."""
+    length = draw(st.sampled_from(_EDGE_LENGTHS) | st.integers(1, _LONG_MIN + 5000))
+    cut = length // _FEW + 1  # the d with at most _FEW multiples start near here
+    if draw(st.booleans()):
+        hi = draw(st.integers(max(length, (2 * cut) ** 2), max(length, (2 * cut) ** 2, 2**36)))
+    else:
+        hi = draw(st.integers(length, max(length, (cut // 2) ** 2)))
+    return hi - length + 1, hi
+
+
+@settings(max_examples=25, deadline=None)
+@given(window=batched_windows(), seed=st.integers(0, 2**32))
+def test_sigma_block_matches_factor_on_both_sides_of_the_batch_cut(window, seed):
+    # every n of a short window, and seeded samples of a long one, against
+    # factor(n).sigma; the step-1 pairs and the 2-adic parts agree throughout
+    lo, hi = window
+    sig = _sigma_block(lo, hi)
+    assert sig.dtype == sigma_dtype(hi)
+    if _is_long(lo, hi):
+        assert np.array_equal(sig, _pair_sums(lo, hi, 1))
+    picks = range(len(sig)) if len(sig) <= 4096 else random.Random(seed).sample(range(len(sig)), 200)
+    for i in sorted(set(picks) | {0, len(sig) - 1}):
+        assert int(sig[i]) == factor(lo + i).sigma, lo + i
+
+
+@settings(max_examples=4, deadline=None)
+@given(bits=st.integers(33, 55), below=st.integers(0, 2**32),
+       length=st.sampled_from((MIN_SEGMENT_LENGTH, 3000)), seed=st.integers(0, 2**32))
+@example(bits=55, below=0, length=MIN_SEGMENT_LENGTH, seed=0)
+def test_far_sigma_block_matches_factor_and_the_oracle(bits, below, length, seed):
+    # a window ending in [2^(bits-1), 2^bits], up to the domain cap, where
+    # every d but the first few is batched: each n against factor(n).sigma,
+    # and seeded samples against the trial-division oracle (those whose
+    # largest prime is below 2^40, so that its loop stays under 2^19 steps)
+    hi = 2**bits - below * 2 ** (bits - 33)
+    lo = hi - length + 1
+    rng = random.Random(seed)
+    sig = _sigma_block(lo, hi)
+    assert sig.dtype == np.uint64
+    views = [factor(n) for n in range(lo, hi + 1)]
+    assert sig.tolist() == [view.sigma for view in views]
+    smooth = [view.n for view in views if view.largest_prime_factor < 2**40]
+    for n in rng.sample(smooth, min(4, len(smooth))):
+        assert int(sig[n - lo]) == sigma_oracle(n)
+
+
 def test_long_window_straddling_the_u32_limit():
     # a u64 segment whose upper 2-adic parts (hi >> k <= 2^27) sieve in u32
     lo, hi = U32_SIGMA_LIMIT - 2**20 + 1, U32_SIGMA_LIMIT + 2**20
@@ -103,10 +155,9 @@ def test_long_window_straddling_the_u32_limit():
     assert int(sig.max()) == sigma_oracle(lo + int(np.argmax(sig)))
 
 
-def test_parts_past_2_32_from_u32_parts(monkeypatch):
-    # far past its rule (forced here), a u64 segment near 2^31 takes its parts
-    # with hi >> k <= 2^27 in u32, and their products sigma(n) reach past 2^32
-    monkeypatch.setattr(sieve, "_LONG_PER_ROOT", 1)
+def test_parts_past_2_32_from_u32_parts():
+    # a u64 segment near 2^31 takes its parts with hi >> k <= 2^27 in u32,
+    # and their products sigma(n) reach past 2^32
     lo, hi = 2**31 - 2**19 + 1, 2**31
     assert _is_long(lo, hi)
     sig = _check_window(lo, hi, 20, hi)
@@ -117,15 +168,27 @@ def test_parts_past_2_32_from_u32_parts(monkeypatch):
         assert int(sig[i]) == sigma_oracle(lo + i)
 
 
-def test_long_u64_window_at_the_top_of_its_length():
-    # 2^21 elements is 128 * isqrt(hi) up to hi = 2^28 + 2^15: the farthest
-    # window of that length taken by 2-adic parts; one further out is not
-    length = 2**21
-    hi = (length // _LONG_PER_ROOT + 1) ** 2 - 1  # 2^28 + 2^15
-    lo = hi - length + 1
-    assert _is_long(lo, hi) and not _is_long(lo + 1, hi + 1)
-    sig = _check_window(lo, hi, 40, hi)
+def test_long_u64_window_far_out():
+    # the shortest long window far out, at 2^40, where sqrt(hi) = 2^20 is
+    # four times its length, goes by 2-adic parts; one element shorter does not
+    hi = 2**40
+    lo = hi - _LONG_MIN + 1
+    assert _is_long(lo, hi) and not _is_long(lo + 1, hi)
+    sig = _check_window(lo, hi, 10, hi)
     assert sig.dtype == np.uint64
+
+
+def test_blocks_to_2e7_hold_under_10_mib():
+    # a segment of the default length (4 MiB as u32), its largest 2-adic part
+    # and the kernel's temporaries; at 2^22 the segment alone is 16 MiB
+    tracemalloc.start()
+    try:
+        for _ in SigmaSource().blocks(2 * 10**7):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20, peak
 
 
 def test_prime_rows():
