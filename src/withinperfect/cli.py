@@ -339,8 +339,9 @@ def _dispatch(args, config: RunConfig) -> Iterable[str]:
 
 #: Longest str handed to a text stream at once.  The stream encodes each write
 #: whole; a piece this long stays a small allocation, while a whole block's
-#: (about 1.3 MB for figure1) is mapped afresh and faulted in page by page on
-#: every block, which cost figure1 --limit 1e6 about 15,000 page faults.
+#: (about 0.33 MB for figure1) may be mapped afresh and faulted in page by
+#: page on every block (blocks of 1.3 MB cost figure1 --limit 1e6 about
+#: 15,000 page faults).
 _PIECE = 1 << 16
 
 

@@ -8,7 +8,7 @@ or the f-string that the rows it cannot render exactly fall back to.
 
 The *_blocks renderers are generators over the parts of a stream
 (within.series_stream, congruence.census_stream): each part is rendered as
-it arrives, so a writer holds one block of text at a time.  The renderers
+it arrives, so a writer holds one block (2^14 rows) at a time.  The renderers
 whose names end in _csv, _json, _ndjson or _text return the whole str.
 """
 
@@ -31,9 +31,10 @@ def fmt6(value: float) -> str:
     return f"{value:.6f}"  # NaN (of either sign) prints as "nan"
 
 
-#: Rows per block of a series, whose uint8 matrix is then about 2 MB.  A record
-#: is about four times as wide, so records go _BLOCK // 4 to a block.
-_BLOCK = 1 << 16
+#: Rows per block of a series or of records.  A series row is about 20 bytes
+#: and a record 70 to 100, so a block's text is about 0.33 MB or 1.3 MB, and
+#: a figure1 writer's peak is that of the sieve and counts, not of the render.
+_BLOCK = 1 << 14
 
 
 def _rows(fields: list, blanks, slow: np.ndarray, fallback: Callable) -> str:
@@ -201,7 +202,7 @@ def _json_array(parts: Iterable[SolutionTable], depth: int) -> Iterator[str]:
 
 def _record_blocks(parts: Iterable[SolutionTable], end: str,
                    pad: Optional[str]) -> Iterator[str]:
-    """The records of the parts in blocks of at most _BLOCK // 4, each record
+    """The records of the parts in blocks of at most _BLOCK, each record
     followed by end, with the bytes of _dumps: the pieces of _record_layout
     around the digits of n, sigma_n, p and m.  Both kinds of record start with
     n and sigma_n; the regular fields are blanked on sporadic rows (p = 0),
@@ -217,8 +218,8 @@ def _record_blocks(parts: Iterable[SolutionTable], end: str,
                      lambda i: _dumps(b[i], pad) + end)
 
     for t in parts:
-        for i in range(0, len(t), _BLOCK // 4):
-            yield block(t[i : i + _BLOCK // 4])
+        for i in range(0, len(t), _BLOCK):
+            yield block(t[i : i + _BLOCK])
 
 
 def _dumps(record: SolutionRecord, pad: Optional[str]) -> str:

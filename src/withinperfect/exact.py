@@ -53,11 +53,11 @@ class _CheckpointCounter:
 
     A block completes the checkpoints up to its last n.  block() finds them,
     the add methods place the block's hits in a grid with one column per
-    completed checkpoint and one for the rest, and done() returns the counts
-    at them and keeps each row's running total as its carry.  A hit counted
+    completed checkpoint and one for the rest, and done() sums it in place to
+    the counts at them and keeps each row's total as its carry.  A hit counted
     from a later checkpoint on (add_from, the at-limit rows) is pending in its
-    row until the block that completes that checkpoint.  So memory is one
-    block's checkpoints and the pending hits, never a grid of every
+    row until the block that completes that checkpoint.  So memory is one grid
+    of one block's checkpoints and the pending hits, never a grid of every
     checkpoint (figure1 has 10^6 or more).
     """
 
@@ -73,14 +73,17 @@ class _CheckpointCounter:
         self._upto = self.x - n[0]  # as offsets into n
         self._first = np.zeros((len(self.carry), len(self.x) + 1), dtype=np.int64)
 
-    def add(self, row: int, hits: np.ndarray) -> None:
-        """Count hits of the current block: a bool mask or ascending int64 offsets."""
+    def add(self, row: int, hits: np.ndarray, offsets: Optional[np.ndarray] = None) -> None:
+        """Count hits of the current block: ascending int64 offsets, or a bool
+        mask over the block's n or over the given ascending offsets."""
         mask = hits.dtype == bool
-        if len(self._upto):  # the index of each hit among the block's checkpoints
-            local = np.searchsorted(self._upto, np.flatnonzero(hits) if mask else hits)
-            self._first[row] += np.bincount(local, minlength=len(self._upto) + 1)
-        else:
+        if not len(self._upto):  # no checkpoint in the block: no offset is read
             self._first[row, 0] += np.count_nonzero(hits) if mask else len(hits)
+        elif mask:
+            self.add(row, np.flatnonzero(hits) if offsets is None else offsets[hits])
+        elif len(hits):  # the index of each hit among the block's checkpoints
+            local = np.searchsorted(self._upto, hits)
+            self._first[row] += np.bincount(local, minlength=len(self._upto) + 1)
 
     def add_at(self, rows, j: int, hits) -> None:
         """Count hits at checkpoint index j, one the block completes, alone."""
@@ -106,8 +109,10 @@ class _CheckpointCounter:
                 np.add.at(row, later[:due] - self.j0, sign)
                 chunks[i] = later[due:], sign
             chunks[:] = [chunk for chunk in chunks if len(chunk[0])]
-        counts = self.carry[:, None] + np.cumsum(self._first, axis=1)
-        self.carry = counts[:, -1]
+        counts, self._first = self._first, None  # summed in place, then the caller's
+        np.cumsum(counts, axis=1, out=counts)
+        counts += self.carry[:, None]
+        self.carry = counts[:, -1].copy()  # not a view, which would keep the grid
         return self.x, counts[:, :-1]
 
 

@@ -9,14 +9,14 @@ power n^(p/q) is prefiltered on one effective exponent e(n) = log(D/b)/log(n)
 per n for every exponent, and its sign compares D^q with b^q * n^p.  Ties come
 back as offsets, so the strict and non-strict conventions share a single pass.
 
-count_stream decides SigmaSource.blocks, the int64 columns (n, sigma(n))
-of at most 2^16 n, whose working arrays stay in L2, and counts hits up to each
-checkpoint through exact._CheckpointCounter, thresholds frozen at the
-checkpoint (at_limit) too.  It yields the counts at the checkpoints each block
-completes as soon as the block is decided, so memory is set by the block, not
-by the number of checkpoints: a range of them (figure1) is never built as a
-column.  count_thresholds and series are the concatenation of that stream,
-and series_stream is the stream a writer renders as it comes.
+count_stream decides SigmaSource.blocks, the int64 columns (n, sigma(n)) of
+at most 2^16 n (from n = 3 on, only the n whose D is below _above(last n), a
+sixth or so), and counts hits up to each checkpoint through one grid of
+exact._CheckpointCounter, thresholds frozen at the checkpoint (at_limit) too.
+It yields the counts at the checkpoints each block completes as soon as the
+block is decided, so memory is set by the block: a range of checkpoints
+(figure1) is never built as a column.  count_thresholds and series are the
+concatenation of that stream, and series_stream is the stream a writer renders.
 Checkpoints in any order are read by types.checkpoint_column.
 """
 
@@ -26,6 +26,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import starmap
 from typing import Iterator, Optional
 
 import numpy as np
@@ -103,7 +104,7 @@ def _exponents(D: np.ndarray, b: int, n: np.ndarray) -> np.ndarray:
     np.log(logn, out=logn)
     with np.errstate(divide="ignore", invalid="ignore"):
         e /= logn
-    if n[0] == 1:
+    if len(n) and n[0] == 1:
         e[0] = np.nan
     return e
 
@@ -141,6 +142,23 @@ def _ratio_below(x, s, n, u: Fraction) -> tuple[np.ndarray, np.ndarray]:
     uf = float(min(max(u, 0), 2**62))
     return _banded(x, uf * (1.0 - _BAND), uf * (1.0 + _BAND),
                    lambda i: _compare(int(s[i]) * u.denominator, u.numerator * int(n[i])))
+
+
+def _above(threshold: ThresholdSpec, b: int, n: int) -> int:
+    """An integer T > b*k(n) for n >= 3, clamped at 2^62, above every D
+    (_guard_linear).  Constant and linear are exact.  Otherwise the float64
+    b*k(n) is within 2^-46 of it relatively (rounding c moves n^c by at most
+    2^-53*log n < 2^-47.7 for n <= 2^55, and each other step rounds once by
+    2^-53), so the margin _BAND = 1e-9 puts T above it.
+    """
+    kind, c = threshold.kind, threshold.param
+    if kind in ("constant", "linear"):
+        top = b * c.numerator * (n if kind == "linear" else 1) // c.denominator
+    else:
+        k = (n ** float(c) if kind == "power" else
+             n / math.log(n) if kind == "x_over_log" else n * math.log(n))
+        top = int(b * k * (1.0 + _BAND))
+    return min(top + 1, 2**62)
 
 
 def _decide_segment(threshold: ThresholdSpec, b: int, D: np.ndarray, n: np.ndarray,
@@ -231,12 +249,18 @@ def _counted(target: RationalTarget, thresholds: list[ThresholdSpec], cks, block
     rows = len(thresholds)  # strict counts in rows [0, rows), ties in [rows, 2*rows)
     counter = _CheckpointCounter(cks, 2 * rows)
     at_limit = any(t.at_limit for t in thresholds)
-    for n, sigma in blocks:
+    at_n = [t for t in thresholds if not t.at_limit]
+
+    def count(n, sigma):  # its temporaries are freed before the next block is sieved
         D = np.abs(np.int64(b) * sigma - np.int64(a) * n)
         skip = int(not include_one and n[0] == 1)  # leaves out n = 1
-        e = None  # effective exponents, shared by every power threshold
         start = checkpoint_index(cks, np.maximum(n[skip:], 3)) if at_limit else None
         counter.block(n)
+        # k is nondecreasing from n = 3 on: decide only D below the loosest _above(n[-1])
+        cand = (np.flatnonzero(D < max(_above(t, b, int(n[-1])) for t in at_n))
+                if at_n and n[0] >= 3 else None)
+        Dc, nc = (D, n) if cand is None else (D[cand], n[cand])
+        e = None  # effective exponents, shared by every power threshold
         for i, threshold in enumerate(thresholds):
             if threshold.at_limit:  # from the first checkpoint >= max(n, 3)
                 loose, tie = _bisect(threshold, b, D[skip:], start, cks, strict=False)
@@ -253,16 +277,19 @@ def _counted(target: RationalTarget, thresholds: list[ThresholdSpec], cks, block
                         counter.add_at([i, rows + i], j, (np.count_nonzero(inside), len(ties)))
                 continue
             if threshold.kind == "power" and e is None:
-                e = _exponents(D, b, n)
-            inside, ties = _decide_segment(threshold, b, D, n, e)
-            if skip:
+                e = _exponents(Dc, b, nc)
+            inside, ties = _decide_segment(threshold, b, Dc, nc, e)
+            if skip:  # only where n[0] = 1, so cand is None
                 inside[0] = False
                 ties = ties[ties > 0]
-            counter.add(i, inside)
-            counter.add(rows + i, ties)
-        x, counts = counter.done()
+            counter.add(i, inside, cand)
+            counter.add(rows + i, ties if cand is None else cand[ties])
+        return counter.done()
+
+    for x, counts in starmap(count, blocks):
         if len(x):
             yield x, counts[:rows], counts[rows:]
+        del counts  # the consumer's alone while the next block is counted
 
 
 def count_thresholds(target, thresholds: list[ThresholdSpec], checkpoints,
@@ -283,8 +310,9 @@ def series_stream(target, threshold: ThresholdSpec, checkpoints,
     target = RationalTarget.parse(target)
     label = f"within l={target} k={threshold.describe()}"
     parts = count_stream(target, [threshold], checkpoints, source, include_one)
-    return (CheckpointSeries(x, strict[0] + (0 if threshold.strict else ties[0]), label=label)
-            for x, strict, ties in parts)
+    # unlike a generator, starmap holds no part's counts while the next is counted
+    return starmap(lambda x, strict, ties: CheckpointSeries(
+        x, strict[0] + (0 if threshold.strict else ties[0]), label=label), parts)
 
 
 def series(target, threshold: ThresholdSpec, checkpoints,

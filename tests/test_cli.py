@@ -503,7 +503,7 @@ def test_a_failure_mid_stream_leaves_whole_blocks_on_stdout(capsys, monkeypatch)
     out, err = capsys.readouterr()
     assert err.count("\n") == 1 and err.startswith("error: injected failure")
     assert out.endswith("\n") and whole.startswith(out)
-    assert out.count("\n") == 1 + 2**16 - 1  # x = 2..65536
+    assert out.count("\n") == 1 + emit._BLOCK  # x = 2..2^14 + 1
 
 
 def test_out_to_a_fifo_is_written_in_place(capsys, tmp_path):
@@ -576,6 +576,16 @@ def test_figure1_memory_is_set_by_the_segment_not_the_output():
     small, large = (_peak_kib("--segment-length", "65536", "figure1", "--limit", limit)
                     for limit in ("2e5", "2e6"))
     assert large - small < 8 * 1024, (small, large)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_figure1_costs_little_more_memory_than_one_count_of_its_threshold():
+    # the same sieve and decide with one checkpoint, against 10^6 checkpoints
+    # counted and rendered: the difference is one block of rows, one counter
+    # grid and the decided candidates
+    figure = _peak_kib("figure1", "--limit", "1e6")
+    count = _peak_kib("series", "--ell", "2", "--threshold", "xlog", "--checkpoints", "1e6")
+    assert figure - count < 6 * 1024, (figure, count)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")

@@ -117,6 +117,27 @@ def test_default_quotients_are_math_log_with_a_skewed_fast_log(ks):
                                             for c, x in zip(counts, xs)])
 
 
+def test_series_csv_slow_rows_across_the_render_block_edges():
+    # rows that fall back to the f-string straddle both edges of _BLOCK = 2^14
+    # rows: NaN quotients (x = 1 < 2) the first, and rows on and beside half
+    # points (inside the band) the second, for the default and given quotients
+    edge = emit._BLOCK
+    ks = [250_001, 299_999, 319_998]
+    far = [2**60 + 3 * i for i in range(len(ks)) for _ in range(3)]
+    xs = [1] * (edge + 2) + list(range(2, edge - 4)) + far + list(range(2**60 + 9, 2**60 + 20))
+    counts = ([x // 3 for x in xs[:2 * edge - 4]]
+              + [c for x, k in zip(far[::3], ks) for c in _on_half_point(x, k)] + [7] * 11)
+    assert len(xs) == len(counts) and xs[2 * edge - 4:2 * edge + 5] == far
+    series = CheckpointSeries(xs, counts)
+    assert len(list(series_csv_blocks([series]))) == 1 + 3
+    assert series_csv(series) == per_row_csv(xs, counts, [normalized_quotient(c, x)
+                                                          for c, x in zip(counts, xs)])
+    quotients = [math.nan] * (edge + 2) + [half_point(k) for k in range(len(xs) - edge - 2)]
+    for i in (edge - 1, 2 * edge - 1):
+        quotients[i] = float(np.nextafter(half_point(i), math.inf))
+    assert series_csv(CheckpointSeries(xs, counts, quotients)) == per_row_csv(xs, counts, quotients)
+
+
 def test_figure1_never_builds_the_exact_quotients(monkeypatch):
     # the CLI renders figure1 from x and count alone; quotient stays unbuilt
     parts = []
@@ -230,7 +251,7 @@ def edge_table():
 @given(edge_rows=st.lists(_ROW, min_size=3, max_size=3))
 def test_records_across_a_block_edge(edge_table, edge_rows):
     # the three edge rows are drawn: regular, sporadic, negative (the fallback)
-    assert (_EDGE + 1) % (emit._BLOCK // 4) == 0  # records go _BLOCK // 4 to a block
+    assert (_EDGE + 1) % emit._BLOCK == 0  # records go _BLOCK to a block
     base, before, after = edge_table
     columns = [c.copy() for c in (base.n, base.sigma_n, base.q, base.p, base.m)]
     for j, (n, sigma_n, (p, m)) in enumerate(edge_rows):

@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from withinperfect import within
 from withinperfect.sieve import SigmaSource
 from withinperfect.types import RationalTarget, ThresholdSpec
-from withinperfect.within import (_decide_segment, _exponents, _power_compare,
-                                  _xlog_compare, count_thresholds)
+from withinperfect.within import (_above, _counted, _decide_segment, _exponents,
+                                  _power_compare, _xlog_compare, count_thresholds)
 
 TARGETS = ("2", "3/2", "7/2", "3", "5/4")
 
@@ -199,3 +200,146 @@ def test_xlog_compare_at_one():
     assert [_xlog_compare(d, 3, 1, 1) for d in (0, 1, 5)] == [0, 1, 1]
     with pytest.raises(ValueError):
         _xlog_compare(0, 1, 1)
+
+
+# --- the candidate prefilter of _counted ---
+
+_THRESHOLDS = st.one_of(
+    exponents.map(ThresholdSpec.power),
+    st.sampled_from([Fraction(1, 3), Fraction(7), Fraction(10**9 + 7, 3),
+                     Fraction(2**62)]).map(ThresholdSpec.constant),  # 2^62: T clamps
+    st.sampled_from([Fraction(1, 1000), Fraction(2, 7), Fraction(3),
+                     Fraction(2**7 + 1, 3)]).map(ThresholdSpec.linear),  # b*k near 2^62 at 2^55
+    st.sampled_from([ThresholdSpec.x_over_log(), ThresholdSpec.x_log_x()]))
+
+
+def _floor_bk(threshold: ThresholdSpec, b: int, n: int) -> int:
+    """floor(b*k(n)) exactly, for n >= 2."""
+    kind, c = threshold.kind, threshold.param
+    if kind in ("constant", "linear"):
+        return math.floor(b * c * (n if kind == "linear" else 1))
+    if kind == "power":
+        q, big = c.denominator, b**c.denominator * n**c.numerator
+        r = int(big ** (1.0 / q))
+        while r**q > big:
+            r -= 1
+        while (r + 1) ** q <= big:
+            r += 1
+        return r
+    with mpmath.workdps(60):
+        return int(mpmath.floor(b * n * mpmath.log(n) ** (-1 if kind == "x_over_log" else 1)))
+
+
+def _above_exactly(threshold: ThresholdSpec, b: int, n: int, T: int) -> bool:
+    """Whether T > b*k(n), decided on integers (n >= 2)."""
+    kind, c = threshold.kind, threshold.param
+    if kind == "power":
+        return T**c.denominator > b**c.denominator * n**c.numerator
+    if kind in ("constant", "linear"):
+        return T > b * c * (n if kind == "linear" else 1)
+    return _xlog_compare(T, b, n, -1 if kind == "x_over_log" else 1) > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(threshold=_THRESHOLDS, b=st.integers(1, 2**20),
+       n=st.one_of(st.integers(3, 2**55), st.sampled_from([3, 4, 2**55])))
+def test_above_is_an_integer_just_above_b_k_n(threshold, b, n):
+    T = _above(threshold, b, n)
+    assert isinstance(T, int) and T <= 2**62
+    if T < 2**62 or _above_exactly(threshold, b, n, 2**62):
+        assert _above_exactly(threshold, b, n, T)
+        # and no looser than its float margin: a far smaller T is not above
+        assert not _above_exactly(threshold, b, n, max(T - 2 - T // 10**8, 0))
+
+
+def _blocks_of(target: RationalTarget, n: np.ndarray, D: np.ndarray):
+    """The one block (n, sigma) whose D = |b*sigma - a*n| is D moved down to
+    the nearest value with b | a*n + D (up by b where that is below 0)."""
+    a, b = target.a, target.b
+    D = D - (a * n + D) % b
+    D[D < 0] += b
+    return D, [(n, (a * n + D) // b)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(thresholds=st.lists(_THRESHOLDS, min_size=1, max_size=3),
+       target=st.sampled_from(["5/3", "7/2", "3/2", "11/4", "2"]),
+       n0=st.one_of(st.sampled_from([1, 2, 3, 4, 2**55 - 4095]),
+                    st.integers(5, 2**55 - 4095)),
+       length=st.integers(1, 4096), seed=st.integers(0, 2**32 - 1),
+       far=st.booleans())
+@example(thresholds=[ThresholdSpec.power(Fraction(1, 2))], target="5/3", n0=2**40,
+         length=1000, seed=0, far=True)  # no candidates
+@example(thresholds=[ThresholdSpec.constant(2**62), ThresholdSpec.power(Fraction(9, 10))],
+         target="3/2", n0=2**55 - 4095, length=4096, seed=1, far=False)  # T clamped
+def test_the_prefilter_counts_as_deciding_every_n(thresholds, target, n0, length, seed, far):
+    # D is drawn at, beside and across b*k(n) of one of the thresholds, at 0,
+    # or (far) at or above the loosest b*k of the block: the filtered pass of
+    # _counted counts, at every n, what _decide_segment gives for all of them
+    target = RationalTarget.parse(target)
+    b = target.b
+    n = np.arange(n0, n0 + length, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    if far:
+        top = max(_floor_bk(t, b, max(n0 + length - 1, 2)) for t in thresholds) + 1
+        D = rng.integers(min(top, 2**61), 2**61, length, endpoint=True)
+    else:
+        which = rng.integers(0, len(thresholds), length)
+        bk = np.array([float(b * (t.param if t.kind == "constant" else 1)) for t in thresholds])
+        with np.errstate(divide="ignore"):
+            nf, logn = n.astype(np.float64), np.log(n.astype(np.float64))
+            k = {"power": lambda t: nf ** float(t.param), "constant": lambda t: np.ones(length),
+                 "linear": lambda t: nf * float(t.param), "x_over_log": lambda t: nf / logn,
+                 "x_log_x": lambda t: nf * logn}
+            v = np.stack([bk[i] * k[t.kind](t) for i, t in enumerate(thresholds)])
+        v = np.minimum(v[which, np.arange(length)], 2.0**61)
+        D = (v * rng.random(length) * 3).astype(np.int64)
+        D[rng.random(length) < 0.1] = 0
+        for i in rng.choice(length, min(length, 40), replace=False).tolist():
+            m = int(n[i])
+            if m >= 2:
+                D[i] = min(_floor_bk(thresholds[which[i]], b, m) + int(rng.integers(-1, 2)), 2**61)
+    D, blocks = _blocks_of(target, n, np.maximum(D, 0))
+    [(x, strict, ties)] = _counted(target, thresholds, range(n0, n0 + length), blocks, True)
+    assert x.tolist() == n.tolist()
+    for i, t in enumerate(thresholds):
+        inside, tie = _decide_segment(t, b, D, n)
+        assert strict[i].tolist() == np.cumsum(inside).tolist(), t
+        assert ties[i].tolist() == np.cumsum(np.isin(np.arange(length), tie)).tolist(), t
+
+
+def test_the_prefilter_decides_only_its_candidates(monkeypatch):
+    # a block of far D from n = 2^40 decides no n; one whose loosest T clamps
+    # at 2^62, and blocks from n = 1 and 2, decide every n
+    lengths = []
+    decide = within._decide_segment
+
+    def counted(*args):
+        lengths.append(len(args[3]))
+        return decide(*args)
+
+    monkeypatch.setattr(within, "_decide_segment", counted)
+    target = RationalTarget(3, 2)
+    loose = [ThresholdSpec.power(Fraction(1, 2)), ThresholdSpec.x_over_log(),
+             ThresholdSpec.linear(Fraction(1, 1000))]
+    n = np.arange(2**40, 2**40 + 1000, dtype=np.int64)
+    D, blocks = _blocks_of(target, n, np.full(1000, 2**50))
+    [(_, strict, ties)] = _counted(target, loose, range(2**40, 2**40 + 1000), blocks, True)
+    assert lengths == [0, 0, 0] and not strict.any() and not ties.any()
+    lengths.clear()
+    clamped = loose + [ThresholdSpec.constant(Fraction(2**62))]
+    [(_, strict, ties)] = _counted(target, clamped, range(2**40, 2**40 + 1000), blocks, True)
+    assert lengths == [1000] * 4 and strict[3].tolist() == list(range(1, 1001))
+    for n0 in (1, 2):
+        lengths.clear()
+        n = np.arange(n0, n0 + 1000, dtype=np.int64)
+        _, blocks = _blocks_of(target, n, np.full(1000, 2**50))
+        list(_counted(target, loose, range(n0, n0 + 1000), blocks, True))
+        assert lengths == [1000] * 3
+    # y/log y falls from n = 2 to 3: D = 14 at n = 2 is below 5*2/log 2 = 14.43
+    # but not below 5*3/log 3 = 13.65, so a block from 2 is decided whole
+    target = RationalTarget(8, 5)
+    D, blocks = _blocks_of(target, np.array([2, 3]), np.array([14, 2**40]))
+    assert D[0] == 14
+    [(_, strict, _)] = _counted(target, [ThresholdSpec.x_over_log()], range(2, 4), blocks, True)
+    assert strict.tolist() == [[1, 1]]
