@@ -145,12 +145,10 @@ def _ratio_below(x, s, n, u: Fraction) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _above(threshold: ThresholdSpec, b: int, n: int) -> int:
-    """An integer T > b*k(n) for n >= 3, clamped at 2^62, above every D
-    (_guard_linear).  Constant and linear are exact.  Otherwise the float64
-    b*k(n) is within 2^-46 of it relatively (rounding c moves n^c by at most
-    2^-53*log n < 2^-47.7 for n <= 2^55, and each other step rounds once by
-    2^-53), so the margin _BAND = 1e-9 puts T above it.
-    """
+    """An integer T > b*k(n) for n >= 3, clamped at 2^62 (above every D, by
+    _guard_linear): exact for constant and linear; otherwise from the float64
+    b*k(n) times 1 + _BAND, as that float is off by a factor within 1 +- 2^-46
+    (rounding c moves n^c by at most 2^-53*log n < 2^-47.7 for n <= 2^55)."""
     kind, c = threshold.kind, threshold.param
     if kind in ("constant", "linear"):
         top = b * c.numerator * (n if kind == "linear" else 1) // c.denominator
@@ -196,17 +194,19 @@ def _bisect(threshold: ThresholdSpec, b: int, D: np.ndarray, start: np.ndarray,
     range of checkpoint_column."""
     lo, hi = start.copy(), np.full_like(start, len(cks))
     tie = np.zeros(len(lo), dtype=bool)  # whether the decide at hi was a tie
-    active = np.flatnonzero(lo < hi)
-    while len(active):
-        mid = (lo[active] + hi[active]) // 2
-        inside, ties = _decide_segment(threshold, b, D[active], checkpoint_values(cks, mid))
-        at = np.zeros(len(active), dtype=bool)
-        at[ties] = not strict
-        inside |= at
-        hi[active[inside]] = mid[inside]
-        tie[active[inside]] = at[inside]
-        lo[active[~inside]] = mid[~inside] + 1
-        active = active[lo[active] < hi[active]]
+    # 2^13 at a time, so that a round's temporaries stay under glibc's trim threshold
+    for first in range(0, len(lo), 1 << 13):
+        active = first + np.flatnonzero(lo[first:first + (1 << 13)] < hi[first:first + (1 << 13)])
+        while len(active):
+            mid = (lo[active] + hi[active]) // 2
+            inside, ties = _decide_segment(threshold, b, D[active], checkpoint_values(cks, mid))
+            at = np.zeros(len(active), dtype=bool)
+            at[ties] = not strict
+            inside |= at
+            hi[active[inside]] = mid[inside]
+            tie[active[inside]] = at[inside]
+            lo[active[~inside]] = mid[~inside] + 1
+            active = active[lo[active] < hi[active]]
     return lo, tie
 
 

@@ -299,7 +299,8 @@ def test_the_prefilter_counts_as_deciding_every_n(thresholds, target, n0, length
             m = int(n[i])
             if m >= 2:
                 D[i] = min(_floor_bk(thresholds[which[i]], b, m) + int(rng.integers(-1, 2)), 2**61)
-    D, blocks = _blocks_of(target, n, np.maximum(D, 0))
+    # every D stays below 2^62, as _guard_linear keeps it
+    D, blocks = _blocks_of(target, n, np.clip(D, 0, 2**61))
     [(x, strict, ties)] = _counted(target, thresholds, range(n0, n0 + length), blocks, True)
     assert x.tolist() == n.tolist()
     for i, t in enumerate(thresholds):
