@@ -324,7 +324,7 @@ def test_the_prefilter_decides_only_its_candidates(monkeypatch):
     loose = [ThresholdSpec.power(Fraction(1, 2)), ThresholdSpec.x_over_log(),
              ThresholdSpec.linear(Fraction(1, 1000))]
     n = np.arange(2**40, 2**40 + 1000, dtype=np.int64)
-    D, blocks = _blocks_of(target, n, np.full(1000, 2**50))
+    _, blocks = _blocks_of(target, n, np.full(1000, 2**50))
     [(_, strict, ties)] = _counted(target, loose, range(2**40, 2**40 + 1000), blocks, True)
     assert lengths == [0, 0, 0] and not strict.any() and not ties.any()
     lengths.clear()
