@@ -107,7 +107,8 @@ class _CheckpointCounter:
             for i, (later, sign) in enumerate(chunks):
                 due = np.searchsorted(later, self.j1)
                 np.add.at(row, later[:due] - self.j0, sign)
-                chunks[i] = later[due:], sign
+                # a copy once any is due, or the view keeps the whole chunk
+                chunks[i] = (later[due:].copy() if due else later), sign
             chunks[:] = [chunk for chunk in chunks if len(chunk[0])]
         counts, self._first = self._first, None  # summed in place, then the caller's
         np.cumsum(counts, axis=1, out=counts)

@@ -17,11 +17,12 @@ with the bounds of every d computed as numpy columns.  A d with more than
 _FEW = 128 multiples in range is one strided numpy add; every larger d goes
 through a batched pass, one np.add.at per about _BATCH = 2^14 pair sums, so
 no window pays a Python iteration per d (the bucket idea of Oliveira e Silva,
-Herzog & Pardi, Math. Comp. 83, 2014, applied to divisors).  Swept in-process
-on sieving to 2e7 in 2^20 segments, [1, 2e6] in 1024 segments and windows
-(2^16 at 1e12, 2^20 at 1e9, 2^22 at 4e9): _FEW = 32 and 64 were up to 50%
-and 14% slower, 128 to 512 within 5% of each other, 1024 up to 15% slower;
-_BATCH from 2^13 to 2^17 moved no case by more than 9%.
+Herzog & Pardi, Math. Comp. 83, 2014, applied to divisors).  Swept in-process:
+_FEW = 32 and 64 were up to 50% and 14% slower, 128 to 512 within 5%, 1024 up
+to 15%; _BATCH from 2^13 to 2^17 moved no case by 9%.  A strided row was mostly
+its own np.arange and ufunc call (12 of 18 ms left with rows of one element, in
+the 2^20 segment ending at 2e7), so rows read their pair sums as slices of one
+ramp per chunk of d, at most a quarter of the part, if _FEW rows fit in it.
 
 A segment of length L >= _LONG_MIN = 2^18 is sieved by 2-adic parts:
 sigma(2^k * m) = (2^(k+1) - 1) * sigma(m) for odd m, so only odd m are
@@ -31,20 +32,21 @@ in-process (best of 5, one core of a 2-vCPU Xeon, numpy 2.4), milliseconds
 for the step-1 pairs / the 2-adic parts of the window of length L ending at hi:
 
     L       hi      pairs / parts       L       hi      pairs / parts
-    2^10    2e7     0.2 / 0.7           2^18    1e12    49 / 60
-    2^10    1e12    19 / 34             2^19    1e8     16 / 11
-    2^16    1e9     4.8 / 5.4           2^19    1e12    73 / 75
-    2^16    1e12    32 / 49             2^20    2e7     24 / 15
-    2^17    2e7     4.1 / 3.9           2^20    1e9     54 / 29
-    2^18    2^18    2.5 / 2.8           2^20    1e12    115 / 93
-    2^18    1e8     8.2 / 6.3           2^22    2e7     125 / 53
-    2^18    1e9     13 / 9.3            2^22    4e9     284 / 149
+    2^10    2e7     0.21 / 0.21         2^18    1e12    40 / 50
+    2^10    1e12    18 / 18             2^19    1e8     12 / 8.4
+    2^16    1e9     4.1 / 4.5           2^19    1e12    62 / 60
+    2^16    1e12    28 / 41             2^20    2e7     21 / 12
+    2^17    2e7     3.7 / 3.2           2^20    1e9     45 / 24
+    2^18    2^18    2.1 / 2.2           2^20    1e12    96 / 73
+    2^18    1e8     8.3 / 6.2           2^22    2e7     112 / 53
+    2^18    1e9     13 / 9.0            2^22    4e9     271 / 133
 
-Of _LONG_MIN = 2^18, 2^19 and 2^20, 2^19 leaves the 2^18 windows from 1e8 to
-4e9 on the pairs, 20-35% slower, and 2^18 loses only far out (2^18 at 1e12,
-21-26%).  Factorization is Pollard-Brent rho, exact below 2^64.  The
-trial-division oracle stays deliberately naive; it is the independent
-cross-check, never the fast path.
+Before the ramp, a _LONG_MIN of 2^19 left 2^18 windows 20-35% slower, and 2^18
+lost only far out (1e12, 21-26%).  DEFAULT_SEGMENT_LENGTH = 2^19 with the ramp
+sieves to 2e7 in 0.90-0.96 of the CPU of 2^20 before it (1e8: 1.00, 3e6: 0.98;
+interleaved medians) in half the memory; 2^18 took 1.06-1.27.  Factorization is
+Pollard-Brent rho, exact below 2^64.  The trial-division oracle stays
+deliberately naive; it is the independent cross-check, never the fast path.
 """
 
 from __future__ import annotations
@@ -65,8 +67,8 @@ from .errors import BudgetExceededError, CapabilityError, SigmaOverflowError
 #: Above this n, sigma(n) is no longer guaranteed to fit u64 with headroom.
 DOMAIN_CAP = 1 << 55
 
-#: Default streaming segment length (elements).
-DEFAULT_SEGMENT_LENGTH = 1 << 20
+#: Default streaming segment length (elements); see the module docstring.
+DEFAULT_SEGMENT_LENGTH = 1 << 19
 
 #: Smallest segment length the streaming source accepts.
 MIN_SEGMENT_LENGTH = 1 << 10
@@ -78,12 +80,12 @@ MAX_SEGMENT_LENGTH = 1 << 25
 #: sieved plus, for each of the limit/L segments of length L, a Python
 #: iteration per strided d (those with more than _FEW multiples, at most
 #: min(isqrt(limit), L // _FEW)) and the numpy bounds of about 2 * isqrt(limit)
-#: d (with the 2-adic parts), at 1/32 of an iteration each (19 ns against
-#: 0.6-0.8 us).  A limit of 10^8 costs about 10^8 (figure1 --limit 1e8 takes
-#: about 40 s on one core).  The cap is about half an hour of sieving from 1
-#: at the default length, and refuses,
-#: before any sieving, a run that would take days or years (figure1 at 1e15,
-#: a checkpoint near 2^55).
+#: d (with the 2-adic parts), at 1/32 of an iteration each (21 ns against
+#: 0.8 us for a short row from the ramp, 1.2 us with its own np.arange).  A
+#: limit of 10^8 costs about 10^8 (figure1 --limit 1e8 takes about 40 s on one
+#: core).  The cap is about half an hour of sieving from 1 at the default
+#: length, and refuses, before any sieving, a run that would take days or
+#: years (figure1 at 1e15, a checkpoint near 2^55).
 MAX_RUN_COST = 10**11
 
 #: Most threads a SigmaSource sieves with; it holds at most threads + 1
@@ -199,10 +201,10 @@ def _pair_sums(m0: int, mhi: int, step: int) -> np.ndarray:
     """sigma(m) for m = m0, m0 + step, ... <= mhi (step 1, or step 2 from an
     odd m0) by divisor pairs (d, q), d <= q, d*q = m, with d and q in the
     residue class of m0 mod step.  Consecutive such multiples of d are d apart
-    in the output, so a d with more than _FEW of them is a strided add of the
-    pair sums d + q, at most _CHUNK at a time.  The pair sums of the other d,
-    at offsets start + j*d, are laid out flat, about _BATCH at a time, and
-    added by one np.add.at, since distinct d can share an m.
+    in the output, so a d with more than _FEW of them is a strided add of its
+    pair sums d + q (from the ramp if in it), at most _CHUNK at a time.  The
+    other d's, at offsets start + j*d, are laid out flat, about _BATCH at a
+    time, and added by one np.add.at, since distinct d can share an m.
 
     The bounds of every d are computed as numpy columns, _CHUNK values of d
     at a time, so no temporary is longer than _CHUNK (or _BATCH + _FEW) and
@@ -210,7 +212,7 @@ def _pair_sums(m0: int, mhi: int, step: int) -> np.ndarray:
     range costs nothing; the squares q = d, where the pair sum counts d twice,
     are corrected in one fancy-index subtraction per chunk.
     """
-    dtype = sigma_dtype(mhi)
+    dtype, add, arange = sigma_dtype(mhi), np.add, np.arange
     sig = np.zeros((mhi - m0) // step + 1, dtype=dtype)
     top = math.isqrt(mhi) + 1
     for d0 in range(1, top, _CHUNK * step):
@@ -225,20 +227,27 @@ def _pair_sums(m0: int, mhi: int, step: int) -> np.ndarray:
         pieces = (count[many] - 1) // _CHUNK + 1
         piece = np.arange(pieces.sum()) - (np.cumsum(pieces) - pieces).repeat(pieces)
         dm, qm, cm, im = (v[many].repeat(pieces) for v in (d, first, count, start))
-        qm += piece * (_CHUNK * step)
+        qm += piece * (_CHUNK * step) + dm  # the first pair sum of each row
         im += piece * (_CHUNK * dm)
         cm = np.minimum(cm - piece * _CHUNK, _CHUNK)
-        for dd, q, c, i in zip(dm.tolist(), (qm + dm).tolist(), cm.tolist(), im.tolist()):
-            sig[i : i + c * dd : dd] += np.arange(q, q + c * step, step, dtype=dtype)
+        a, span = int(qm.min()) if len(qm) else 0, min(len(sig) // 4, _CHUNK)
+        fit = qm + (cm - 1) * step < a + step * span  # rows the ramp from a holds
+        fit &= np.count_nonzero(fit) >= _FEW  # only if enough rows read it to pay for it
+        ramp = arange(a, a + step * span, step, dtype) if fit.any() else None
+        at = np.where(fit, (qm - a) // step, -1)  # where a row's pair sums start in it
+        for dd, q, c, i, o in zip(*(v.tolist() for v in (dm, qm, cm, im, at))):
+            row = sig[i : i + c * dd : dd]
+            add(row, ramp[o : o + c] if o >= 0 else arange(q, q + c * step, step, dtype), row)
         few = (count > 0) & ~many
-        d, q, c, i = d[few], (first + d)[few], count[few], start[few]
+        d, c = d[few], count[few]
         flat = np.cumsum(c) - c  # where the pair sums of each d begin in the flat run
+        f = first[few] - flat * step  # + step * (place in the flat run): the cofactor
         cuts = np.searchsorted(flat, np.arange(0, flat[-1] + 1 if len(c) else 0, _BATCH))
         for u, v in zip(cuts.tolist(), cuts[1:].tolist() + [len(c)]):
-            reps = c[u:v]
-            j = np.arange(flat[u], flat[v - 1] + reps[-1]) - flat[u:v].repeat(reps)
-            np.add.at(sig, i[u:v].repeat(reps) + j * d[u:v].repeat(reps),
-                      (q[u:v].repeat(reps) + j * step).astype(dtype))
+            dd = d[u:v].repeat(c[u:v])
+            q = f[u:v].repeat(c[u:v])
+            q += arange(flat[u] * step, (flat[v - 1] + c[v - 1]) * step, step)
+            np.add.at(sig, (dd * q - m0) >> (step - 1), (q + dd).astype(dtype))  # >>: // step
     return sig
 
 
@@ -250,18 +259,24 @@ def _sigma_block(lo: int, hi: int) -> np.ndarray:
     in the module docstring) is sieved by 2-adic parts: the n = 2^k * m with
     m odd are every (2 << k)-th element from the first, and sigma(n) =
     (2^(k+1) - 1) * sigma(m), with sigma(m) from the odd-only pairs of
-    _pair_sums.  Each n lies in exactly one part, and each product is a
-    sigma(n), so it fits the segment's width.  A shorter segment is one
-    _pair_sums over every n.
+    _pair_sums; the last n = 2^tail * m, fewer than MIN_SEGMENT_LENGTH, are one
+    step-1 _pair_sums: sigma(n) = sigma(m) / (2p - 1) * (2^(tail+1) p - 1), p
+    the 2-part of m.  Each n lies in one part, and each product is a sigma(n),
+    so it fits the segment's width.  A shorter segment is one _pair_sums.
     """
     if hi - lo + 1 < _LONG_MIN:
         return _pair_sums(lo, hi, 1)
     sig = np.empty(hi - lo + 1, dtype=sigma_dtype(hi))
-    for k in range(hi.bit_length()):
+    tail = ((hi - lo) // MIN_SEGMENT_LENGTH).bit_length()
+    for k in range(tail):
         m0, mhi = -(-lo >> k) | 1, hi >> k  # the odd m with lo <= 2^k * m <= hi
-        if m0 <= mhi:
-            np.multiply(_pair_sums(m0, mhi, 2), (2 << k) - 1, dtype=sig.dtype,
-                        out=sig[(m0 << k) - lo :: 2 << k])
+        np.multiply(_pair_sums(m0, mhi, 2), (2 << k) - 1, dtype=sig.dtype,
+                    out=sig[(m0 << k) - lo :: 2 << k])
+    m0, mhi = -(-lo >> tail), hi >> tail  # every m with lo <= 2^tail * m <= hi
+    p = np.arange(m0, mhi + 1, dtype=sig.dtype)
+    p &= -p  # the 2-part of each m
+    np.multiply(_pair_sums(m0, mhi, 1) // (2 * p - 1), (p << tail + 1) - 1,
+                out=sig[(m0 << tail) - lo :: 1 << tail])
     return sig
 
 

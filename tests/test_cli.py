@@ -395,6 +395,22 @@ def test_the_default_length_takes_every_run_that_2_22_took_at_isqrt_per_segment(
     SigmaSource().ranges(limit)
 
 
+def test_the_run_budget_edge_at_the_default_length(capsys, monkeypatch):
+    # each segment of 2^19 is priced: the largest limit accepted at the
+    # default length is 95721881600, and the limits up to 97426309900 that
+    # 2^20 segments took are refused with exit 2, before any sieving
+    assert DEFAULT_SEGMENT_LENGTH == 2**19
+    SigmaSource().ranges(95721881600)
+    for limit in (95721881601, 97426309900):
+        with pytest.raises(BudgetExceededError):
+            SigmaSource().ranges(limit)
+    SigmaSource(segment_length=2**20).ranges(97426309900)
+    _no_sieving(monkeypatch)
+    assert main(["count", "--ell", "2", "--threshold", "xlog", "--limit", "95721881601"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "beyond the run budget" in err
+
+
 def test_table1_beyond_the_published_grid_exits_1(capsys, monkeypatch):
     # the grid stops at 2e7; a larger limit is refused rather than ignored
     _no_sieving(monkeypatch)
@@ -586,6 +602,16 @@ def test_figure1_costs_little_more_memory_than_one_count_of_its_threshold():
     figure = _peak_kib("figure1", "--limit", "1e6")
     count = _peak_kib("series", "--ell", "2", "--threshold", "xlog", "--checkpoints", "1e6")
     assert figure - count < 6 * 1024, (figure, count)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_at_limit_figure1_holds_little_more_than_figure1():
+    # the at-limit rows keep each block's hits that are due at a later
+    # checkpoint; a view of the rest kept every block's whole sorted chunk
+    # alive until its last hit was due (27 MiB more than figure1 at 1e6)
+    at_limit = _peak_kib("--at-limit", "figure1", "--limit", "1e6")
+    plain = _peak_kib("figure1", "--limit", "1e6")
+    assert at_limit - plain < 15 * 1024, (at_limit, plain)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")

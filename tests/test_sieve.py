@@ -122,6 +122,42 @@ def test_sigma_block_matches_factor_on_both_sides_of_the_batch_cut(window, seed)
         assert int(sig[i]) == factor(lo + i).sigma, lo + i
 
 
+@st.composite
+def ramp_windows(draw):
+    """A window with more than _FEW strided rows in a part, so that _pair_sums
+    builds its ramp of pair sums where enough of them fit, some rows reading it
+    and some not: from 1, ending near 2e7, or across U32_SIGMA_LIMIT (a u64
+    window whose upper parts are u32).  Below _LONG_MIN the window is one
+    step-1 part, from it on 2-adic step-2 parts and a step-1 tail."""
+    length = draw(st.integers(2**14 + 1, 2**17) | st.integers(_LONG_MIN, 2**19))
+    where = draw(st.sampled_from(("from 1", "2e7", "u32 limit")))
+    if where == "from 1":
+        return 1, length
+    hi = (draw(st.integers(2 * 10**7 - 2**20, 2 * 10**7)) if where == "2e7"
+          else U32_SIGMA_LIMIT + draw(st.integers(1, length - 1)))
+    return hi - length + 1, hi
+
+
+@settings(max_examples=12, deadline=None)
+@given(window=ramp_windows(), seed=st.integers(0, 2**32))
+# a strided row whose last pair sum is the first past the ramp, in a step-1
+# window and in a step-2 part, at 2e7 and in u64 windows across the u32 limit
+@example(window=(18913860, 19026499), seed=0)
+@example(window=(18803573, 19303128), seed=0)
+@example(window=(134120853, 134243913), seed=0)
+@example(window=(133818434, 134246529), seed=0)
+@example(window=(DOMAIN_CAP - 3 * 2**13 + 1, DOMAIN_CAP), seed=0)  # rows, none in a ramp
+def test_sigma_block_matches_factor_on_both_sides_of_the_ramp(window, seed):
+    lo, hi = window
+    sig = _sigma_block(lo, hi)
+    assert sig.dtype == sigma_dtype(hi)
+    if _is_long(lo, hi):
+        assert np.array_equal(sig, _pair_sums(lo, hi, 1))
+    picks = random.Random(seed).sample(range(len(sig)), 64)
+    for i in sorted(set(picks) | {0, len(sig) - 1}):
+        assert int(sig[i]) == factor(lo + i).sigma, lo + i
+
+
 @settings(max_examples=4, deadline=None)
 @given(bits=st.integers(33, 55), below=st.integers(0, 2**32),
        length=st.sampled_from((MIN_SEGMENT_LENGTH, 3000)), seed=st.integers(0, 2**32))
