@@ -36,17 +36,17 @@ def _abundancy_counts(checkpoints, points,
                       source: SigmaSource) -> tuple[np.ndarray, np.ndarray]:
     """(below, ties): the int64 [point, checkpoint] counts of n <= x with
     sigma(n)/n < u and with sigma(n)/n = u, from one pass over source.blocks.
-    The float64 sigma/n of a block is computed once for every point."""
+    The float64 sigma/n of a block is computed once and decided against every
+    point by one broadcast _ratio_below."""
     rows = len(points)
     counter = _CheckpointCounter(checkpoint_column(checkpoints), 2 * rows)
+    below, every = _ratio_below(points), np.arange(rows)
     parts = []
     for n, sigma in source.blocks(int(counter.checkpoints[-1])):
-        ratio = sigma / n
         counter.block(n)
-        for i, u in enumerate(points):
-            below, ties = _ratio_below(ratio, sigma, n, u)
-            counter.add(i, below)
-            counter.add(rows + i, ties)
+        inside, ties = below(sigma / n, sigma, n)
+        counter.add(every, inside)
+        counter.add(rows + every, ties)
         parts.append(counter.done()[1])
     counts = np.concatenate(parts, axis=1)
     return counts[:rows], counts[rows:]

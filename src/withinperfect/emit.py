@@ -74,14 +74,14 @@ def _digits(v: np.ndarray, pad_to: int = 0) -> np.ndarray:
     top = int(v.max(initial=0))
     width = pad_to or len(str(top))
     digits = np.empty((width, len(v)), dtype=np.uint8)
-    rest = v.astype(np.uint32) if top <= np.iinfo(np.uint32).max else v
+    rest = v.astype(np.uint32) if top < 2**32 else v
     for j in range(width - 1, -1, -1):  # one division by the scalar 10 per digit
         quotient = rest // 10
         np.subtract(rest, quotient * 10, out=digits[j], casting="unsafe")
-        digits[j] += ord("0")
-        if not pad_to and j < width - 1:
-            digits[j] *= rest != 0  # a leading zero: nothing of v is left
         rest = quotient
+    digits += ord("0")
+    if not pad_to:  # a leading zero: v is below the digit's place value
+        digits[:-1] *= v >= 10 ** np.arange(width - 1, 0, -1)[:, None]
     return digits
 
 

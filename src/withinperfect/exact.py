@@ -65,25 +65,39 @@ class _CheckpointCounter:
         self.checkpoints = checkpoints
         self.carry = np.zeros(rows, dtype=np.int64)
         self.pending: list[list] = [[] for _ in range(rows)]  # (ascending indices, sign)
+        # a pending index is below len(checkpoints): int32 holds it up to 2^31
+        self._index = np.int32 if len(checkpoints) < 2**31 else np.int64
 
     def block(self, n: np.ndarray) -> None:
         """Start counting the hits of the block of consecutive n."""
         self.j0, self.j1 = checkpoint_index(self.checkpoints, (n[0], n[-1] + 1)).tolist()
         self.x = checkpoint_values(self.checkpoints, slice(self.j0, self.j1))
         self._upto = self.x - n[0]  # as offsets into n
+        self._length = len(n)
         self._first = np.zeros((len(self.carry), len(self.x) + 1), dtype=np.int64)
 
-    def add(self, row: int, hits: np.ndarray, offsets: Optional[np.ndarray] = None) -> None:
-        """Count hits of the current block: ascending int64 offsets, or a bool
-        mask over the block's n or over the given ascending offsets."""
-        mask = hits.dtype == bool
+    def add(self, rows, hits: np.ndarray, offsets: Optional[np.ndarray] = None) -> None:
+        """Count hits of the current block in rows, one row or one per row of
+        hits: a bool mask [row,] n over the block's n or over the given
+        ascending offsets, or the ascending int64 indices of its True cells
+        in the flattened mask."""
+        rows = np.atleast_1d(rows)
+        width = self._length if offsets is None else len(offsets)
         if not len(self._upto):  # no checkpoint in the block: no offset is read
-            self._first[row, 0] += np.count_nonzero(hits) if mask else len(hits)
-        elif mask:
-            self.add(row, np.flatnonzero(hits) if offsets is None else offsets[hits])
-        elif len(hits):  # the index of each hit among the block's checkpoints
-            local = np.searchsorted(self._upto, hits)
-            self._first[row] += np.bincount(local, minlength=len(self._upto) + 1)
+            # count_nonzero per row: with an axis it takes five times as long
+            self._first[rows, 0] += ([np.count_nonzero(row) for row in hits.reshape(len(rows), -1)]
+                                     if hits.dtype == bool
+                                     else np.bincount(hits // width, minlength=len(rows)))
+            return
+        if hits.dtype == bool:
+            hits = np.flatnonzero(hits)
+        row, i = np.divmod(hits, width) if len(rows) > 1 else (0, hits)
+        # the index of each hit among the block's checkpoints, in its row
+        local = np.searchsorted(self._upto, i if offsets is None else offsets[i])
+        cells = len(self._upto) + 1
+        counts = np.bincount(row * cells + local, minlength=len(rows) * cells)
+        for r, part in zip(rows.tolist(), counts.reshape(len(rows), cells)):
+            self._first[r] += part  # in place, where a fancy index would copy the rows
 
     def add_at(self, rows, j: int, hits) -> None:
         """Count hits at checkpoint index j, one the block completes, alone."""
@@ -95,8 +109,9 @@ class _CheckpointCounter:
         block's, and at every later one (an index of len(checkpoints) is none)."""
         due = first < self.j1
         self._first[row] += sign * np.bincount(first[due] - self.j0, minlength=len(self.x) + 1)
-        later = np.sort(first[~due])
-        later = later[:np.searchsorted(later, len(self.checkpoints))]
+        later = first[~due]
+        later = later[later < len(self.checkpoints)].astype(self._index)
+        later.sort()
         if len(later):
             self.pending[row].append((later, sign))
 
@@ -121,7 +136,7 @@ def _witnesses(n: np.ndarray, sigma: np.ndarray, anchors: np.ndarray,
                s: int) -> tuple[np.ndarray, np.ndarray]:
     """The witness (p, m) of each solution in the int64 column n, whose sigma
     is the int64 column sigma, as two int64 columns: n = p*m with m one of the
-    anchors (an int64 column) and p a prime not dividing m, and
+    anchors (an ascending int64 column) and p a prime not dividing m, and
     p = m = 0 where n has none (a sporadic solution).
 
     Every anchor m has the same sigma(m) = s = k/b, as b*sigma(m) = k (see
@@ -147,7 +162,8 @@ def _witnesses(n: np.ndarray, sigma: np.ndarray, anchors: np.ndarray,
     idx = np.flatnonzero(p >= 1)
     p = p[idx]
     m, rem = np.divmod(n[idx], p)
-    keep = (rem == 0) & np.isin(m, anchors)
+    # the anchors ascend, so each m is an anchor when it is the one searchsorted finds
+    keep = (rem == 0) & (anchors[np.searchsorted(anchors, m).clip(max=len(anchors) - 1)] == m)
     idx, p, m = idx[keep], p[keep], m[keep]
     keep = np.gcd(p, m) == 1
     wp[idx[keep]], wm[idx[keep]] = p[keep], m[keep]
@@ -170,8 +186,9 @@ def _solutions(b: int, k: int, blocks, a: Optional[int] = None) -> Iterator[Solu
     anchors = np.empty(0, dtype=np.int64)
     for n, sigma in blocks:
         value = sigma * np.int64(b) - np.int64(k)
-        new = n[value == 0]
-        anchors = np.concatenate([anchors, new[k % new == 0]])
+        if int(n[0]) * b <= k:  # b*sigma(n) = k needs n <= sigma(n) = k/b
+            new = n[value == 0]
+            anchors = np.concatenate([anchors, new[k % new == 0]])
         idx = np.flatnonzero(value % n == 0 if a is None else value == np.int64(a) * n)
         ns, sigma_n, value = n[idx], sigma[idx], value[idx]
         q = np.where(value >= 0, value // ns, -1)

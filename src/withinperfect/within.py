@@ -8,15 +8,19 @@ ratio test s/n < u of _ratio_below, as is distribution's sigma(n)/n < u.  A
 power n^(p/q) is prefiltered on one effective exponent e(n) = log(D/b)/log(n)
 per n for every exponent, and its sign compares D^q with b^q * n^p.  Ties come
 back as offsets, so the strict and non-strict conventions share a single pass.
+The thresholds of one kind that share a per-n value (e, D/n or D) are the rows
+of one broadcast _banded per block (_decider), their bounds computed once per
+run; y/log y and y*log y, whose bounds are per n, are decided one at a time.
 
 count_stream decides SigmaSource.blocks, the int64 columns (n, sigma(n)) of
-at most 2^16 n (from n = 3 on, only the n whose D is below _above(last n), a
-sixth or so), and counts hits up to each checkpoint through one grid of
-exact._CheckpointCounter, thresholds frozen at the checkpoint (at_limit) too.
-It yields the counts at the checkpoints each block completes as soon as the
-block is decided, so memory is set by the block: a range of checkpoints
-(figure1) is never built as a column.  count_thresholds and series are the
-concatenation of that stream, and series_stream is the stream a writer renders.
+at most BLOCK_LENGTH = 2^15 n (from n = 3 on, only the n whose D is below
+_above(last n), a sixth or so), and counts hits up to each checkpoint through
+one grid of exact._CheckpointCounter, thresholds frozen at the checkpoint
+(at_limit) too.  It yields the counts at the checkpoints each block completes
+as soon as the block is decided, so memory is set by the block: a range of
+checkpoints (figure1) is never built as a column.  count_thresholds and
+series are the concatenation of that stream, and series_stream is the stream
+a writer renders.
 Checkpoints in any order are read by types.checkpoint_column.
 """
 
@@ -88,7 +92,7 @@ def _xlog_compare(D: int, b: int, n: int, power: int = -1) -> int:
 
 def _exponents(D: np.ndarray, b: int, n: np.ndarray) -> np.ndarray:
     """Effective exponents e(n) = (log D - log b)/log n, so D < b*n^c exactly
-    when e < c, up to float rounding (see _decide_segment).
+    when e < c, up to float rounding (see _decider).
 
     D = 0 gives e = -inf (inside every power threshold).  n = 1, which can
     only be n[0] of the ascending n, gives NaN: there n^c = 1 for every c, so
@@ -110,26 +114,36 @@ def _exponents(D: np.ndarray, b: int, n: np.ndarray) -> np.ndarray:
 
 
 def _banded(x: np.ndarray, lo, hi, sign) -> tuple[np.ndarray, np.ndarray]:
-    """Decide "inside" per element from a float64 value and its guard band.
+    """Decide "inside" per cell from a float64 value and its guard band.
 
-    x < lo is inside and x > hi is outside; everything else, NaN included, is
-    decided by the exact sign(i) of offset i: -1 inside, 0 a tie, +1 outside.
-    Returns the inside mask and the ascending int64 offsets of the ties.
+    x, lo and hi broadcast to the cells [row, n]: one x per n against a
+    column lo[:, None] of scalar bounds per row, or against one bound per n.
+    x < lo is inside and x > hi is outside; every other cell, NaN included,
+    is decided by the exact sign(row, i) of its row and offset: -1 inside, 0
+    a tie, +1 outside.  Returns the inside mask and the ascending int64 flat
+    indices of the ties.
     """
     inside = x < lo
-    band = ~(inside | (x > hi))  # NaN fails both compares, so it lands here
+    decided = x > hi
+    decided |= inside  # NaN fails both compares, so it is left to the sign
     ties = []
-    for i in np.flatnonzero(band).tolist():
-        s = sign(i)
-        if s < 0:
-            inside[i] = True
-        elif s == 0:
-            ties.append(i)
+    if not decided.all():
+        band = np.flatnonzero(~decided)
+        rows, offsets = np.divmod(band, inside.shape[-1])
+        for cell, row, i in zip(band.tolist(), rows.tolist(), offsets.tolist()):
+            s = sign(row, i)
+            if s < 0:
+                inside.flat[cell] = True
+            elif s == 0:
+                ties.append(cell)
     return inside, np.array(ties, dtype=np.int64)
 
 
-def _ratio_below(x, s, n, u: Fraction) -> tuple[np.ndarray, np.ndarray]:
-    """(inside, ties) for s/n < u exactly, from x, the float64 s/n of int64 s, n.
+def _ratio_below(us):
+    """The exact test s/n < u for each u of us, as a function of x, the
+    float64 s/n of int64 s and n (n = 1 where n is None), that gives the
+    (inside, ties) of _banded over the cells [u, n].  The bounds are taken
+    here, once for every block they decide.
 
     Every s is below 2^62 (D by _guard_linear, sigma(n) < 2^61 for n <= 2^55)
     and n >= 1, so s/n lies in [0, 2^62); u is clamped to that range, and the
@@ -139,59 +153,79 @@ def _ratio_below(x, s, n, u: Fraction) -> tuple[np.ndarray, np.ndarray]:
     s/n < u and x > uf*(1 + _BAND) gives s/n above the clamped u, and so above
     u.  A zero or subnormal uf is below every s/n >= 2^-55 of an s >= 1.
     """
-    uf = float(min(max(u, 0), 2**62))
-    return _banded(x, uf * (1.0 - _BAND), uf * (1.0 + _BAND),
-                   lambda i: _compare(int(s[i]) * u.denominator, u.numerator * int(n[i])))
+    uf = np.array([float(min(max(u, 0), 2**62)) for u in us])[:, None]
+    lo, hi = uf * (1.0 - _BAND), uf * (1.0 + _BAND)
+
+    def below(x, s, n=None):
+        return _banded(x, lo, hi, lambda r, i: _compare(
+            int(s[i]) * us[r].denominator, us[r].numerator * (1 if n is None else int(n[i]))))
+    return below
 
 
-def _above(threshold: ThresholdSpec, b: int, n: int) -> int:
-    """An integer T > b*k(n) for n >= 3, clamped at 2^62 (above every D, by
-    _guard_linear): exact for constant and linear; otherwise from the float64
-    b*k(n) times 1 + _BAND, as that float is off by a factor within 1 +- 2^-46
-    (rounding c moves n^c by at most 2^-53*log n < 2^-47.7 for n <= 2^55)."""
+def _above(threshold: ThresholdSpec, b: int):
+    """A function of n >= 3 that gives an integer T > b*k(n), clamped at 2^62
+    (above every D, by _guard_linear): exact for constant and linear; otherwise
+    from the float64 b*k(n) times 1 + _BAND, as that float is off by a factor
+    within 1 +- 2^-46 (rounding c moves n^c by at most 2^-53*log n < 2^-47.7
+    for n <= 2^55).  c is read here, once for every block."""
     kind, c = threshold.kind, threshold.param
     if kind in ("constant", "linear"):
-        top = b * c.numerator * (n if kind == "linear" else 1) // c.denominator
-    else:
-        k = (n ** float(c) if kind == "power" else
+        p, q = b * c.numerator, c.denominator
+        return lambda n: min(p * (n if kind == "linear" else 1) // q + 1, 2**62)
+    cf = float(c) if kind == "power" else None
+
+    def above(n: int) -> int:
+        k = (n ** cf if kind == "power" else
              n / math.log(n) if kind == "x_over_log" else n * math.log(n))
-        top = int(b * k * (1.0 + _BAND))
-    return min(top + 1, 2**62)
+        return min(int(b * k * (1.0 + _BAND)) + 1, 2**62)
+    return above
 
 
-def _decide_segment(threshold: ThresholdSpec, b: int, D: np.ndarray, n: np.ndarray,
-                    e: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
-    """(inside, ties) for D < b*k(n) over one block: a bool mask and the
-    ascending int64 offsets where D = b*k(n), decided exactly for every kind.
-    n need not be ascending (at-limit rows pass one checkpoint per element).
-    A power threshold reads the effective exponents e when the caller shares them.
+def _decider(thresholds: list[ThresholdSpec], b: int):
+    """The exact decide of D < b*k(n) for thresholds of one kind: a function
+    of the int64 D and n of a block that gives (inside, ties), a bool
+    [threshold, n] mask and the ascending int64 flat indices of its cells where
+    D = b*k(n).  Every threshold is a row of one broadcast _banded, its bounds
+    taken here; y/log y and y*log y, whose bounds are per n, come one at a
+    time.  n need not be ascending (at-limit rows pass one checkpoint per
+    element).
+
+    A power n^c is decided on e(n) of _exponents, shared by every exponent,
+    against c -+ _EXPONENT_BAND.  Constant and linear are the ratio test
+    D/n < b*c of _ratio_below (D/1 < b*k0 for a constant).
     """
-    kind, c = threshold.kind, threshold.param
+    kind, cs = thresholds[0].kind, [t.param for t in thresholds]
     if kind == "power":
-        e = _exponents(D, b, n) if e is None else e
-        return _banded(e, float(c) - _EXPONENT_BAND, float(c) + _EXPONENT_BAND,
-                       lambda i: _power_compare(int(D[i]), b, int(n[i]), c))
-    if kind in ("constant", "linear"):  # D/n < b*c, or D/1 < b*k0
-        m = n if kind == "linear" else np.ones_like(D)
-        return _ratio_below(D / m, D, m, b * c)
-    if kind in ("x_over_log", "x_log_x"):  # k(1) is +inf for y/log y, 0 for y*log y
-        nf = n.astype(np.float64)
-        logn = np.log(nf)
+        cf = np.array([float(c) for c in cs])[:, None]
+        lo, hi = cf - _EXPONENT_BAND, cf + _EXPONENT_BAND
+        return lambda D, n: _banded(_exponents(D, b, n), lo, hi, lambda r, i: _power_compare(
+            int(D[i]), b, int(n[i]), cs[r]))
+    if kind in ("constant", "linear"):
+        below = _ratio_below([b * c for c in cs])
+        if kind == "linear":
+            return lambda D, n: below(D / n, D, n)
+        return lambda D, n: below(D.astype(np.float64), D)
+    if kind in ("x_over_log", "x_log_x"):
         power = -1 if kind == "x_over_log" else 1
-        t = (np.divide(b * nf, logn, out=np.full(len(n), np.inf), where=logn > 0)
-             if power < 0 else b * nf * logn)
-        return _banded(D.astype(np.float64), t * (1.0 - _BAND), t * (1.0 + _BAND),
-                       lambda i: _xlog_compare(int(D[i]), b, int(n[i]), power))
+
+        def decide(D, n):  # k(1) is +inf for y/log y, 0 for y*log y
+            nf = n.astype(np.float64)
+            logn = np.log(nf)
+            t = (np.divide(b * nf, logn, out=np.full(len(n), np.inf), where=logn > 0)
+                 if power < 0 else b * nf * logn)[None]
+            return _banded(D.astype(np.float64), t * (1.0 - _BAND), t * (1.0 + _BAND),
+                           lambda r, i: _xlog_compare(int(D[i]), b, int(n[i]), power))
+        return decide
     raise InvalidThresholdError(f"unsupported threshold kind {kind!r}")
 
 
-def _bisect(threshold: ThresholdSpec, b: int, D: np.ndarray, start: np.ndarray,
-            cks: np.ndarray, strict: bool) -> tuple[np.ndarray, np.ndarray]:
+def _bisect(decide, D: np.ndarray, start: np.ndarray, cks: np.ndarray,
+            strict: bool) -> tuple[np.ndarray, np.ndarray]:
     """Per element, the least checkpoint index j >= start with D < b*k(cks[j])
     (<= unless strict), len(cks) if none, and whether D = b*k(cks[j]) there.
     k is nondecreasing over checkpoints >= 3, so each round decides every open
-    element exactly at the middle of its own index range.  cks is a column or
-    range of checkpoint_column."""
+    element exactly at the middle of its own index range, by the one-threshold
+    decide of _decider.  cks is a column or range of checkpoint_column."""
     lo, hi = start.copy(), np.full_like(start, len(cks))
     tie = np.zeros(len(lo), dtype=bool)  # whether the decide at hi was a tie
     # 2^13 at a time, so that a round's temporaries stay under glibc's trim threshold
@@ -199,7 +233,7 @@ def _bisect(threshold: ThresholdSpec, b: int, D: np.ndarray, start: np.ndarray,
         active = first + np.flatnonzero(lo[first:first + (1 << 13)] < hi[first:first + (1 << 13)])
         while len(active):
             mid = (lo[active] + hi[active]) // 2
-            inside, ties = _decide_segment(threshold, b, D[active], checkpoint_values(cks, mid))
+            (inside,), ties = decide(D[active], checkpoint_values(cks, mid))
             at = np.zeros(len(active), dtype=bool)
             at[ties] = not strict
             inside |= at
@@ -248,8 +282,13 @@ def _counted(target: RationalTarget, thresholds: list[ThresholdSpec], cks, block
     a, b = target.a, target.b
     rows = len(thresholds)  # strict counts in rows [0, rows), ties in [rows, 2*rows)
     counter = _CheckpointCounter(cks, 2 * rows)
-    at_limit = any(t.at_limit for t in thresholds)
-    at_n = [t for t in thresholds if not t.at_limit]
+    kinds: dict = {}  # the rows of one kind are decided together, y/log y and y*log y alone
+    for i, t in enumerate(thresholds):
+        if not t.at_limit:
+            kinds.setdefault(t.kind if t.param is not None else i, []).append(i)
+    at_n = [(np.array(g), _decider([thresholds[i] for i in g], b)) for g in kinds.values()]
+    at_limit = [(i, _decider([t], b)) for i, t in enumerate(thresholds) if t.at_limit]
+    tops = [_above(t, b) for t in thresholds if not t.at_limit]
 
     def count(n, sigma):  # its temporaries are freed before the next block is sieved
         D = np.abs(np.int64(b) * sigma - np.int64(a) * n)
@@ -257,33 +296,28 @@ def _counted(target: RationalTarget, thresholds: list[ThresholdSpec], cks, block
         start = checkpoint_index(cks, np.maximum(n[skip:], 3)) if at_limit else None
         counter.block(n)
         # k is nondecreasing from n = 3 on: decide only D below the loosest _above(n[-1])
-        cand = (np.flatnonzero(D < max(_above(t, b, int(n[-1])) for t in at_n))
-                if at_n and n[0] >= 3 else None)
+        cand = (np.flatnonzero(D < max(top(int(n[-1])) for top in tops))
+                if tops and n[0] >= 3 else None)
         Dc, nc = (D, n) if cand is None else (D[cand], n[cand])
-        e = None  # effective exponents, shared by every power threshold
-        for i, threshold in enumerate(thresholds):
-            if threshold.at_limit:  # from the first checkpoint >= max(n, 3)
-                loose, tie = _bisect(threshold, b, D[skip:], start, cks, strict=False)
-                strict, t = loose.copy(), np.flatnonzero(tie)  # only a tie moves on
-                strict[t] = _bisect(threshold, b, D[skip:][t], loose[t] + 1, cks, True)[0]
-                counter.add_from(i, strict)
-                counter.add_from(rows + i, loose)
-                counter.add_from(rows + i, strict, -1)
-                if n[0] == 1:  # y/log y falls up to e: x = 1, 2 (x > skip) directly
-                    for j in range(*checkpoint_index(cks, (1 + skip, 3)).tolist()):
-                        x = int(cks[j])
-                        inside, ties = _decide_segment(threshold, b, D[skip:x],
-                                                       np.full(x - skip, x))
-                        counter.add_at([i, rows + i], j, (np.count_nonzero(inside), len(ties)))
-                continue
-            if threshold.kind == "power" and e is None:
-                e = _exponents(Dc, b, nc)
-            inside, ties = _decide_segment(threshold, b, Dc, nc, e)
+        for g, decide in at_n:
+            inside, ties = decide(Dc, nc)
             if skip:  # only where n[0] = 1, so cand is None
-                inside[0] = False
-                ties = ties[ties > 0]
-            counter.add(i, inside, cand)
-            counter.add(rows + i, ties if cand is None else cand[ties])
+                inside[:, 0] = False
+                ties = ties[ties % len(n) > 0]
+            counter.add(g, inside, cand)
+            counter.add(rows + g, ties, cand)
+        for i, decide in at_limit:  # from the first checkpoint >= max(n, 3)
+            loose, tie = _bisect(decide, D[skip:], start, cks, strict=False)
+            strict, t = loose.copy(), np.flatnonzero(tie)  # only a tie moves on
+            strict[t] = _bisect(decide, D[skip:][t], loose[t] + 1, cks, True)[0]
+            counter.add_from(i, strict)
+            counter.add_from(rows + i, loose[t])  # and only it is a tie, from loose to strict
+            counter.add_from(rows + i, strict[t], -1)
+            if n[0] == 1:  # y/log y falls up to e: x = 1, 2 (x > skip) directly
+                for j in range(*checkpoint_index(cks, (1 + skip, 3)).tolist()):
+                    x = int(cks[j])
+                    inside, ties = decide(D[skip:x], np.full(x - skip, x))
+                    counter.add_at([i, rows + i], j, (np.count_nonzero(inside), len(ties)))
         return counter.done()
 
     for x, counts in starmap(count, blocks):

@@ -1,6 +1,7 @@
 import pytest
 
 from withinperfect.sieve import sigma_oracle
+from withinperfect.within import _decider
 
 ORACLE_LIMIT = 10**5
 
@@ -12,6 +13,13 @@ def oracle_sigma():
     The independent slow path every brute-force scan in the suite builds on.
     """
     return [0] + [sigma_oracle(n) for n in range(1, ORACLE_LIMIT + 1)]
+
+
+def decide_segment(threshold, b: int, D, n):
+    """(inside, ties) of D < b*k(n) for one threshold: the one row of
+    within._decider, a bool mask over n and the ascending int64 offsets of the ties."""
+    (inside,), ties = _decider([threshold], b)(D, n)
+    return inside, ties
 
 
 def trial_is_prime(n: int) -> bool:

@@ -263,8 +263,9 @@ def test_census_across_block_edges(oracle_sigma, limit, k):
     problem = CongruenceProblem(1, k, limit)
     got = census(problem)
     assert _rows(got) == _rows(census(problem, _SMALL))
-    assert ({r.n: (r.classification, r.witnesses) for r in _rows(got, len(oracle_sigma) - 1)}
-            == brute_census(1, k, len(oracle_sigma) - 1, oracle_sigma))
+    top = min(limit, len(oracle_sigma) - 1)  # the census stops at limit, the oracle at 10^5
+    assert ({r.n: (r.classification, r.witnesses) for r in _rows(got, top)}
+            == brute_census(1, k, top, oracle_sigma))
 
 
 @pytest.mark.parametrize("limit", EDGE_LIMITS)
@@ -275,7 +276,7 @@ def test_diophantine_and_perfect_across_block_edges(oracle_sigma, limit):
     small = solve_diophantine(problem, _SMALL, checkpoints)
     assert _rows(got.records) == _rows(small.records)
     assert got.series == small.series
-    top = len(oracle_sigma) - 1
+    top = min(limit, len(oracle_sigma) - 1)  # the census stops at limit, the oracle at 10^5
     assert ({r.n: r.classification for r in _rows(got.records, top)}
             == brute_diophantine(2, 1, 12, top, oracle_sigma))
     for target in ("2", "3", "3/2"):
@@ -288,7 +289,7 @@ def test_diophantine_and_perfect_across_block_edges(oracle_sigma, limit):
 @pytest.mark.parametrize("m_hi", EDGE_LIMITS)
 def test_gcd_sum_window_across_block_edges(m_hi):
     x = math.isqrt(m_hi**3 - 1) + 1  # the least x with x^2 >= m_hi^3
-    got = gcd_sum(x)  # the window (x^(1/3), x^(2/3)] crosses 2^16 and 2*2^16
+    got = gcd_sum(x)  # the window (x^(1/3), x^(2/3)] crosses one and two BLOCK_LENGTH
     assert got.m_lo < BLOCK_LENGTH and got.m_hi == m_hi
     small = gcd_sum(x, _SMALL)
     assert (got.m_lo, got.m_hi, got.rounded) == (small.m_lo, small.m_hi, small.rounded)

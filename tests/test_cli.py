@@ -565,7 +565,8 @@ STREAM_DIGESTS = [
 ]
 
 
-@pytest.mark.parametrize("length", ["1024", str(3 * 2**16 - 1), str(3 * 2**16 + 1)])
+@pytest.mark.parametrize("length", ["1024", str(3 * 2**15 - 1), str(3 * 2**15 + 1),
+                                    str(3 * 2**16 - 1), str(3 * 2**16 + 1)])
 @pytest.mark.parametrize("argv, digest", STREAM_DIGESTS)
 def test_streamed_bytes_across_segment_edges(capsys, length, argv, digest):
     code, out = run_cli(capsys, "--segment-length", length, *argv)
@@ -573,51 +574,90 @@ def test_streamed_bytes_across_segment_edges(capsys, length, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def _peak_kib(*argv: str) -> int:
-    """VmHWM of a child process that runs the CLI on argv, its artifact to /dev/null."""
+@pytest.fixture(scope="session")
+def peak_kib(tmp_path_factory):
+    """VmHWM of a child process that runs the CLI on argv, its artifact to /dev/null.
+
+    The package and every module the children import are byte-compiled once,
+    into a temporary PYTHONPYCACHEPREFIX: with PYTHONDONTWRITEBYTECODE set and
+    no __pycache__ under src, each child would otherwise compile the package
+    on import, and its peak would be the compiler's as much as the CLI's (a
+    tiny run 1.3 MiB higher)."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(tmp_path_factory.mktemp("pycache")),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    writing = {k: v for k, v in env.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    subprocess.run([sys.executable, "-m", "compileall", "-q", src], env=writing, check=True,
+                   capture_output=True)
+    # mpmath is imported on first use (the exact y/log y sign), so it is compiled here too
+    subprocess.run([sys.executable, "-c", "import withinperfect.cli, mpmath"], env=writing,
+                   check=True)
     code = ("import os, sys, withinperfect.cli as cli\n"
             "assert cli.main(sys.argv[1:] + ['--out', os.devnull]) == 0\n"
             "print(next(l for l in open('/proc/self/status') if l.startswith('VmHWM')))")
-    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
-                         text=True, timeout=120, check=True).stdout
-    return int(out.split()[1])
+
+    def peak(*argv: str) -> int:
+        out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                             text=True, timeout=120, check=True).stdout
+        return int(out.split()[1])
+    return peak
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
-def test_figure1_memory_is_set_by_the_segment_not_the_output():
+def test_figure1_memory_is_set_by_the_segment_not_the_output(peak_kib):
     # ten times the checkpoints, the same peak: nothing grows with the series
-    small, large = (_peak_kib("--segment-length", "65536", "figure1", "--limit", limit)
+    small, large = (peak_kib("--segment-length", "65536", "figure1", "--limit", limit)
                     for limit in ("2e5", "2e6"))
     assert large - small < 8 * 1024, (small, large)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
-def test_figure1_costs_little_more_memory_than_one_count_of_its_threshold():
+def test_figure1_costs_little_more_memory_than_one_count_of_its_threshold(peak_kib):
     # the same sieve and decide with one checkpoint, against 10^6 checkpoints
     # counted and rendered: the difference is one block of rows, one counter
     # grid and the decided candidates
-    figure = _peak_kib("figure1", "--limit", "1e6")
-    count = _peak_kib("series", "--ell", "2", "--threshold", "xlog", "--checkpoints", "1e6")
+    figure = peak_kib("figure1", "--limit", "1e6")
+    count = peak_kib("series", "--ell", "2", "--threshold", "xlog", "--checkpoints", "1e6")
     assert figure - count < 6 * 1024, (figure, count)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
-def test_at_limit_figure1_holds_little_more_than_figure1():
+def test_at_limit_figure1_holds_little_more_than_figure1(peak_kib):
     # the at-limit rows keep each block's hits that are due at a later
     # checkpoint; a view of the rest kept every block's whole sorted chunk
     # alive until its last hit was due (27 MiB more than figure1 at 1e6)
-    at_limit = _peak_kib("--at-limit", "figure1", "--limit", "1e6")
-    plain = _peak_kib("figure1", "--limit", "1e6")
+    at_limit = peak_kib("--at-limit", "figure1", "--limit", "1e6")
+    plain = peak_kib("figure1", "--limit", "1e6")
     assert at_limit - plain < 15 * 1024, (at_limit, plain)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
-def test_sporadic_memory_is_set_by_the_segment_not_the_census():
+def test_at_limit_figure1_grows_little_with_the_limit(peak_kib):
+    # the hits pending at later checkpoints grow with the limit: as int32
+    # indices, and in the tie row only for the ties, three times the limit
+    # holds 1.8 MiB more (3.8 MiB with int64 indices and every hit
+    # pending in the tie row too)
+    small, large = (peak_kib("--at-limit", "figure1", "--limit", limit)
+                    for limit in ("1e6", "3e6"))
+    assert large - small < 3 * 1024, (small, large)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_figure1_and_census_hold_little_more_than_a_tiny_sieve(peak_kib):
+    # above the interpreter, numpy and one small segment, what remains is a
+    # segment and the block-sized arrays of the count or classify and the
+    # render: 8.2 and 6.0 MiB with blocks of 2^15, 10.0 and 7.9 with 2^16
+    base = peak_kib("sieve", "--lo", "1", "--hi", "1000")
+    figure = peak_kib("figure1", "--limit", "1e6")
+    census = peak_kib("census", "--b", "1", "--k", "1", "--limit", "3e6")
+    assert figure - base < 9 * 1024, (figure, base)
+    assert census - base < 7 * 1024, (census, base)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_sporadic_memory_is_set_by_the_segment_not_the_census(peak_kib):
     # the report held every census row to count its sporadic ones: 134 MiB at 2e7
-    peak = _peak_kib("sporadic", "--b", "1", "--k", "1", "--checkpoints", "1e3,2e7")
+    peak = peak_kib("sporadic", "--b", "1", "--k", "1", "--checkpoints", "1e3,2e7")
     assert peak <= 100 * 1024, peak
 
 

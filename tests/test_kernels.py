@@ -16,10 +16,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from withinperfect import within
-from withinperfect.sieve import SigmaSource
+from withinperfect.sieve import SigmaSource, sigma_oracle
 from withinperfect.types import RationalTarget, ThresholdSpec
-from withinperfect.within import (_above, _counted, _decide_segment, _exponents,
-                                  _power_compare, _xlog_compare, count_thresholds)
+from withinperfect.within import (_above, _counted, _power_compare, _xlog_compare,
+                                  count_thresholds)
+
+from conftest import decide_segment
 
 TARGETS = ("2", "3/2", "7/2", "3", "5/4")
 
@@ -115,8 +117,7 @@ def test_power_decide_near_the_threshold_up_to_the_domain_cap():
                     nn.append(n)
             D = np.array(Ds, dtype=np.int64)
             n = np.array(nn, dtype=np.int64)
-            inside, ties = _decide_segment(ThresholdSpec.power(c), b, D, n,
-                                           _exponents(D, b, n))
+            inside, ties = decide_segment(ThresholdSpec.power(c), b, D, n)
             want = [_power_compare(d, b, m, c) for d, m in zip(Ds, nn)]
             assert inside.tolist() == [s < 0 for s in want]
             assert ties.tolist() == [i for i, s in enumerate(want) if s == 0]
@@ -146,7 +147,7 @@ def test_ratio_decide_near_the_threshold_up_to_the_domain_cap():
                     nn.append(n)
         D = np.array(Ds, dtype=np.int64)
         n = np.array(nn, dtype=np.int64)
-        inside, ties = _decide_segment(ThresholdSpec(kind, k), b, D, n)
+        inside, ties = decide_segment(ThresholdSpec(kind, k), b, D, n)
         t = [b * k * (m if kind == "linear" else 1) for m in nn]
         assert inside.tolist() == [d < x for d, x in zip(Ds, t)], (kind, k, b)
         assert ties.tolist() == [i for i, (d, x) in enumerate(zip(Ds, t)) if d == x]
@@ -171,7 +172,7 @@ def test_xlog_decide_near_the_threshold_up_to_the_domain_cap():
         nn += [1] * 3
         D = np.array(Ds, dtype=np.int64)
         n = np.array(nn, dtype=np.int64)
-        inside, ties = _decide_segment(ThresholdSpec(kind), b, D, n)
+        inside, ties = decide_segment(ThresholdSpec(kind), b, D, n)
         want = [-1 if m == 1 and power < 0 else _xlog_compare(d, b, m, power)
                 for d, m in zip(Ds, nn)]
         assert inside.tolist() == [s < 0 for s in want]
@@ -244,7 +245,7 @@ def _above_exactly(threshold: ThresholdSpec, b: int, n: int, T: int) -> bool:
 @given(threshold=_THRESHOLDS, b=st.integers(1, 2**20),
        n=st.one_of(st.integers(3, 2**55), st.sampled_from([3, 4, 2**55])))
 def test_above_is_an_integer_just_above_b_k_n(threshold, b, n):
-    T = _above(threshold, b, n)
+    T = _above(threshold, b)(n)
     assert isinstance(T, int) and T <= 2**62
     if T < 2**62 or _above_exactly(threshold, b, n, 2**62):
         assert _above_exactly(threshold, b, n, T)
@@ -275,7 +276,7 @@ def _blocks_of(target: RationalTarget, n: np.ndarray, D: np.ndarray):
 def test_the_prefilter_counts_as_deciding_every_n(thresholds, target, n0, length, seed, far):
     # D is drawn at, beside and across b*k(n) of one of the thresholds, at 0,
     # or (far) at or above the loosest b*k of the block: the filtered pass of
-    # _counted counts, at every n, what _decide_segment gives for all of them
+    # _counted counts, at every n, what decide_segment gives for all of them
     target = RationalTarget.parse(target)
     b = target.b
     n = np.arange(n0, n0 + length, dtype=np.int64)
@@ -304,7 +305,7 @@ def test_the_prefilter_counts_as_deciding_every_n(thresholds, target, n0, length
     [(x, strict, ties)] = _counted(target, thresholds, range(n0, n0 + length), blocks, True)
     assert x.tolist() == n.tolist()
     for i, t in enumerate(thresholds):
-        inside, tie = _decide_segment(t, b, D, n)
+        inside, tie = decide_segment(t, b, D, n)
         assert strict[i].tolist() == np.cumsum(inside).tolist(), t
         assert ties[i].tolist() == np.cumsum(np.isin(np.arange(length), tie)).tolist(), t
 
@@ -313,13 +314,13 @@ def test_the_prefilter_decides_only_its_candidates(monkeypatch):
     # a block of far D from n = 2^40 decides no n; one whose loosest T clamps
     # at 2^62, and blocks from n = 1 and 2, decide every n
     lengths = []
-    decide = within._decide_segment
+    decider = within._decider
 
-    def counted(*args):
-        lengths.append(len(args[3]))
-        return decide(*args)
+    def counted(thresholds, b):  # the n each kind's one decide per block is given
+        decide = decider(thresholds, b)
+        return lambda D, n: lengths.append(len(D)) or decide(D, n)
 
-    monkeypatch.setattr(within, "_decide_segment", counted)
+    monkeypatch.setattr(within, "_decider", counted)
     target = RationalTarget(3, 2)
     loose = [ThresholdSpec.power(Fraction(1, 2)), ThresholdSpec.x_over_log(),
              ThresholdSpec.linear(Fraction(1, 1000))]
@@ -344,3 +345,93 @@ def test_the_prefilter_decides_only_its_candidates(monkeypatch):
     assert D[0] == 14
     [(_, strict, _)] = _counted(target, [ThresholdSpec.x_over_log()], range(2, 4), blocks, True)
     assert strict.tolist() == [[1, 1]]
+
+
+# --- one broadcast decide per kind ---
+
+def _exact_sign(threshold: ThresholdSpec, b: int, D: int, n: int) -> int:
+    """The sign of D - b*k(n) on integers, for power, constant and linear."""
+    c = threshold.param
+    if threshold.kind == "power":
+        return _power_compare(D, b, n, c)
+    return (D > b * c * n) - (D < b * c * n) if threshold.kind == "linear" else (
+        (D > b * c) - (D < b * c))
+
+
+_KINDS = {"power": exponents,
+          "constant": st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 1000)),
+          "linear": st.builds(Fraction, st.integers(1, 1000), st.integers(1, 1000))}
+
+
+@st.composite
+def _one_kind(draw):
+    """(b, thresholds of one kind, D, n) with D at, beside and far from b*k(n)
+    of each threshold, n = 1 (where every power and D = b tie) among the n,
+    and perfect q-th powers n = m^q, where D = b*m^p ties y^(p/q)."""
+    kind = draw(st.sampled_from(sorted(_KINDS)))
+    params = draw(st.lists(_KINDS[kind], min_size=1, max_size=8, unique=True))
+    thresholds = [ThresholdSpec(kind, c) for c in params]
+    b = draw(st.integers(1, 5))
+    Ds, ns = [b, 0, b - 1, b + 1], [1, 1, 1, 1]
+    for _ in range(draw(st.integers(1, 12))):
+        t = draw(st.sampled_from(thresholds))
+        if t.kind == "power" and draw(st.booleans()):
+            q = t.param.denominator
+            m = draw(st.integers(2, int(2 ** (40 / q))))
+            n = m**q
+        else:
+            n = draw(st.integers(2, 2**40))
+        r = _floor_bk(t, b, n)
+        Ds += [max(r + d, 0) for d in (-1, 0, 1)] + [b * t.param.numerator * n]
+        ns += [n] * 4
+    return b, thresholds, np.array(Ds, dtype=np.int64), np.array(ns, dtype=np.int64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_one_kind())
+def test_one_decide_per_kind_equals_one_per_threshold(case):
+    # every row of the broadcast decide is the one-threshold decide and the
+    # exact sign, ties (n = 1, n = m^q) and band cells included
+    b, thresholds, D, n = case
+    inside, ties = within._decider(thresholds, b)(D, n)
+    assert inside.shape == (len(thresholds), len(n))
+    assert np.all(np.diff(ties) > 0)
+    rows, offsets = np.divmod(ties, len(n))
+    for r, t in enumerate(thresholds):
+        alone, alone_ties = decide_segment(t, b, D, n)
+        assert inside[r].tolist() == alone.tolist()
+        assert offsets[rows == r].tolist() == alone_ties.tolist()
+        want = [_exact_sign(t, b, d, m) for d, m in zip(D.tolist(), n.tolist())]
+        assert alone.tolist() == [s < 0 for s in want], t
+        assert alone_ties.tolist() == [i for i, s in enumerate(want) if s == 0], t
+
+
+@settings(max_examples=40, deadline=None)
+@given(points=st.lists(st.one_of(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2),
+                                                  Fraction(3), Fraction(7, 3)]),
+                                 st.builds(Fraction, st.integers(1, 400), st.integers(1, 100))),
+                       min_size=1, max_size=6),
+       lo=st.integers(1, 8000), length=st.integers(1, 1000))
+def test_one_ratio_decide_equals_one_per_point(points, lo, length):
+    # sigma(n)/n < u for every u at once, as distribution decides a block: the
+    # row of u is the decide of u alone and the exact comparison, with ties at
+    # n = 1 (u = 1), n = 2 (u = 3/2), the perfect numbers (u = 2), 120 (u = 3)
+    n = np.arange(lo, lo + length, dtype=np.int64)
+    sigma = np.array([sigma_oracle(m) for m in n.tolist()], dtype=np.int64)
+    inside, ties = within._ratio_below(points)(sigma / n, sigma, n)
+    rows, offsets = np.divmod(ties, len(n))
+    for r, u in enumerate(points):
+        alone, alone_ties = within._ratio_below([u])(sigma / n, sigma, n)
+        assert inside[r].tolist() == alone[0].tolist()
+        assert offsets[rows == r].tolist() == alone_ties.tolist()
+        ratio = [Fraction(s, m) for s, m in zip(sigma.tolist(), n.tolist())]
+        assert alone[0].tolist() == [x < u for x in ratio]
+        assert alone_ties.tolist() == [i for i, x in enumerate(ratio) if x == u]
+
+
+def test_ratio_ties_at_one_two_and_the_perfect_numbers():
+    n = np.arange(1, 8129, dtype=np.int64)
+    sigma = np.array([sigma_oracle(m) for m in n.tolist()], dtype=np.int64)
+    _, ties = within._ratio_below([Fraction(1), Fraction(3, 2), Fraction(2)])(sigma / n, sigma, n)
+    rows, offsets = np.divmod(ties, len(n))
+    assert [(n[offsets[rows == r]]).tolist() for r in range(3)] == [[1], [2], [6, 28, 496, 8128]]

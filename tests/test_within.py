@@ -11,8 +11,9 @@ from withinperfect.exact import enumerate_perfect, solve_diophantine, Diophantin
 from withinperfect.sieve import SigmaSource, sieve_segment
 from withinperfect.types import ThresholdSpec
 from withinperfect.within import (REFERENCE_QUOTIENTS, count_thresholds, series,
-                                  table1_reproduce, theorem_limit_check,
-                                  _decide_segment)
+                                  table1_reproduce, theorem_limit_check)
+
+from conftest import decide_segment
 
 
 def test_constant_threshold_reduces_to_perfect():
@@ -55,7 +56,7 @@ def test_exact_comparison_against_high_precision():
     D = np.abs(seg.sigma.astype(np.int64) - 2 * n)
     with mpmath.workdps(50):
         for c in (Fraction(c10, 10) for c10 in range(2, 10)):
-            inside, ties = _decide_segment(ThresholdSpec.power(c), 1, D, n)
+            inside, ties = decide_segment(ThresholdSpec.power(c), 1, D, n)
             assert ties.dtype == np.int64 and np.all(np.diff(ties) > 0)
             tie_set = set(ties.tolist())
             cf = mpmath.mpf(c.numerator) / c.denominator
@@ -147,7 +148,7 @@ def test_linear_beyond_int64_is_answered_exactly():
     spec = ThresholdSpec.linear(2**59, at_limit=True)
     D = np.array([1, 1], dtype=np.int64)
     for x in ([8, 3], [7, 3]):
-        inside, ties = _decide_segment(spec, 1, D, np.array(x, dtype=np.int64))
+        inside, ties = decide_segment(spec, 1, D, np.array(x, dtype=np.int64))
         assert inside.tolist() == [True, True] and ties.tolist() == []
 
 
