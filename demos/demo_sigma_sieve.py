@@ -31,11 +31,11 @@ for n in (360, 9973, 524288, 2**55 + 1):
 print("\nabundancy ratios sigma(n)/n (exact):",
       {n: str(abundancy(n)) for n in (6, 10, 12, 28)})
 
-# Streaming: a source walks [1, limit] in fixed-size segments, optionally
-# sieving them on several threads and caching them on disk.
+# Streaming: a source walks [1, limit] in fixed-size segments, in order,
+# optionally caching them on disk.
 t0 = time.time()
 total = 0
-for segment in SigmaSource(threads=4).segments(2 * 10**6):
+for segment in SigmaSource().segments(2 * 10**6):
     total += int(segment.sigma.sum(dtype=object))
 print(f"\nsum of sigma(n) for n <= 2e6: {total}  ({time.time() - t0:.2f}s)")
 print("expected scale pi^2/12 * x^2 ~", f"{(3.14159265**2 / 12) * (2e6) ** 2:.3e}")

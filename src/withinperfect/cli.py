@@ -4,7 +4,7 @@ One subcommand per reproducible computation.  Exit codes: 0 success,
 1 validation error (bad arguments, malformed rationals), 2 capability,
 overflow, budget, memory, cache, or I/O failure.  Output is deterministic for
 a fixed configuration: CSV uses commas and LF with no BOM, quotients carry six
-decimals, and thread count never changes a result.
+decimals, and every run sieves on one thread.
 
 Two tables declare the CLI.  _SETTINGS has each global option once: its
 dest, flag, argparse kwargs and config-file value parser; the options, the
@@ -35,8 +35,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import cache, congruence, distribution, emit, exact, within
-from .errors import (BudgetExceededError, CacheFormatError, CapabilityError,
-                     InvalidProblemError, InvalidThresholdError, SigmaOverflowError)
+from .errors import BudgetExceededError, CacheFormatError, CapabilityError
 from .sieve import DEFAULT_SEGMENT_LENGTH, SigmaSource, sieve_segment
 from .types import RationalTarget, ThresholdSpec, parse_checkpoints, parse_integer
 
@@ -52,14 +51,12 @@ class RunConfig:
     segment_length: int = DEFAULT_SEGMENT_LENGTH
     cache_dir: Optional[str] = None
     output_format: str = "csv"
-    threads: int = 1
     strict_inequality: bool = True
     threshold_at_n: bool = True
     include_n_equals_1: bool = True
 
     def source(self) -> SigmaSource:
-        return SigmaSource(segment_length=self.segment_length,
-                           threads=self.threads, cache_dir=self.cache_dir)
+        return SigmaSource(segment_length=self.segment_length, cache_dir=self.cache_dir)
 
 
 _BOOL_VALUES = {"true": True, "1": True, "yes": True,
@@ -114,7 +111,6 @@ _SETTINGS = (
     ("segment_length", "--segment-length", dict(type=_integer),
      lambda text: parse_integer(text, "segment_length")),
     ("cache_dir", "--cache-dir", {}, lambda text: text or None),
-    ("threads", "--threads", dict(type=_integer), lambda text: parse_integer(text, "threads")),
     ("output_format", "--format", dict(
         choices=_FORMATS, help="output format (default depends on the subcommand)"),
      _parse_format),
@@ -428,11 +424,11 @@ def main(argv=None) -> int:
         else:
             _write(sys.stdout, blocks)
             sys.stdout.flush()  # so a closed pipe fails here, not at interpreter exit
-    except (InvalidProblemError, InvalidThresholdError, ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (CapabilityError, BudgetExceededError, SigmaOverflowError,
-            CacheFormatError, OSError, OverflowError) as exc:
+    except (CapabilityError, BudgetExceededError, CacheFormatError, OSError,
+            OverflowError) as exc:
         # OverflowError: an exact input (such as --ell 1e400) beyond float64 or int64
         if isinstance(exc, BrokenPipeError):  # the reader left: the exit flush goes nowhere
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

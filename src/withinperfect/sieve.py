@@ -14,8 +14,13 @@ CPU because within and distribution decide all the thresholds of a kind in
 one call per block; alone, blocks of 2^15 cost table1 11% more, and blocks
 of 2^14 cost cdf 30% more.
 Its ``table`` (one segment from 1) has no caller in the package and stays only
-because the benchmark traces it.  A run from 1 whose estimated cost (ranges)
-exceeds MAX_RUN_COST is refused before any segment is sieved.
+because the benchmark traces it.  Its ``threads`` pool stays only for the
+benchmark's probe, which times one thread against two: every statistic reads
+the blocks in order in one process, so the CLI sieves on one thread; two
+threads were no faster and held 10 MiB more (0.97x on table1 at 2e7, 1.01x on
+census at 1e7, 0.96x on a cold cdf at 2e7; BENCH_31.json).  A run from 1 whose
+estimated cost (ranges) exceeds MAX_RUN_COST is refused before any segment is
+sieved.
 
 The kernel, _pair_sums, enumerates divisor pairs (d, m/d) with d <= sqrt(hi),
 with the bounds of every d computed as numpy columns.  A d with more than
@@ -59,8 +64,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -425,11 +428,12 @@ def abundancy(n: int) -> Fraction:
 class SigmaSource:
     """Streams SigmaSegments covering [1, limit] in ascending order.
 
-    Segments are sieved on demand (optionally on a thread pool) and, when a
-    cache directory is configured (it is made here if missing; "" is none),
-    persisted in the binary segment format so later passes reload instead of
-    resieving.
-    Results are deterministic and identical for any thread count.
+    Segments are sieved on demand and, when a cache directory is configured
+    (it is made here if missing; "" is none), persisted in the binary segment
+    format so later passes reload instead of resieving.
+    threads > 1 sieves on a pool, which stays only for the benchmark's probe
+    of one thread against two (see the module docstring); results are
+    deterministic and identical for any thread count.
     """
 
     def __init__(self, *, segment_length: int = DEFAULT_SEGMENT_LENGTH, threads: int = 1,
@@ -491,6 +495,9 @@ class SigmaSource:
             for bounds in ranges:
                 yield self._materialize(bounds)
             return
+        from collections import deque
+        from concurrent.futures import ThreadPoolExecutor
+
         pool = ThreadPoolExecutor(max_workers=self.threads)
         try:
             pending = deque()

@@ -20,7 +20,7 @@ from withinperfect.congruence import CongruenceProblem, census, sporadic_growth_
 from withinperfect.distribution import phase_experiment
 from withinperfect.exact import (DiophantineProblem, enumerate_perfect,
                                  series_partial_sums, solve_diophantine)
-from withinperfect.sieve import SigmaSource, sieve_segment, sigma_oracle
+from withinperfect.sieve import DEFAULT_SEGMENT_LENGTH, SigmaSource, sieve_segment, sigma_oracle
 
 from conftest import ORACLE_LIMIT, brute_census, brute_diophantine, trial_is_prime
 
@@ -155,10 +155,10 @@ def test_figure1_data(tmp_path, capsys):
 
 def test_determinism_and_cache(tmp_path, capsys):
     outputs = set()
-    for threads in ("1", "4", "8"):
+    for length in ("1024", "65536", str(DEFAULT_SEGMENT_LENGTH)):
         for run in range(2):
-            target = tmp_path / f"run_{threads}_{run}.csv"
-            code = main(["--threads", threads, "count", "--ell", "2",
+            target = tmp_path / f"run_{length}_{run}.csv"
+            code = main(["--segment-length", length, "count", "--ell", "2",
                          "--threshold", "pow:0.5", "--limit", "300000",
                          "--out", str(target)])
             assert code == 0

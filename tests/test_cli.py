@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from withinperfect import cli
 from withinperfect.cache import read_segment
 from withinperfect.cli import CACHE_DIR_ENV, apply_config_file, main, RunConfig
-from withinperfect import emit, sieve
+from withinperfect import congruence, emit, sieve
 from withinperfect.emit import records_json, records_ndjson
 from withinperfect.errors import BudgetExceededError
 from withinperfect.sieve import (DEFAULT_SEGMENT_LENGTH, MAX_RUN_COST, SigmaSegment,
@@ -53,6 +53,20 @@ def test_census_json_format(capsys):
                         "--format", "json")
     assert code == 0
     assert [r["n"] for r in json.loads(out)] == [1, 6, 11, 24, 30, 42]
+
+
+@pytest.mark.parametrize("k, warned", [(12, False), (-13, False), (14, True), (-14, True)])
+def test_census_warns_outside_the_uniform_range(capsys, k, warned):
+    # 50^(2/3) = 13.57: |k| at or above it gets one warning line on stderr,
+    # and stdout is the census's own render either way
+    code = main(["census", "--b", "1", "--k", str(k), "--limit", "50"])
+    captured = capsys.readouterr()
+    problem = congruence.CongruenceProblem(1, k, 50)
+    assert code == 0
+    assert captured.out == "".join(emit.records_ndjson_blocks(
+        congruence.census_stream(problem, SigmaSource())))
+    warning = f"warning: |k|={abs(k)} is outside the uniform range b*x^(2/3)\n"
+    assert captured.err == (warning if warned else "")
 
 
 def test_perfect_json_and_csv(capsys):
@@ -661,11 +675,11 @@ def test_sporadic_memory_is_set_by_the_segment_not_the_census(peak_kib):
     assert peak <= 100 * 1024, peak
 
 
-def test_determinism_across_runs_and_threads(capsys):
+def test_determinism_across_runs_and_segment_lengths(capsys):
     outputs = set()
-    for threads in ("1", "2"):
+    for length in ("1024", "65536"):
         for _ in range(2):
-            code, out = run_cli(capsys, "--threads", threads, "--segment-length", "65536",
+            code, out = run_cli(capsys, "--segment-length", length,
                                 "count", "--ell", "2", "--threshold", "pow:0.7",
                                 "--limit", "200000")
             assert code == 0
@@ -690,7 +704,7 @@ def test_convention_flags(capsys):
 
 def test_config_file_overrides_flags(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("format=json\nthreads=2\nstrict_inequality=true\n")
+    cfg.write_text("format=json\nsegment_length=4096\nstrict_inequality=true\n")
     code, out = run_cli(capsys, "--config", str(cfg), "--format", "csv",
                         "perfect", "--ell", "2", "--limit", "10000")
     assert code == 0
@@ -703,7 +717,7 @@ def test_config_file_validation(tmp_path):
     with pytest.raises(ValueError):
         apply_config_file(RunConfig(), str(bad))
     weird = tmp_path / "weird.cfg"
-    weird.write_text("threads\n")
+    weird.write_text("segment_length\n")
     with pytest.raises(ValueError):
         apply_config_file(RunConfig(), str(weird))
 
@@ -868,7 +882,7 @@ def test_empty_checkpoints_exit_1(capsys, argv, checkpoints):
 
 @pytest.mark.parametrize("command", sorted(RENDERED))
 @pytest.mark.parametrize("flags, code, message", [
-    (["--threads", "65"], 2, "threads 65 exceeds the cap 64"),
+    (["--segment-length", "33554433"], 2, "segment_length exceeds the memory budget"),
     (["--segment-length", "1023"], 1, "segment_length must be >= 1024"),
 ])
 def test_run_wide_refusals_fire_for_every_subcommand(capsys, monkeypatch, command, flags,
@@ -885,13 +899,27 @@ def test_run_wide_refusals_fire_for_every_subcommand(capsys, monkeypatch, comman
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
-def test_threads_beyond_the_cap_exit_2(capsys):
-    # 1e3 threads would start 1000 OS threads holding 1001 segments
-    code = main(["--threads", "1e3", "count", "--ell", "2", "--threshold", "pow:1/2",
-                 "--limit", "100"])
+@pytest.mark.parametrize("argv, message", [
+    (["--threads", "2", "count"], "argument SUBCOMMAND: invalid choice: '2'"),
+    (["count", "--threads", "2"], "unrecognized arguments: --threads 2"),
+])
+def test_threads_is_no_longer_an_option(capsys, argv, message):
+    # every run sieves on one thread; --threads is refused as --bogus is
+    code = main([*argv, "--ell", "2", "--threshold", "xlog", "--limit", "30"])
     captured = capsys.readouterr()
-    assert (code, captured.out) == (2, "")
-    assert captured.err == "error: threads 1000 exceeds the cap 64\n"
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith("usage: withinperfect")
+    assert f"withinperfect: error: {message}" in captured.err
+
+
+def test_threads_is_no_longer_a_config_key(capsys, tmp_path):
+    cfg = tmp_path / "threads.cfg"
+    cfg.write_text("threads=2\n")
+    code = main(["--config", str(cfg), "count", "--ell", "2", "--threshold", "xlog",
+                 "--limit", "30"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: unknown config key 'threads'\n"
 
 
 def test_cache_dir_env_override(capsys, tmp_path, monkeypatch):
@@ -920,7 +948,6 @@ def test_config_file_rejects_limit(capsys, tmp_path):
 CONFIG_KEY_FLAGS = [
     ("segment_length=4096", ["--segment-length", "4096"], "count"),
     ("cache_dir=CACHE", ["--cache-dir", "CACHE"], "count"),
-    ("threads=2", ["--threads", "2"], "count"),
     ("format=csv", ["--format", "csv"], "perfect"),
     ("output_format=csv", ["--format", "csv"], "perfect"),
     ("strict_inequality=false", ["--non-strict"], "count"),
@@ -956,35 +983,35 @@ def test_a_config_key_sets_what_its_flag_sets(monkeypatch, tmp_path, line, flags
 #: figure1, whose options all have defaults, are given --limit with no value.
 #: Taken with COLUMNS=80 on Python 3.11, whose argparse lays out help this way.
 PARSER_DIGESTS = {
-    "--help": "ee5b9f95580831c665cd65c64f86ed064f706e1db74013b803bb147ede6cdb87",
-    "sieve --help": "4f2b52e87b136c3cf2bca1600f9d5d30bceae5025f896099c4ea93ce785ccaa0",
-    "count --help": "dbbf6681ac956254c703a486d956f1919e88b18ce28e875836cf4e078a35ba4c",
-    "series --help": "f864ff390edf583908c0849b778762722ba0557d0b90ce1456902bf07eeaf0aa",
-    "table1 --help": "547fd55f50981dfa2c234b962f4c1ee677bcc4237c5a1dc66c69eb17d5caed45",
-    "figure1 --help": "183b7eb3580a19c53a61549a4b1949e7bc54c7b3533d5b1dab68b67316019757",
-    "perfect --help": "043ad22180684d8363d15eb1fa61fd5d9837068bb289b9ced1d81c2416cf8da0",
-    "wirsing --help": "025d4ef19dcfbb5dbb3efeff4ff001881ec4903afed7079bfff8820a9d0ea919",
-    "dioph --help": "80ba8e3d800c15ab3be2d3aa0a08ba37342baffccbcbc31d585aca7041f7b993",
-    "census --help": "73d47323b7eea4c343203e5289016bf43ebae41e4527205ad651dd49c8acb23e",
-    "sporadic --help": "9edce9256da2a8449dc7f81966c76054277a3d74b2030ecb1ed2405b7300f504",
-    "cdf --help": "0f7a8ec59143607686eb9ce6d7b980496dcbda0d73cb9411f81db4f9e38e024a",
-    "phase --help": "af4bb5e50632c49432afdd73872eb78b52650801abc2a8fccc5909de17d16a9d",
-    "probe --help": "7c978c516733201acbde125d637eab60515f64795fe76439860ebe419446c05b",
-    "gcdsum --help": "113f03b5bf222bfe8a497ab546cf7e4c82ca939e2022274c626703e3a5977ab1",
-    "sieve": "5c53c7067d303e8c047dacbb5bb46264eacc432deb4e523a9e9fd10b321607be",
-    "count": "336d9167b693a11fef29562b2acad9331434660a104c6999b228257bb794e31e",
-    "series": "55e640f004ea415455cf0dd7e0ce5bdfcc8603073fd9c24e792aad1d361375ed",
-    "table1 --limit": "857cf58cedada667ef545d6ead1c4bed578ce3b39f11b0393941c4776c950410",
-    "figure1 --limit": "7f45681e8ad77e7670289f03b2b1dbbdd262ad4c82bf6b230113f86bf48d3f7b",
-    "perfect": "5613b9b43e641cdc595b1d0dba53d42697f0b625c939c56d727eac40d8e6d8b4",
-    "wirsing": "33524c70b6dc5c333aa35698dc547540c310a62bcfc6db4155629cb6fc155fe6",
-    "dioph": "fda753a899ded0af7a6a20fad5857bacd1cf75f6349d70f2bd36b1ece574ebbc",
-    "census": "e4b92c4167bddc4b910e2f561b2ac47537ad35e7a9395bf56359bb213a095675",
-    "sporadic": "69108b5cd3f05151641d011d942913b1fdc227ba7ee52ac7efe1dcc3a5647eaa",
-    "cdf": "1ec488399877fdd878aa547db43c4089443631d073e6572d10e682ef0fdd464e",
-    "phase": "566a0d9fceb0a5c2ce3b1bc29a0ee2003b687c6030cc986419a629e33df0c11e",
-    "probe": "1b727021e6a3c54ac8727fd9032bc9e1f7986beb6060ef814c76dc8fe3e0ebe9",
-    "gcdsum": "393dbfded3e6c34cff1b58b5ca222c38a012bbc33f41539ff2ba6891903900e3",
+    "--help": "4eb708bbb5c6531a15c8aa4fbd5a49048d1d18b7950b88af0333c3c95c804d86",
+    "sieve --help": "953cc79c0f4a6eb81e434f2f1152a826a7912f19be342038009b2cfdac91a43d",
+    "count --help": "7d3f215d40cd824dee410851f1a96a8d3a21a9c0d8d6b6821e2e6e9b03d22d26",
+    "series --help": "73ee709a895c06d128800bbfe3ec80aee20e5528f14927c45df2e31245f02717",
+    "table1 --help": "83a3c33d5933bb69647631b3f01bdc461603fb23c4bd2f6b6f191f4debb4c2e4",
+    "figure1 --help": "b5a03e411ff089b5dc1468f5e4a62f511c061a558b33fd9e387aedb809f66e07",
+    "perfect --help": "962d4fb7dae4d308a12cc8fe2e86768012338940465e84b3d48b32dfb5e36c1e",
+    "wirsing --help": "dd3c23f172d42d1f4d1715c3dbac61bc9d1358c57f69122cf54a16c3c396546b",
+    "dioph --help": "f68f4145198455d5f0eb81007e5564cf1f308d77629e2e9c7374f41c38aa0c2c",
+    "census --help": "b02e3b10d8b28358680b3ee31563b765ed407061fa7acdd603df16d31c595347",
+    "sporadic --help": "1f7ea02baf08499bf90afacfb3cfd78c353243964872ebe95a445cbabc261019",
+    "cdf --help": "a9db673b53099865697b2e64270eba2f7b9f2f42e5f3ee66d3af3aa94ddcb6cb",
+    "phase --help": "f21d5b46703d682536b2f2b20632cfb602b07f98afff2607549797e851e787f7",
+    "probe --help": "5ac5cf86b0f1a818191a0fac3532fe7b6b81d8abad4bfac49026ed1fc541d3d6",
+    "gcdsum --help": "a0d336227da657ff41c69d8302a820563fab37ee464911d831340dbde41f7fb4",
+    "sieve": "a7dd4b672f5d7b2039cdce8286fe609490e4b1b12483b37e30b26b71e4081733",
+    "count": "fb49a0f8802043335a793c6868f0f527ce7761bf47f5f715cb032222e26ee3b7",
+    "series": "51a3fecdade144e32030c30949cd47348c85f5c979dc776411435d83bb762a24",
+    "table1 --limit": "96ace591b0bed7b3fe24c7dac9ed5362d0d56317f3709a563412cb1de38dedd0",
+    "figure1 --limit": "1e3af806fd3c76c512d2b1868d19e816fdd330dcdc7867be201cda19dbdbd397",
+    "perfect": "e3e3d5a1c51392c8185f40f3081f45fe87978beffda35932e34169c245d92fb9",
+    "wirsing": "83291e71f64558fb4068cd19c9e3b4cecff4d166c8bc05e3f26bf10c6999bfc9",
+    "dioph": "2930154e63c6d0771e896c32c75073f926435b49c7493cf28a6ef053adbea85a",
+    "census": "da2326aa8375e2a023cace1c7357fecf0eb1935a56f905263b15f6e57d8dba8d",
+    "sporadic": "3f9944066c2d33cba179ad368731e152c09b27da0395a2f181fcf4e33d082eaf",
+    "cdf": "0505c1e1d4e21116c5b3e945980e5ef551d37919fa5a74233145daec72ddb349",
+    "phase": "d1b93e27a295c2d58b482bd233bfb16a9de2ea0865444fd38e32e1743096dca8",
+    "probe": "3dd3eefa94ec5f6c1290b96af77361a06cad8415038d197950a7ed00d0c0206d",
+    "gcdsum": "fbf5ec1601332db36c9e95777b72fca31caf900263beeea7523d6d30d78fb5ab",
 }
 
 
@@ -1050,10 +1077,9 @@ def test_an_empty_cache_dir_is_no_cache(capsys, monkeypatch, tmp_path):
 
 def test_config_file_integers_parse_exactly(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("segment_length=1.024e3\nthreads=2e0\n")
-    config = apply_config_file(RunConfig(), str(cfg))
-    assert (config.segment_length, config.threads) == (1024, 2)
-    cfg.write_text("threads=1.5\n")
+    cfg.write_text("segment_length=1.024e3\n")
+    assert apply_config_file(RunConfig(), str(cfg)).segment_length == 1024
+    cfg.write_text("segment_length=1024.5\n")
     with pytest.raises(ValueError):
         apply_config_file(RunConfig(), str(cfg))
 
@@ -1063,8 +1089,6 @@ def test_config_file_integers_parse_exactly(tmp_path):
     (("dioph", "--a", "2", "--b", "1", "--k", "{}", "--limit", "3000"), "12", "1.2e1"),
     (("sporadic", "--b", "{}", "--k", "12", "--checkpoints", "1e3"), "1", "1e0"),
     (("probe", "--ell", "1.7", "--depth", "{}", "--search-limit", "1000"), "3", "3e0"),
-    (("--threads", "{}", "count", "--ell", "2", "--threshold", "xlog",
-      "--limit", "3000"), "2", "2e0"),
     (("--segment-length", "{}", "count", "--ell", "2", "--threshold", "xlog",
       "--limit", "3000"), "1024", "1.024e3"),
 ])
@@ -1146,26 +1170,17 @@ def test_closed_stdout_exits_2_with_one_error_line():
     _assert_one_error_line(err)
 
 
-def test_cli_imports_no_sympy():
-    # the runtime dependencies are numpy and mpmath only
+@pytest.mark.parametrize("module", ["sympy", "mpmath", "concurrent.futures"])
+def test_cli_imports_no(module):
+    # the runtime dependencies are numpy and mpmath only; mpmath is imported
+    # where the exact xlog compare and the series sums run, and the thread
+    # pool only by a SigmaSource with threads > 1, which the CLI never builds
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import withinperfect.cli, sys; print('sympy' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=60, check=True).stdout
-    assert out == "False\n"
-
-
-def test_cli_imports_no_mpmath():
-    # mpmath is imported where the exact xlog compare and the series sums run
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import withinperfect.cli, sys; print('mpmath' in sys.modules)"],
+         f"import withinperfect.cli, sys; print({module!r} in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=60, check=True).stdout
     assert out == "False\n"
 
@@ -1259,7 +1274,6 @@ _SUBCOMMAND_FLAGS = {
 _COMMON_FLAGS = {
     "--segment-length": _mostly(st.sampled_from(("1024", "4096", str(1 << 22))),
                                 "1023", str(1 << 26)),
-    "--threads": _mostly(st.sampled_from(("1", "2"))),
     "--format": _mostly(st.sampled_from(("csv", "json", "ndjson", "table")), "xml"),
     "--cache-dir": st.just("CACHE_DIR"),
     "--out": st.just("OUT"),
@@ -1294,7 +1308,8 @@ def _argv(draw):
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
-    (root / "config").write_text("threads=2\nstrict_inequality=no\n", encoding="utf-8")
+    (root / "config").write_text("segment_length=4096\nstrict_inequality=no\n",
+                                 encoding="utf-8")
     return root
 
 
