@@ -297,7 +297,7 @@ _COMMANDS = {
     "sporadic": _Command("sporadic-solution growth report", {
         "--b": {}, "--k": {}, "--checkpoints": {}}, lambda a, c, s:
         congruence.sporadic_growth_report(a.b, a.k, parse_checkpoints(a.checkpoints), s), {
-        "csv": lambda r: emit.series_csv_blocks([r.series]),
+        "csv": lambda r: [emit.sporadic_csv(r)],
         "table": lambda r: [emit.sporadic_text(r)]}),
     "cdf": _Command("empirical distribution of sigma(n)/n", {
         "--limit": {}, "--grid": dict(help="comma list of query points")},

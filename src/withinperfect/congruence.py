@@ -89,6 +89,5 @@ def sporadic_growth_report(b: int, k: int, checkpoints,
         sqrt_shape.append(c / x**0.55)
     nonincreasing = all(s2 <= s1 + 1e-12 for s1, s2 in zip(slack, slack[1:]))
     bounded = nonincreasing or max(slack) <= 10.0
-    series = CheckpointSeries(checkpoints, counts, quotients=ratios,
-                              label=f"sporadic b={b} k={k}")
-    return SporadicGrowthReport(b, k, series, ratios, slack, sqrt_shape, bounded)
+    return SporadicGrowthReport(b, k, CheckpointSeries(checkpoints, counts), ratios, slack,
+                                sqrt_shape, bounded)

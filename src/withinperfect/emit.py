@@ -1,10 +1,11 @@
 """Deterministic text emitters: CSV (comma, LF, no BOM) and JSON/NDJSON.
 
 Field order is fixed and quotients print with 6 decimals so identical runs
-produce byte-identical artifacts.  The long outputs (a series or Wirsing
-CSV, solution records as JSON or NDJSON) are rendered from their columns in
-blocks of _BLOCK rows by one renderer, _rows, with the bytes of json.dumps
-or the f-string that the rows it cannot render exactly fall back to.
+produce byte-identical artifacts.  The long outputs (a series CSV, solution
+records as JSON or NDJSON) are rendered from their columns in blocks of
+_BLOCK rows by one renderer, _rows, with the bytes of json.dumps or the
+f-string that the rows it cannot render exactly fall back to.  The Wirsing
+and sporadic CSVs, a row per user checkpoint, are per-row f-strings.
 
 The *_blocks renderers are generators over the parts of a stream
 (within.series_stream, congruence.census_stream): each part is rendered as
@@ -85,80 +86,74 @@ def _digits(v: np.ndarray, pad_to: int = 0) -> np.ndarray:
     return digits
 
 
-def series_csv(series: CheckpointSeries, header: str = "x,count,quotient") -> str:
+def series_csv(series: CheckpointSeries) -> str:
     """The header, then the bytes of f"{x},{c},{q:.6f}" per row."""
-    return "".join(series_csv_blocks([series], header))
+    return "".join(series_csv_blocks([series]))
 
 
-def series_csv_blocks(parts: Iterable[CheckpointSeries],
-                      header: str = "x,count,quotient") -> Iterator[str]:
+def series_csv_blocks(parts: Iterable[CheckpointSeries]) -> Iterator[str]:
     """series_csv of the consecutive parts, as its header line and then one
-    str per block of at most _BLOCK rows, each part rendered as it arrives.
-    A part whose quotient is the default and not yet built is rendered from
-    its x and count (see _series_block), and its quotient column stays
-    unbuilt."""
-    yield header + "\n"
+    str per block of at most _BLOCK rows, each part rendered as it arrives
+    from its x and count (see _series_block), so no quotient column is built."""
+    yield "x,count,quotient\n"
     for part in parts:
-        q = vars(part).get("quotient")  # None: the default column, not built
         for i in range(0, len(part), _BLOCK):
-            rows = slice(i, i + _BLOCK)
-            yield _series_block(part.x[rows], part.count[rows], None if q is None else q[rows])
+            yield _series_block(part.x[i : i + _BLOCK], part.count[i : i + _BLOCK])
+
+
+def _ratio_csv(header: str, series: CheckpointSeries, ratios: list[float]) -> str:
+    """The header, then f"{x},{c},{r:.6f}" per checkpoint of series."""
+    return header + "\n" + "".join(f"{x},{c},{fmt6(r)}\n" for x, c, r in
+                                   zip(series.checkpoints, series.counts, ratios))
 
 
 def wirsing_csv(report: WirsingReport) -> str:
-    s = report.series
-    return series_csv(CheckpointSeries(s.x, s.count, report.ratios), "x,count,ratio")
+    return _ratio_csv("x,count,ratio", report.series, report.ratios)
 
 
-#: The log of _series_block's default quotients.  tests/test_emit.py checks
+def sporadic_csv(report: SporadicGrowthReport) -> str:
+    return _ratio_csv("x,count,quotient", report.series, report.ratios)
+
+
+#: The log of _series_block's quotients.  tests/test_emit.py checks
 #: |np.log(x) - math.log(x)| <= 2^-48 * log x, the bound its band is proved from.
 _log = np.log
 
 
-def _series_block(x: np.ndarray, c: np.ndarray, q: Optional[np.ndarray] = None) -> str:
-    """The rows f"{x},{c},{q:.6f}\n" of one block, through _rows; q None is
-    the default quotient, whose rows are f"{x},{c},{normalized_quotient(c, x):.6f}\n".
+def _series_block(x: np.ndarray, c: np.ndarray) -> str:
+    """The rows f"{x},{c},{normalized_quotient(c, x):.6f}\n" of one block,
+    through _rows.
 
-    The quotient prints as rint(s) with s = q * 10^6, split at the point.
-    format(q, ".6f") is the exact value of q rounded half-even to six
-    decimals, i.e. the integer nearest the exact S = q * 10^6.  The one
-    rounding of the product gives |s - S| <= 2^-53 * s.  For s < 2^52 that is
-    below 1/2, so S can lie across no half-integer but h = floor(s) + 1/2
-    (the others are at least 1/2 from s), and rint(s) is the integer nearest
-    S whenever |s - h| > 2^-53 * s.  Rows with |s - h| <= 2^-52 * s, a band
-    twice that wide, which absorbs the rounding of the test itself, fall back
-    to the per-row f-string.  So do non-finite q, q with the sign bit set
-    ("-0.000000"), s >= 2^52, and a negative x or count.
-
-    The default quotient q = c/(x/math.log(x)) of normalized_quotient is not
-    built: s is taken from q' = c/(x/_log(x)) in numpy.  With |_log(x) -
-    math.log(x)| <= 2^-48 * log x, the two divisions of q, the two of q' and
-    the product each add a relative error of at most 2^-53, so |s - S| <=
-    (2^-48 + 5 * 2^-53) * S < 2^-47 * s.  The band is widened to |s - h| <=
-    2^-40 * s, 128 times that.  A row outside it has 2^-40 * s < |s - h| <=
-    1/2, so s < 2^39 and |s - S| < 2^-8: S lies on the side of h that s
-    does, and rint(s) is again the integer nearest S.  So every printed
-    sixth decimal is still that of math.log: _log only passes rows far from
-    a rounding edge, and the rows inside the band, those with x < 2 and the
-    other slow rows fall back to normalized_quotient.
+    The quotient prints as rint(s) with s = q' * 10^6, split at the point,
+    where q' = c/(x/_log(x)) is taken in numpy; q = c/(x/math.log(x)) of
+    normalized_quotient is not built.  format(q, ".6f") is the exact value of
+    q rounded half-even to six decimals, i.e. the integer nearest the exact
+    S = q * 10^6.  With |_log(x) - math.log(x)| <= 2^-48 * log x, the two
+    divisions of q, the two of q' and the product each add a relative error
+    of at most 2^-53, so |s - S| <= (2^-48 + 5 * 2^-53) * S < 2^-47 * s.
+    Rows with |s - h| <= 2^-40 * s, where h = floor(s) + 1/2, a band 128
+    times that, fall back to normalized_quotient.  A row outside it has
+    2^-40 * s < |s - h| <= 1/2, so s < 2^39 and |s - S| < 2^-8: S can lie
+    across no half-integer but h (the others are at least 1/2 from s), S lies
+    on the side of h that s does, and rint(s) is the integer nearest S.  So
+    every printed sixth decimal is that of math.log.  Rows with x < 2 (NaN),
+    a non-finite q', q' with the sign bit set ("-0.000000"), s >= 2^52, and a
+    negative x or count fall back as well.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if q is None:
-            q = x.astype(np.float64)
-            q /= _log(q)
-            np.divide(c, q, out=q)
-            q[x < 2] = np.nan  # normalized_quotient's NaN, and so a slow row
-            band, exact = 2.0**-40, lambda i: normalized_quotient(int(c[i]), int(x[i]))
-        else:
-            band, exact = 2.0**-52, lambda i: float(q[i])
+        q = x.astype(np.float64)
+        q /= _log(q)
+        np.divide(c, q, out=q)
+        q[x < 2] = np.nan  # normalized_quotient's NaN, and so a slow row
         s = q * 1e6
         fast = (s < 2.0**52) & ~np.signbit(q) & (x >= 0) & (c >= 0)
         s[~fast] = 0.0
-        fast &= np.abs(s - (np.floor(s) + 0.5)) > s * band
+        fast &= np.abs(s - (np.floor(s) + 0.5)) > s * 2.0**-40
     r = np.rint(s).astype(np.int64)
     fields = [_digits(x), ",", _digits(c), ",",
               _digits(r // 10**6), ".", _digits(r % 10**6, 6), "\n"]
-    return _rows(fields, (), ~fast, lambda i: f"{int(x[i])},{int(c[i])},{exact(i):.6f}\n")
+    return _rows(fields, (), ~fast, lambda i: (
+        f"{int(x[i])},{int(c[i])},{fmt6(normalized_quotient(int(c[i]), int(x[i])))}\n"))
 
 
 def records_json(records: Iterable[SolutionRecord]) -> str:
@@ -296,8 +291,8 @@ def gcdsum_csv(report: GcdSumReport) -> str:
 def sporadic_text(report: SporadicGrowthReport) -> str:
     lines = [f"sporadic solutions of {report.b}*sigma(n) = {report.k} (mod n)",
              "x,count,count/(b^2 x^(2/3)),slack-adjusted,count/x^0.55"]
-    for (x, c, _), r, s, r2 in zip(report.series.rows(), report.ratios,
-                                   report.slack_ratios, report.sqrt_shape_ratios):
+    for x, c, r, s, r2 in zip(report.series.checkpoints, report.series.counts,
+                              report.ratios, report.slack_ratios, report.sqrt_shape_ratios):
         lines.append(f"{x},{c},{fmt6(r)},{fmt6(s)},{fmt6(r2)}")
     lines.append(f"bounded: {str(report.bounded).lower()}")
     return "\n".join(lines) + "\n"

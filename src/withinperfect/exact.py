@@ -218,8 +218,7 @@ def enumerate_perfect(target, limit: int, source: Optional[SigmaSource] = None,
     cks = checkpoint_column([limit] if checkpoints is None else checkpoints, limit)
     members = SolutionTable.concat(
         _solutions(target.b, 0, source.blocks(limit), target.a)).n.tolist()
-    counting = CheckpointSeries(cks, np.searchsorted(members, cks, side="right"),
-                                label=f"perfect l={target}")
+    counting = CheckpointSeries(cks, np.searchsorted(members, cks, side="right"))
     return PerfectCensus(target, limit, members, counting)
 
 
@@ -248,9 +247,7 @@ def wirsing_count_check(target, checkpoints, source: Optional[SigmaSource] = Non
               for x, count in zip(checkpoints, census.counting.counts)]
     finite = [r for r in ratios if not math.isnan(r)]
     grew = len(finite) >= 2 and finite[-1] > finite[0] + 1e-12
-    series = CheckpointSeries(checkpoints, census.counting.counts,
-                              label=f"wirsing l={target}")
-    return WirsingReport(target, series, ratios, grew)
+    return WirsingReport(target, census.counting, ratios, grew)
 
 
 @dataclass
@@ -417,8 +414,7 @@ def solve_diophantine(problem: DiophantineProblem, source: Optional[SigmaSource]
     cks = checkpoint_column([limit] if checkpoints is None else checkpoints, limit)
     m0 = regular_family_anchor(a, b, k)
     records = SolutionTable.concat(_solutions(b, k, source.blocks(limit), a))
-    series = CheckpointSeries(cks, np.searchsorted(records.n, cks, side="right"),
-                              label=f"dioph {b}*sigma(n)={a}*n+{k}")
+    series = CheckpointSeries(cks, np.searchsorted(records.n, cks, side="right"))
     return DiophantineSolution(
         problem=problem, records=records, series=series,
         regular_family=m0 is not None, family_anchor=m0,

@@ -1,7 +1,8 @@
 """Common domain types: target ratios and threshold functions, plus the two
-result shapes kept as numpy columns, CheckpointSeries (x, count, quotient)
-and SolutionTable (one row per solution), whose Python lists and records are
-built only when read.  checkpoint_column owns the checkpoint rule."""
+result shapes kept as numpy columns, CheckpointSeries (x, count, with the
+quotient derived from them) and SolutionTable (one row per solution), whose
+Python lists and records are built only when read.  checkpoint_column owns
+the checkpoint rule."""
 
 from __future__ import annotations
 
@@ -161,11 +162,6 @@ class ThresholdSpec:
             return cls.x_over_log()
         raise InvalidThresholdError(f"malformed threshold {text!r}")
 
-    def describe(self) -> str:
-        return {"power": f"y^{self.param}", "constant": str(self.param),
-                "linear": f"{self.param}*y", "x_over_log": "y/log y",
-                "x_log_x": "y*log y"}[self.kind]
-
 
 def checkpoint_column(values, limit: Optional[int] = None, lazy: bool = False):
     """The checkpoint rule of every statistic: values in any order as an
@@ -224,24 +220,22 @@ def _checkpoint(value) -> int:
 
 
 class CheckpointSeries:
-    """Counts at ascending checkpoints and a quotient per checkpoint, held as
-    int64 x, int64 count and float64 quotient columns.
+    """Counts at ascending checkpoints, held as int64 x and count columns,
+    and the quotient derived from them.
 
-    The quotient defaults to count/(x/log x), NaN below x = 2, computed in
-    numpy with a math.log per x.  It is bit-identical to normalized_quotient:
-    the int-to-float conversions and both divisions are correctly rounded in
+    The quotient is count/(x/log x), NaN below x = 2, computed in numpy with
+    a math.log per x.  It is bit-identical to normalized_quotient: the
+    int-to-float conversions and both divisions are correctly rounded in
     numpy as in Python.  np.log is not used, because it may differ from
     math.log by one ulp (it does at 54 of the x <= 10^6 on AVX-512 hosts),
-    which can move a sixth decimal.  That default column is built only when
-    quotient (or quotients, rows, ==, repr) is first read, so a writer can
-    render the series without it (see emit.series_csv_blocks); until then
-    "quotient" is not in the instance __dict__.  A given quotient column is
-    stored as given.  The list-valued checkpoints, counts and quotients are
-    built on first read.  Two series are equal when their labels and columns
-    are, NaN quotients matching NaN.
+    which can move a sixth decimal.  The column is built only when quotient
+    (or quotients, rows, repr) is first read, so a writer can render the
+    series without it (see emit.series_csv_blocks).  The list-valued
+    checkpoints, counts and quotients are built on first read.  Two series
+    are equal when their x and count columns are.
     """
 
-    def __init__(self, checkpoints, counts, quotients=None, label: str = ""):
+    def __init__(self, checkpoints, counts):
         given = _column(np.asarray(checkpoints), "checkpoints")
         # any column but int64 goes item by item: 100.5 is refused, never truncated
         self.x = given if given.dtype == np.int64 else np.array(
@@ -249,14 +243,10 @@ class CheckpointSeries:
         if np.any(self.x[1:] < self.x[:-1]):
             raise ValueError("checkpoints must be ascending")
         self.count = _column(np.asarray(counts, dtype=np.int64), "counts", len(self.x))
-        if quotients is not None:  # shadows the default column's cached_property
-            self.quotient = _column(np.asarray(quotients, dtype=np.float64), "quotients",
-                                    len(self.x))
-        self.label = label
 
     @cached_property
     def quotient(self) -> np.ndarray:
-        """The default column count/(x/log x), NaN below x = 2."""
+        """The column count/(x/log x), NaN below x = 2."""
         quotients = np.full(len(self.x), math.nan)
         start = int(np.searchsorted(self.x, 2))  # x < 2 is an ascending prefix
         x = self.x[start:].astype(np.float64)
@@ -283,25 +273,19 @@ class CheckpointSeries:
     def __eq__(self, other):
         if not isinstance(other, CheckpointSeries):
             return NotImplemented
-        return (self.label == other.label and np.array_equal(self.x, other.x)
-                and np.array_equal(self.count, other.count)
-                and np.array_equal(self.quotient, other.quotient, equal_nan=True))
+        return np.array_equal(self.x, other.x) and np.array_equal(self.count, other.count)
 
     def __repr__(self) -> str:
         return (f"CheckpointSeries(x={self.x!r}, count={self.count!r}, "
-                f"quotient={self.quotient!r}, label={self.label!r})")
+                f"quotient={self.quotient!r})")
 
     def rows(self):
         return list(zip(self.checkpoints, self.counts, self.quotients))
 
     @classmethod
     def concat(cls, parts: list["CheckpointSeries"]) -> "CheckpointSeries":
-        """One series from consecutive parts (at least one), labelled as the
-        first; its quotient is the default, still unbuilt, when every part's is."""
-        lazy = all("quotient" not in vars(p) for p in parts)
-        columns = ("x", "count") if lazy else ("x", "count", "quotient")
-        return cls(*(np.concatenate([getattr(p, c) for p in parts]) for c in columns),
-                   label=parts[0].label)
+        """One series from consecutive parts (at least one)."""
+        return cls(np.concatenate([p.x for p in parts]), np.concatenate([p.count for p in parts]))
 
 
 def _column(column: np.ndarray, name: str, length: Optional[int] = None) -> np.ndarray:
@@ -351,7 +335,7 @@ class SolutionTable(Sequence[SolutionRecord]):
     is None) and the witness p, m (p = 0 where the solution is sporadic).
 
     A solution of census or solve_diophantine has at most one witness, since
-    sigma(n) fixes its p (see sieve._witnesses), so the columns lose nothing.
+    sigma(n) fixes its p (see exact._witnesses), so the columns lose nothing.
     A SolutionRecord is built only when one is indexed or iterated over.  The
     columns must be 1-D and as long as n.
     """

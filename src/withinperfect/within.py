@@ -341,12 +341,10 @@ def series_stream(target, threshold: ThresholdSpec, checkpoints,
                   include_one: bool = True) -> Iterator[CheckpointSeries]:
     """series as one CheckpointSeries per block of count_stream, checked at
     the call, so that a writer can render each part as it comes."""
-    target = RationalTarget.parse(target)
-    label = f"within l={target} k={threshold.describe()}"
     parts = count_stream(target, [threshold], checkpoints, source, include_one)
     # unlike a generator, starmap holds no part's counts while the next is counted
     return starmap(lambda x, strict, ties: CheckpointSeries(
-        x, strict[0] + (0 if threshold.strict else ties[0]), label=label), parts)
+        x, strict[0] + (0 if threshold.strict else ties[0])), parts)
 
 
 def series(target, threshold: ThresholdSpec, checkpoints,

@@ -80,7 +80,7 @@ STATISTICS = _statistics()
 def _plain(value):
     """value with its columns as lists and NaN as a string, comparable by ==."""
     if isinstance(value, CheckpointSeries):
-        return [value.label, value.checkpoints, value.counts, _plain(value.quotients)]
+        return [value.checkpoints, value.counts, _plain(value.quotients)]
     if isinstance(value, SolutionTable):
         return list(value)
     if is_dataclass(value):

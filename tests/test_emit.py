@@ -28,43 +28,21 @@ def half_point(k: int) -> float:
     return float(Fraction(2 * k + 1, 2 * 10**6))
 
 
-_HALF = st.one_of(st.integers(0, 10**7), st.integers(0, 2**53)).map(half_point)
-_QUOTIENT = st.one_of(
-    _HALF,
-    _HALF.map(lambda q: float(np.nextafter(q, -math.inf))),
-    _HALF.map(lambda q: float(np.nextafter(q, math.inf))),
-    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf]),
-    st.floats(-1e17, 1e17),
-)
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_series_csv_is_the_per_row_rendering(data):
     xs = sorted(data.draw(st.lists(st.one_of(st.just(1), st.integers(1, 2**62)),
                                    max_size=30)))
     counts = data.draw(st.lists(st.integers(0, 2**62), min_size=len(xs), max_size=len(xs)))
-    if data.draw(st.booleans()):
-        quotients = data.draw(st.lists(_QUOTIENT, min_size=len(xs), max_size=len(xs)))
-        series = CheckpointSeries(xs, counts, quotients)
-    else:  # count/(x/log x), NaN at x = 1
-        series = CheckpointSeries(xs, counts)
-        quotients = [normalized_quotient(c, x) for c, x in zip(counts, xs)]
-    assert series_csv(series) == per_row_csv(xs, counts, quotients)
+    quotients = [normalized_quotient(c, x) for c, x in zip(counts, xs)]  # NaN at x = 1
+    assert series_csv(CheckpointSeries(xs, counts)) == per_row_csv(xs, counts, quotients)
 
 
 def test_series_csv_across_block_edges():
     rng = np.random.default_rng(7)
     xs = list(range(1, 70_001))
     counts = rng.integers(0, 10**6, len(xs)).tolist()
-    quotients = (rng.random(len(xs)) * 10.0**rng.integers(-3, 10, len(xs))).tolist()
-    for i in (0, 1, 65_534, 65_535, 65_536, 65_537, 69_999):  # half points on the edge
-        quotients[i] = half_point(int(rng.integers(0, 10**9)))
-    for i in (2, 65_533, 69_998):
-        quotients[i] = math.nan
-    text = series_csv(CheckpointSeries(xs, counts, quotients))
-    assert text == per_row_csv(xs, counts, quotients)
-    # the default quotients over the same rows (NaN at x = 1)
+    # count/(x/log x) over rows across four block edges (NaN at x = 1)
     text = series_csv(CheckpointSeries(range(1, 70_001), counts))
     assert text == per_row_csv(xs, counts, [normalized_quotient(c, x)
                                             for c, x in zip(counts, xs)])
@@ -120,7 +98,7 @@ def test_default_quotients_are_math_log_with_a_skewed_fast_log(ks):
 def test_series_csv_slow_rows_across_the_render_block_edges():
     # rows that fall back to the f-string straddle both edges of _BLOCK = 2^14
     # rows: NaN quotients (x = 1 < 2) the first, and rows on and beside half
-    # points (inside the band) the second, for the default and given quotients
+    # points (inside the band) the second
     edge = emit._BLOCK
     ks = [250_001, 299_999, 319_998]
     far = [2**60 + 3 * i for i in range(len(ks)) for _ in range(3)]
@@ -132,10 +110,6 @@ def test_series_csv_slow_rows_across_the_render_block_edges():
     assert len(list(series_csv_blocks([series]))) == 1 + 3
     assert series_csv(series) == per_row_csv(xs, counts, [normalized_quotient(c, x)
                                                           for c, x in zip(counts, xs)])
-    quotients = [math.nan] * (edge + 2) + [half_point(k) for k in range(len(xs) - edge - 2)]
-    for i in (edge - 1, 2 * edge - 1):
-        quotients[i] = float(np.nextafter(half_point(i), math.inf))
-    assert series_csv(CheckpointSeries(xs, counts, quotients)) == per_row_csv(xs, counts, quotients)
 
 
 def test_figure1_never_builds_the_exact_quotients(monkeypatch):
@@ -165,8 +139,6 @@ def test_concat_keeps_the_default_quotient_unbuilt():
     lazy = CheckpointSeries.concat([a, b])
     assert "quotient" not in vars(lazy)
     assert lazy == CheckpointSeries([1, 2, 3, 4], [0, 1, 1, 2])
-    mixed = CheckpointSeries.concat([a, b, CheckpointSeries([5], [3], [0.25])])
-    assert np.array_equal(mixed.quotient, [*lazy.quotients, 0.25], equal_nan=True)
 
 
 def _texts(block: np.ndarray) -> list[str]:
@@ -190,21 +162,22 @@ def test_digits_in_uint32_and_int64(draws):
 
 def test_series_compare_by_value():
     # the result dataclasses that hold a series (PerfectCensus, ...) compare through it
-    a = CheckpointSeries(range(1, 4), [0, 1, 2], label="s")
-    assert a == CheckpointSeries([1, 2, 3], np.array([0, 1, 2]), label="s")  # NaN at x = 1
-    assert a != CheckpointSeries([1, 2, 3], [0, 1, 3], label="s")
-    assert a != CheckpointSeries([1, 2, 3], [0, 1, 2], [math.nan, 1.0, 2.0], label="s")
-    assert a != CheckpointSeries([1, 2, 3], [0, 1, 2])
+    a = CheckpointSeries(range(1, 4), [0, 1, 2])
+    b = CheckpointSeries([1, 2, 3], np.array([0, 1, 2]))
+    assert a == b
+    # the quotient is derived from x and count, so == builds neither column
+    assert "quotient" not in vars(a) and "quotient" not in vars(b)
+    assert a != CheckpointSeries([1, 2, 3], [0, 1, 3])
+    assert a != CheckpointSeries([1, 2, 4], [0, 1, 2])
     assert enumerate_perfect("2", 10**4) == enumerate_perfect("2", 10**4)
     assert repr(a).startswith("CheckpointSeries(x=array([1, 2, 3]), count=array([0, 1, 2])")
 
 
 def test_series_columns_must_match():
     # a short count column was accepted, and series_csv repeated its one count
-    for counts, quotients in (([5], None), ([1, 2, 3, 4], None), ([[1, 2, 3]], None),
-                              ([1, 2, 3], [0.5]), ([1, 2, 3], [[0.5, 0.5, 0.5]])):
+    for counts in ([5], [1, 2, 3, 4], [[1, 2, 3]]):
         with pytest.raises(ValueError):
-            CheckpointSeries([10, 20, 30], counts, quotients)
+            CheckpointSeries([10, 20, 30], counts)
     with pytest.raises(ValueError):
         CheckpointSeries([[10, 20, 30]], [1, 2, 3])
     assert len(CheckpointSeries([], [])) == 0
@@ -224,7 +197,7 @@ def test_solution_table_columns_must_match():
         SolutionTable.from_records([SolutionRecord(1, 1, "regular", ((0, 5),))])
 
 
-_EDGE = (1 << 16) - 1  # rows _EDGE .. _EDGE + 2 straddle a block edge
+_EDGE = (1 << 15) - 1  # rows _EDGE .. _EDGE + 2 straddle the second block edge
 _SIZE = _EDGE + 10
 _ROW = st.tuples(st.one_of(st.integers(0, 2**62), st.integers(-2**62, -1)),
                  st.integers(-2**62, 2**62),
@@ -235,7 +208,7 @@ _ROW = st.tuples(st.one_of(st.integers(0, 2**62), st.integers(-2**62, -1)),
 
 @pytest.fixture(scope="module")
 def edge_table():
-    """Regular and sporadic rows around the block edge at 65,536, and the NDJSON
+    """Regular and sporadic rows around the block edge at 32,768, and the NDJSON
     of the rows before and after the three edge rows."""
     rng = np.random.default_rng(11)
     n = np.arange(1, _SIZE + 1, dtype=np.int64) * 7919
@@ -251,7 +224,7 @@ def edge_table():
 @given(edge_rows=st.lists(_ROW, min_size=3, max_size=3))
 def test_records_across_a_block_edge(edge_table, edge_rows):
     # the three edge rows are drawn: regular, sporadic, negative (the fallback)
-    assert (_EDGE + 1) % emit._BLOCK == 0  # records go _BLOCK to a block
+    assert _EDGE + 1 == 2 * emit._BLOCK  # records go _BLOCK to a block: first, middle, last
     base, before, after = edge_table
     columns = [c.copy() for c in (base.n, base.sigma_n, base.q, base.p, base.m)]
     for j, (n, sigma_n, (p, m)) in enumerate(edge_rows):
